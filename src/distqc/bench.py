@@ -5,7 +5,8 @@ processor (identity placement), random commuting circuits of a configured
 gate count, and per-instance compile metrics exported as CSV.  Fully
 deterministic under a fixed seed: instance seeds are derived by hashing the
 master seed with the instance coordinates, and rows are written in
-configuration order regardless of worker completion order.
+configuration order.  `compile_backend` is the one backend dispatch, shared
+with the command line.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import csv
 import hashlib
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
-from .circuit import Circuit, Placement, cz, fanin
+from .circuit import Circuit, Placement, cz, fanin, validate_layers
 from .flow import compile_circuit_flow, metrics
 from .netmodel import GENERATORS, QuotientGraph
 from .steiner import compile_circuit_steiner, cz_to_dense_fanin
@@ -75,7 +76,6 @@ class BenchConfig:
     seed: int = 0
     out: str | None = None
     timing: bool = True
-    workers: int = 1
 
     def __post_init__(self) -> None:
         for t in self.topologies:
@@ -122,61 +122,60 @@ def instance_seed(master: int, topology: str, g: int, size: int, sample: int) ->
 
 
 def compile_backend(
-    backend: str, circuit: Circuit, placement: Placement, graph: QuotientGraph
+    backend: str,
+    circuit: Circuit,
+    placement: Placement,
+    graph: QuotientGraph,
+    cancel_pairs: bool = False,
 ):
-    """Run one backend; returns (e_depth, e_count)."""
+    """Validate the input, run one backend; returns (extended, schedule, e_depth, e_count).
+
+    Steiner first densifies a non-empty CZ-only circuit into fan-in layers
+    (`cancel_pairs` drops repeated pairs modulo 2); no other input is densified.
+    """
+    bad = validate_layers(circuit)
+    if bad is not None:
+        raise ValueError(f"layer {bad.layer}: {bad.reason}")
+    procs = placement.qubit_to_processor
+    if len(procs) < circuit.num_qubits:
+        raise ValueError(f"placement maps {len(procs)} of {circuit.num_qubits} qubits")
+    for q, p in enumerate(procs):
+        if not 0 <= p < graph.node_count:
+            raise ValueError(f"qubit {q} on processor {p} of a {graph.node_count}-node graph")
     if backend in ("flow-greedy", "flow-exact"):
         mode = "greedy" if backend == "flow-greedy" else "exact"
-        _ext, sched, cs = compile_circuit_flow(circuit, placement, graph, mode)
+        ext, sched, _cs = compile_circuit_flow(circuit, placement, graph, mode)
         m = metrics(sched)
-        return m.e_depth, m.e_count
+        return ext, sched, m.e_depth, m.e_count
     if backend == "steiner":
         source = circuit
         if circuit.all_gates() and all(g.kind == "cz" for g in circuit.all_gates()):
-            source = cz_to_dense_fanin(circuit).to_circuit()
-        ext, ts = compile_circuit_steiner(source, placement, graph)
-        return ts.horizon, ext.e_count
+            source = cz_to_dense_fanin(circuit, cancel_pairs=cancel_pairs).to_circuit()
+        ext, sched = compile_circuit_steiner(source, placement, graph)
+        return ext, sched, sched.horizon, ext.e_count
     raise ValueError(f"unknown backend {backend!r}")
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
     """Compile every configured instance and return (and optionally write) rows."""
-    jobs: list[tuple] = []
+    records: list[BenchRecord] = []
     for topology in cfg.topologies:
         for g in cfg.g_values:
             graph = GENERATORS[topology](g)
-            for size in cfg.sizes:
-                for sample in range(cfg.samples):
-                    seed = instance_seed(cfg.seed, topology, g, size, sample)
-                    for backend in cfg.backends:
-                        jobs.append((topology, g, graph, size, seed, backend))
-
-    def run(job) -> BenchRecord:
-        topology, g, graph, size, seed, backend = job
-        rng = random.Random(seed)
-        circuit = gen_random_cz_circuit(graph.node_count, size, rng)
-        placement = Placement.identity(graph.node_count)
-        start = time.perf_counter()
-        e_depth, e_count = compile_backend(backend, circuit, placement, graph)
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        return BenchRecord(
-            topology,
-            g,
-            graph.node_count,
-            graph.edge_count,
-            size,
-            backend,
-            e_depth,
-            e_count,
-            round(elapsed_ms, 3) if cfg.timing else 0.0,
-            seed,
-        )
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(run, jobs))
-    else:
-        records = [run(j) for j in jobs]
+            placement = Placement.identity(graph.node_count)
+            for size, sample, backend in product(cfg.sizes, range(cfg.samples), cfg.backends):
+                seed = instance_seed(cfg.seed, topology, g, size, sample)
+                circuit = gen_random_cz_circuit(graph.node_count, size, random.Random(seed))
+                start = time.perf_counter()
+                _ext, _sched, e_depth, e_count = compile_backend(backend, circuit, placement, graph)
+                elapsed_ms = (time.perf_counter() - start) * 1e3
+                wall_ms = round(elapsed_ms, 3) if cfg.timing else 0.0
+                records.append(
+                    BenchRecord(
+                        topology, g, graph.node_count, graph.edge_count, size, backend,
+                        e_depth, e_count, wall_ms, seed,
+                    )
+                )
     if cfg.out:
         write_csv(cfg.out, records)
     return records

@@ -8,12 +8,17 @@ import json
 import random
 import sys
 
-from .bench import BenchConfig, gen_hardest_fanin, gen_random_cz_circuit, run_bench
+from .bench import (
+    BACKENDS,
+    BenchConfig,
+    compile_backend,
+    gen_hardest_fanin,
+    gen_random_cz_circuit,
+    run_bench,
+)
 from .circuit import Circuit, Placement
-from .flow import compile_circuit_flow
 from .netmodel import GENERATORS, QuotientGraph
 from .stabsim import channel_equivalent
-from .steiner import compile_circuit_steiner, cz_to_dense_fanin
 from .telegate import ExtendedCircuit
 
 
@@ -53,23 +58,11 @@ def cmd_compile(args) -> int:
         placement = Placement.from_json(_read_json(args.placement))
     else:
         placement = Placement.round_robin(circuit.num_qubits, graph.node_count)
-    if args.backend == "steiner":
-        source = circuit
-        if args.densify:
-            source = cz_to_dense_fanin(circuit, cancel_pairs=args.cancel_pairs).to_circuit()
-        extended, sched = compile_circuit_steiner(source, placement, graph)
-        e_depth, e_count = sched.horizon, extended.e_count
-        sched_doc = sched.to_json()
-    else:
-        mode = "exact" if args.backend == "flow-exact" else "greedy"
-        extended, sched, _cs = compile_circuit_flow(circuit, placement, graph, mode)
-        from .flow import metrics
-
-        m = metrics(sched)
-        e_depth, e_count = m.e_depth, m.e_count
-        sched_doc = sched.to_json()
+    extended, sched, e_depth, e_count = compile_backend(
+        args.backend, circuit, placement, graph, cancel_pairs=args.cancel_pairs
+    )
     if args.out:
-        _write_json(args.out, sched_doc)
+        _write_json(args.out, sched.to_json())
     if args.extended_out:
         _write_json(args.extended_out, extended.to_json())
     print(f"backend={args.backend} e_depth={e_depth} e_count={e_count}")
@@ -97,7 +90,6 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         out=args.out,
         timing=not args.no_timing,
-        workers=args.workers,
     )
     records = run_bench(cfg)
     print(f"{len(records)} rows -> {args.out}")
@@ -129,9 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--topology", required=True)
     p.add_argument("--placement", help="placement JSON; default round-robin")
-    p.add_argument("--backend", choices=["flow-exact", "flow-greedy", "steiner"], required=True)
-    p.add_argument("--densify", action="store_true", help="reduce a CZ-only circuit to fan-in layers first")
-    p.add_argument("--cancel-pairs", action="store_true", help="drop repeated CZ pairs modulo 2 while densifying")
+    p.add_argument("--backend", choices=BACKENDS, required=True)
+    p.add_argument(
+        "--cancel-pairs",
+        action="store_true",
+        help="steiner densifies a CZ-only circuit; drop repeated CZ pairs modulo 2 when it does",
+    )
     p.add_argument("--out", help="schedule JSON output")
     p.add_argument("--extended-out", help="extended circuit JSON output")
     p.set_defaults(func=cmd_compile)
@@ -157,14 +152,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write zero wall times so repeated runs are byte-identical",
     )
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"distqc {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -139,24 +139,6 @@ def _simple_paths(q: QuotientGraph, s: int, t: int) -> list[tuple[int, ...]]:
     return out
 
 
-def shortest_path_len(q: QuotientGraph, s: int, t: int) -> int:
-    if s == t:
-        return 0
-    dist = {s: 0}
-    frontier = [s]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for v in q.adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if v == t:
-                        return dist[v]
-                    nxt.append(v)
-        frontier = nxt
-    raise ValueError(f"no path between {s} and {t}")
-
-
 def _topological_order(cs: CommoditySet) -> list[int]:
     import heapq
 
@@ -290,32 +272,6 @@ def quickest_flow(
     return FlowSchedule(max(best.steps, default=0), best.steps, best.paths)
 
 
-def _bfs_shortest_residual(
-    q: QuotientGraph, s: int, t: int, residual: dict[tuple[int, int], int]
-) -> tuple[int, ...] | None:
-    """Lexicographically smallest shortest path using edges with residual capacity."""
-    if s == t:
-        return (s,)
-    parent: dict[int, int] = {s: -1}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in q.adjacency[u]:
-                e = (min(u, v), max(u, v))
-                if residual.get(e, 0) < 1 or v in parent:
-                    continue
-                parent[v] = u
-                if v == t:
-                    path = [t]
-                    while path[-1] != s:
-                        path.append(parent[path[-1]])
-                    return tuple(reversed(path))
-                nxt.append(v)
-        frontier = nxt
-    return None
-
-
 def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     """One step at a time, route as many ready commodities as capacity allows.
 
@@ -328,9 +284,7 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     steps: dict[int, int] = {}
     paths: dict[int, tuple[int, ...]] = {}
     preds = {i: cs.predecessors(i) for i in range(cs.k)}
-    sp_len = {
-        i: shortest_path_len(q, c.source, c.target) for i, c in enumerate(cs.commodities)
-    }
+    sp_len = {i: q.hops(c.source, c.target) for i, c in enumerate(cs.commodities)}
     remaining = set(range(cs.k))
     tau = 0
     while remaining:
@@ -353,7 +307,7 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
             batch = sorted((i for i in remaining if ready(i)), key=lambda i: (sp_len[i], i))
             for i in batch:
                 c = cs.commodities[i]
-                path = _bfs_shortest_residual(q, c.source, c.target, residual)
+                path = q.shortest_path(c.source, c.target, usable=residual)
                 if path is None:
                     continue
                 for u, v in zip(path, path[1:]):

@@ -6,6 +6,10 @@ entanglement links between communication qubits of different processors.
 Scheduling happens on the *quotient graph*: one node per processor, parallel
 entanglement links between the same processor pair collapsed into a single
 edge whose capacity is the link count.
+
+``QuotientGraph`` is the single owner of graph distances: one breadth-first
+search (``bfs``, memoised per source) backs the hop counts and shortest
+paths that the flow and Steiner backends route along.
 """
 
 from __future__ import annotations
@@ -122,18 +126,73 @@ class QuotientGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return self.cap(u, v) > 0
 
-    def is_connected(self) -> bool:
-        if self.node_count == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
+    @cached_property
+    def _bfs_memo(self) -> dict[int, tuple[dict[int, int], dict[int, int]]]:
+        return {}
+
+    def bfs(
+        self,
+        s: int,
+        usable: dict[tuple[int, int], int] | None = None,
+        stop: int | None = None,
+    ) -> tuple[dict[int, int], dict[int, int]]:
+        """Hop distances and parents (the source's parent is -1) from `s`.
+
+        Neighbours are visited in ascending order and every node keeps its
+        first-discovered parent.  With `usable`, an edge (u, v), u < v, is
+        crossed only if its entry is at least 1.  The search returns as soon
+        as it discovers `stop`.  Unfiltered searches run in full once per
+        source and are memoised; callers must not mutate the returned dicts.
+        """
+        if s not in self.adjacency:
+            raise ValueError(f"node {s} not in graph of {self.node_count} nodes")
+        if usable is None:
+            hit = self._bfs_memo.get(s)
+            if hit is not None:
+                return hit
+            stop = None
+        dist = {s: 0}
+        parent = {s: -1}
+        if s == stop:
+            return dist, parent
+        queue = [s]
+        for u in queue:  # the list grows while it is walked: FIFO order
+            d = dist[u] + 1
             for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.node_count
+                if v in dist:
+                    continue
+                if usable is not None and usable.get((u, v) if u < v else (v, u), 0) < 1:
+                    continue
+                dist[v] = d
+                parent[v] = u
+                if v == stop:
+                    return dist, parent
+                queue.append(v)
+        if usable is None:
+            self._bfs_memo[s] = (dist, parent)
+        return dist, parent
+
+    def hops(self, s: int, t: int) -> int:
+        """Length in edges of a shortest s-t path; ValueError when there is none."""
+        d = self.bfs(s)[0].get(t)
+        if d is None:
+            raise ValueError(f"no path between {s} and {t}")
+        return d
+
+    def shortest_path(
+        self, s: int, t: int, usable: dict[tuple[int, int], int] | None = None
+    ) -> tuple[int, ...] | None:
+        """The BFS shortest s-t path as a node tuple, or None when there is none."""
+        parent = self.bfs(s, usable, stop=t)[1]
+        if t not in parent:
+            return None
+        path = [t]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        return tuple(reversed(path))
+
+    def is_connected(self) -> bool:
+        return self.node_count == 0 or len(self.bfs(0)[0]) == self.node_count
 
     def to_nx(self) -> nx.Graph:
         g = nx.Graph()
@@ -147,7 +206,10 @@ class QuotientGraph:
 
     @staticmethod
     def from_json(doc: dict) -> "QuotientGraph":
-        return QuotientGraph(doc["nodes"], tuple((u, v, c) for u, v, c in doc["edges"]))
+        q = QuotientGraph(doc["nodes"], tuple((u, v, c) for u, v, c in doc["edges"]))
+        if not q.is_connected():
+            raise ValueError("processor-level graph is disconnected")
+        return q
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"))

@@ -85,18 +85,6 @@ class StabilizerState:
             else:
                 self.pauli_z(a)
 
-    # -- generator row algebra ----------------------------------------------
-
-    def _rowsum_many(self, rows: np.ndarray, src: int) -> None:
-        """Multiply each generator in `rows` by generator `src` (phase-exact)."""
-        if rows.size == 0:
-            return
-        g = _phase_sum(self.x[src], self.z[src], self.x[rows], self.z[rows])
-        total = 2 * self.r[rows].astype(np.int64) + 2 * int(self.r[src]) + g
-        self.r[rows] = ((total % 4) // 2).astype(np.uint8)
-        self.x[rows] ^= self.x[src]
-        self.z[rows] ^= self.z[src]
-
     # -- measurement ----------------------------------------------------------
 
     def measure(self, q: int, basis: str = "Z", rng: random.Random | None = None) -> int:
@@ -118,7 +106,7 @@ class StabilizerState:
             p = int(anticommuting[0])
             others = np.flatnonzero(self.x[:, q])
             others = others[others != p]
-            self._rowsum_many(others, p)
+            _rowsum(self.x, self.z, self.r, others, p)
             # old stabilizer p becomes the destabilizer of the new Z_q row
             self.x[p - n] = self.x[p]
             self.z[p - n] = self.z[p]
@@ -234,6 +222,17 @@ def _phase_sum(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray) -
     return g.sum(axis=1)
 
 
+def _rowsum(x: np.ndarray, z: np.ndarray, r: np.ndarray, rows: np.ndarray, src: int) -> None:
+    """Multiply each signed Pauli row in `rows` by row `src`, in place (phase-exact)."""
+    if rows.size == 0:
+        return
+    g = _phase_sum(x[src], z[src], x[rows], z[rows])
+    total = 2 * r[rows].astype(np.int64) + 2 * int(r[src]) + g
+    r[rows] = ((total % 4) // 2).astype(np.uint8)
+    x[rows] ^= x[src]
+    z[rows] ^= z[src]
+
+
 def _gf2_rank(m: np.ndarray) -> int:
     rank = 0
     rows, cols = m.shape
@@ -255,55 +254,26 @@ def _gf2_rank(m: np.ndarray) -> int:
     return rank
 
 
-class _Rows:
-    """Mutable set of signed Pauli rows with phase-exact multiplication."""
-
-    def __init__(self, x: np.ndarray, z: np.ndarray, r: np.ndarray):
-        self.x = x.astype(np.uint8).copy()
-        self.z = z.astype(np.uint8).copy()
-        self.r = r.astype(np.uint8).copy()
-
-    def mul_into(self, rows: np.ndarray, src: int) -> None:
-        if rows.size == 0:
-            return
-        g = _phase_sum(self.x[src], self.z[src], self.x[rows], self.z[rows])
-        total = 2 * self.r[rows].astype(np.int64) + 2 * int(self.r[src]) + g
-        self.r[rows] = ((total % 4) // 2).astype(np.uint8)
-        self.x[rows] ^= self.x[src]
-        self.z[rows] ^= self.z[src]
-
-
 def canonical_tableau(state: StabilizerState) -> bytes:
     """Canonical byte form of the stabilizer group (row-reduced, signs kept)."""
-    n = state.n
-    rows = _Rows(state.x[n:], state.z[n:], state.r[n:])
-    _reduce(rows, [("x", q) for q in range(n)] + [("z", q) for q in range(n)])
-    order = np.lexsort(np.concatenate([rows.x, rows.z], axis=1).T[::-1])
-    return b"".join(
-        np.concatenate([rows.x[i], rows.z[i], rows.r[i : i + 1]]).tobytes() for i in order
-    )
+    return reduced_canonical(state, list(range(state.n)))
 
 
-def _reduce(rows: _Rows, coords: list[tuple[str, int]]) -> list[int]:
-    """In-place Gaussian elimination over the given coordinate order.
-
-    Returns the pivot row indices in elimination order; every non-pivot row
-    ends with zero support on all processed coordinates that got a pivot.
-    """
-    pivots: list[int] = []
+def _reduce(x: np.ndarray, z: np.ndarray, r: np.ndarray, coords: list[tuple[str, int]]) -> None:
+    """In-place Gaussian elimination of the rows (x, z, r) over the given
+    coordinate order: every processed coordinate that gets a pivot row ends
+    with zero support on all other rows."""
     used: set[int] = set()
-    nrows = rows.x.shape[0]
+    nrows = x.shape[0]
     for axis, q in coords:
-        col = rows.x[:, q] if axis == "x" else rows.z[:, q]
+        col = x[:, q] if axis == "x" else z[:, q]
         candidates = [i for i in range(nrows) if col[i] and i not in used]
         if not candidates:
             continue
         p = candidates[0]
         used.add(p)
-        pivots.append(p)
         others = np.array([i for i in range(nrows) if col[i] and i != p], dtype=np.int64)
-        rows.mul_into(others, p)
-    return pivots
+        _rowsum(x, z, r, others, p)
 
 
 class ResidualEntanglementError(RuntimeError):
@@ -320,29 +290,21 @@ def reduced_canonical(state: StabilizerState, data_qubits: list[int]) -> bytes:
     n = state.n
     data = sorted(data_qubits)
     comm = [q for q in range(n) if q not in set(data)]
-    rows = _Rows(state.x[n:], state.z[n:], state.r[n:])
-    _reduce(rows, [(a, q) for q in comm for a in ("x", "z")])
+    x, z, r = state.x[n:].copy(), state.z[n:].copy(), state.r[n:].copy()
+    _reduce(x, z, r, [(a, q) for q in comm for a in ("x", "z")])
     comm_idx = np.array(comm, dtype=np.int64)
-    data_only = [
-        i
-        for i in range(n)
-        if not (comm_idx.size and (rows.x[i, comm_idx].any() or rows.z[i, comm_idx].any()))
-    ]
+    data_only = np.array(
+        [i for i in range(n) if not (x[i, comm_idx].any() or z[i, comm_idx].any())], dtype=np.int64
+    )
     if len(data_only) != len(data):
         raise ResidualEntanglementError(
             f"{len(data)} data qubits but {len(data_only)} data-supported generators"
         )
     data_idx = np.array(data, dtype=np.int64)
-    sub = _Rows(
-        rows.x[np.array(data_only)][:, data_idx],
-        rows.z[np.array(data_only)][:, data_idx],
-        rows.r[np.array(data_only)],
-    )
-    _reduce(sub, [(a, q) for a in ("x", "z") for q in range(len(data))])
-    order = np.lexsort(np.concatenate([sub.x, sub.z], axis=1).T[::-1])
-    return b"".join(
-        np.concatenate([sub.x[i], sub.z[i], sub.r[i : i + 1]]).tobytes() for i in order
-    )
+    x, z, r = x[data_only][:, data_idx], z[data_only][:, data_idx], r[data_only]
+    _reduce(x, z, r, [(a, q) for a in ("x", "z") for q in range(len(data))])
+    order = np.lexsort(np.concatenate([x, z], axis=1).T[::-1])
+    return b"".join(np.concatenate([x[i], z[i], r[i : i + 1]]).tobytes() for i in order)
 
 
 def random_clifford_prefix(n: int, rng: random.Random, length: int | None = None) -> list[Gate]:

@@ -35,29 +35,6 @@ class SteinerInstance:
                 raise ValueError(f"terminal {t} not in graph")
 
 
-def _bfs_tree(q: QuotientGraph, src: int) -> tuple[dict[int, int], dict[int, int]]:
-    dist = {src: 0}
-    parent = {src: -1}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in q.adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    return dist, parent
-
-
-def _path_from_parent(parent: dict[int, int], v: int) -> list[int]:
-    path = [v]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    return path
-
-
 def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
@@ -73,23 +50,19 @@ def steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
     terms = sorted(inst.terminals)
     if len(terms) == 1:
         return frozenset()
-    bfs = {t: _bfs_tree(q, t) for t in terms}
-    for t in terms[1:]:
-        if t not in bfs[terms[0]][0]:
-            raise ValueError("graph is not connected across terminals")
-    # Prim over the metric closure
+    # Prim over the metric closure (hops raises when a terminal is cut off)
     in_tree = {terms[0]}
     closure_edges: list[tuple[int, int]] = []
     while len(in_tree) < len(terms):
         cand = min(
-            (bfs[u][0][v], u, v) for u in sorted(in_tree) for v in terms if v not in in_tree
+            (q.hops(u, v), u, v) for u in sorted(in_tree) for v in terms if v not in in_tree
         )
         closure_edges.append((cand[1], cand[2]))
         in_tree.add(cand[2])
     edges: set[Edge] = set()
     nodes: set[int] = set(terms)
     for u, v in closure_edges:
-        path = _path_from_parent(bfs[u][1], v)
+        path = q.shortest_path(u, v)
         nodes.update(path)
         edges.update(_norm(a, b) for a, b in zip(path, path[1:]))
     # spanning tree of the union subgraph, then prune non-terminal leaves
@@ -140,8 +113,6 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
         raise ValueError(f"exact Steiner limited to {EXACT_MAX_TERMINALS} terminals")
     if len(terms) == 1:
         return frozenset()
-    bfs = {u: _bfs_tree(q, u) for u in range(q.node_count)}
-    dist = {u: bfs[u][0] for u in bfs}
     root, rest = terms[0], terms[1:]
     full = (1 << len(rest)) - 1
     INF = float("inf")
@@ -150,7 +121,8 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     choice: dict[tuple[int, int], tuple] = {}
     for i, t in enumerate(rest):
         mask = 1 << i
-        f[mask] = [dist[t].get(v, INF) for v in range(n)]
+        dist = q.bfs(t)[0]
+        f[mask] = [dist.get(v, INF) for v in range(n)]
         for v in range(n):
             choice[(mask, v)] = ("leaf", t)
     for mask in range(1, full + 1):
@@ -189,7 +161,7 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
         kind = choice[(mask, v)]
         if kind[0] == "leaf":
             t = kind[1]
-            path = _path_from_parent(bfs[t][1], v)
+            path = q.shortest_path(t, v)
             edges.update(_norm(a, b) for a, b in zip(path, path[1:]))
             return
         if kind[0] == "grow":

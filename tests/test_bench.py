@@ -90,20 +90,6 @@ class TestRunBench:
             )
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_workers_match_serial(self):
-        base = dict(
-            topologies=("rect-low",),
-            g_values=(2,),
-            sizes=(10,),
-            samples=3,
-            backends=("flow-greedy",),
-            seed=8,
-            timing=False,
-        )
-        serial = run_bench(BenchConfig(**base))
-        threaded = run_bench(BenchConfig(**base, workers=4))
-        assert serial == threaded
-
     def test_instance_seed_stable(self):
         assert instance_seed(0, "hex", 3, 64, 1) == instance_seed(0, "hex", 3, 64, 1)
         assert instance_seed(0, "hex", 3, 64, 1) != instance_seed(0, "hex", 3, 64, 2)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from distqc.circuit import Circuit, cx, cz
 from distqc.cli import main
 
 
@@ -89,12 +90,50 @@ class TestCompileAndVerify:
         sched = tmp_path / "s.json"
         ext = tmp_path / "e.json"
         rc = run(["compile", "--circuit", str(circ), "--topology", str(topo),
-                  "--backend", "steiner", "--densify", "--out", str(sched),
+                  "--backend", "steiner", "--out", str(sched),
                   "--extended-out", str(ext)])
         assert rc == 0
+        # steiner densifies a CZ-only circuit: 15 remote CZs become at most n-1 = 8 fan-ins
+        assert len(json.loads(sched.read_text())["assignments"]) <= 8
         rc = run(["verify", "--extended", str(ext), "--logical", str(circ),
                   "--trials", "5", "--branches", "5", "--seed", "3"])
         assert rc == 0
+
+    def test_steiner_keeps_cx_circuit(self, tmp_path, topo):
+        circ = tmp_path / "cx.json"
+        circ.write_text(json.dumps(Circuit.from_layers(9, [[cx(0, 4)], [cz(4, 8)]]).to_json()))
+        rc = run(["compile", "--circuit", str(circ), "--topology", str(topo),
+                  "--backend", "steiner", "--cancel-pairs"])
+        assert rc == 0
+
+
+class TestBadInput:
+    """Malformed input ends in one line on stderr and exit code 2."""
+
+    def compile_rc(self, capsys, circ, topo, *extra):
+        rc = run(["compile", "--circuit", str(circ), "--topology", str(topo),
+                  "--backend", "flow-greedy", *extra])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("distqc compile: error:")
+        return rc, err
+
+    def test_qubit_twice_in_layer(self, tmp_path, capsys, topo):
+        circ = tmp_path / "dup.json"
+        circ.write_text(json.dumps(Circuit.from_layers(9, [[cz(0, 1), cz(1, 2)]]).to_json()))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and "qubit 1 used twice" in err
+
+    def test_placement_outside_graph(self, tmp_path, capsys, topo, circ):
+        placement = tmp_path / "p.json"
+        placement.write_text(json.dumps({"map": [99] + list(range(1, 9))}))
+        rc, err = self.compile_rc(capsys, circ, topo, "--placement", str(placement))
+        assert rc == 2 and "processor 99" in err
+
+    def test_disconnected_topology(self, tmp_path, capsys, circ):
+        topo = tmp_path / "split.json"
+        topo.write_text(json.dumps({"nodes": 9, "edges": [[0, 1, 1], [2, 3, 1]]}))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and "disconnected" in err
 
 
 class TestBenchCommand:

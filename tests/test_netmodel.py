@@ -2,8 +2,12 @@ import json
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
+from distqc.bench import gen_random_cz_circuit
+from distqc.circuit import Placement, extract_commodities
+from distqc.flow import iterative_greedy
 from distqc.netmodel import (
     Network,
     Processor,
@@ -16,6 +20,7 @@ from distqc.netmodel import (
     quotient,
     to_directed,
 )
+from distqc.steiner import compile_circuit_steiner, cz_to_dense_fanin
 from oracles import gadget_max_flow, random_connected_graph, undirected_max_flow
 
 
@@ -171,6 +176,10 @@ class TestSerialization:
         doc = json.loads(json.dumps(q.to_json()))
         assert QuotientGraph.from_json(doc) == q
 
+    def test_disconnected_quotient_rejected(self):
+        with pytest.raises(ValueError, match="disconnected"):
+            QuotientGraph.from_json({"nodes": 4, "edges": [[0, 1, 1], [2, 3, 1]]})
+
     def test_network_roundtrip(self):
         net = toy_network()
         doc = json.loads(json.dumps(net.to_json()))
@@ -181,3 +190,67 @@ class TestSerialization:
         doc = toy_network().to_json()
         assert doc["processors"][0] == {"id": 0, "comp": [0, 1], "comm": [2, 3]}
         assert [2, 6] in doc["links"]
+
+
+class TestDistanceService:
+    @pytest.mark.parametrize("gen", [gen_rect_low, gen_hex, gen_rect_high])
+    def test_hops_match_networkx(self, gen):
+        q = gen(11)
+        expected = dict(nx.all_pairs_shortest_path_length(q.to_nx()))
+        for s in range(q.node_count):
+            for t in range(q.node_count):
+                assert q.hops(s, t) == expected[s][t]
+
+    def test_first_discovered_parent(self):
+        q = gen_rect_low(1)  # 2x2 grid 0-1, 0-2, 1-3, 2-3
+        assert q.shortest_path(0, 3) == (0, 1, 3)
+        assert q.shortest_path(3, 0) == (3, 1, 0)
+        assert q.shortest_path(2, 2) == (2,)
+
+    def test_shortest_path_under_residual(self):
+        rng = random.Random(3)
+        q = gen_rect_low(5)
+        for _ in range(40):
+            usable = {e: rng.choice((0, 0, 1, 2)) for e in q.capacity}
+            sub = nx.Graph()
+            sub.add_nodes_from(range(q.node_count))
+            sub.add_edges_from(e for e, c in usable.items() if c > 0)
+            s, t = rng.sample(range(q.node_count), 2)
+            path = q.shortest_path(s, t, usable=usable)
+            if not nx.has_path(sub, s, t):
+                assert path is None
+                continue
+            assert path[0] == s and path[-1] == t
+            assert len(path) - 1 == nx.shortest_path_length(sub, s, t)
+            assert all(usable[(min(u, v), max(u, v))] > 0 for u, v in zip(path, path[1:]))
+
+    def test_residual_cut_gives_none(self):
+        q = QuotientGraph(3, ((0, 1, 1), (1, 2, 1)))
+        assert q.shortest_path(0, 2, usable={(0, 1): 1, (1, 2): 0}) is None
+        assert q.shortest_path(0, 2, usable={(0, 1): 1, (1, 2): 1}) == (0, 1, 2)
+        assert q.shortest_path(0, 2) == (0, 1, 2)  # the filter is not memoised
+
+    def test_missing_or_unreachable_node_raises(self):
+        q = QuotientGraph(3, ((0, 1, 1),))
+        assert not q.is_connected()
+        with pytest.raises(ValueError, match="no path"):
+            q.hops(0, 2)
+        with pytest.raises(ValueError, match="no path"):
+            q.hops(0, 99)
+        with pytest.raises(ValueError):
+            q.hops(99, 0)
+
+    def test_cached_distances_survive_reuse(self):
+        q = gen_rect_low(3)
+        circuit = gen_random_cz_circuit(q.node_count, 30, random.Random(5))
+        placement = Placement.identity(q.node_count)
+        dense = cz_to_dense_fanin(circuit).to_circuit()
+        cs = extract_commodities(circuit, placement)
+
+        def both():
+            return iterative_greedy(q, cs), compile_circuit_steiner(dense, placement, q)[1]
+
+        first = both()
+        assert both() == first
+        fresh = gen_rect_low(3)
+        assert iterative_greedy(fresh, cs) == first[0]
