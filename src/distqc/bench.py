@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .circuit import Circuit, Placement, cz, fanin, validate_layers
+from .circuit import Circuit, Placement, cz, fanin, validate
 from .flow import compile_circuit_flow, metrics
 from .netmodel import GENERATORS, QuotientGraph
 from .steiner import compile_circuit_steiner, cz_to_dense_fanin
@@ -128,20 +128,11 @@ def compile_backend(
     graph: QuotientGraph,
     cancel_pairs: bool = False,
 ):
-    """Validate the input, run one backend; returns (extended, schedule, e_depth, e_count).
+    """Run one backend (it validates the input); returns (extended, schedule, e_depth, e_count).
 
     Steiner first densifies a non-empty CZ-only circuit into fan-in layers
     (`cancel_pairs` drops repeated pairs modulo 2); no other input is densified.
     """
-    bad = validate_layers(circuit)
-    if bad is not None:
-        raise ValueError(f"layer {bad.layer}: {bad.reason}")
-    procs = placement.qubit_to_processor
-    if len(procs) < circuit.num_qubits:
-        raise ValueError(f"placement maps {len(procs)} of {circuit.num_qubits} qubits")
-    for q, p in enumerate(procs):
-        if not 0 <= p < graph.node_count:
-            raise ValueError(f"qubit {q} on processor {p} of a {graph.node_count}-node graph")
     if backend in ("flow-greedy", "flow-exact"):
         mode = "greedy" if backend == "flow-greedy" else "exact"
         ext, sched, _cs = compile_circuit_flow(circuit, placement, graph, mode)
@@ -150,6 +141,7 @@ def compile_backend(
     if backend == "steiner":
         source = circuit
         if circuit.all_gates() and all(g.kind == "cz" for g in circuit.all_gates()):
+            validate(circuit, placement, graph)  # densifying drops the layers it checks
             source = cz_to_dense_fanin(circuit, cancel_pairs=cancel_pairs).to_circuit()
         ext, sched = compile_circuit_steiner(source, placement, graph)
         return ext, sched, sched.horizon, ext.e_count

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .pauli import XorExpr
+
+if TYPE_CHECKING:
+    from .netmodel import QuotientGraph
 
 TWO_QUBIT_KINDS = {"cz", "cx"}
 FAN_KINDS = {"fanin", "fanout"}
@@ -205,6 +209,21 @@ def validate_layers(circuit: Circuit) -> LayerViolation | None:
     return None
 
 
+def validate(circuit: Circuit, placement: Placement, graph: QuotientGraph) -> None:
+    """Reject a malformed compile input with a ValueError naming the fault:
+    a layer violation, a placement missing a qubit, or a processor outside
+    the graph."""
+    bad = validate_layers(circuit)
+    if bad is not None:
+        raise ValueError(f"layer {bad.layer}: {bad.reason}")
+    procs = placement.qubit_to_processor
+    if len(procs) < circuit.num_qubits:
+        raise ValueError(f"placement maps {len(procs)} of {circuit.num_qubits} qubits")
+    for q, p in enumerate(procs):
+        if not 0 <= p < graph.node_count:
+            raise ValueError(f"qubit {q} on processor {p} of a {graph.node_count}-node graph")
+
+
 @dataclass(frozen=True)
 class Placement:
     """Total map from circuit qubits to processor ids of a quotient graph."""
@@ -252,6 +271,16 @@ class Commodity:
 
 
 @dataclass(frozen=True)
+class OrderIndex:
+    """Per-commodity view of ``prec``: sorted predecessors, and successors
+    split by whether they need a strictly later step or may share one."""
+
+    preds: tuple[tuple[int, ...], ...]
+    strict_succs: tuple[tuple[int, ...], ...]
+    qpar_succs: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class CommoditySet:
     commodities: tuple[Commodity, ...]
     prec: frozenset[tuple[int, int]]  # (j, i): commodity j must run before i
@@ -261,8 +290,23 @@ class CommoditySet:
     def k(self) -> int:
         return len(self.commodities)
 
+    @cached_property
+    def order(self) -> OrderIndex:
+        """The order relation indexed per commodity, built once in O(|prec|)."""
+        preds: list[list[int]] = [[] for _ in range(self.k)]
+        strict: list[list[int]] = [[] for _ in range(self.k)]
+        qpar: list[list[int]] = [[] for _ in range(self.k)]
+        for j, i in self.prec:
+            preds[i].append(j)
+            (qpar if frozenset((j, i)) in self.qpar else strict)[j].append(i)
+        return OrderIndex(
+            tuple(tuple(sorted(p)) for p in preds),
+            tuple(tuple(sorted(s)) for s in strict),
+            tuple(tuple(sorted(s)) for s in qpar),
+        )
+
     def predecessors(self, i: int) -> list[int]:
-        return sorted(j for (j, i2) in self.prec if i2 == i)
+        return list(self.order.preds[i])
 
     def quasi_parallel(self, i: int, j: int) -> bool:
         return frozenset({i, j}) in self.qpar
@@ -317,6 +361,8 @@ def extract_commodities(
     conservative default: j before i whenever gate(j) lies in a strictly
     earlier layer, shares a qubit with gate(i), and at least one of the two
     gates is not diagonal (commuting diagonal pairs get no constraint).
+    Only commodities on one of gate(i)'s qubits can relate to i, so each is
+    compared with those alone, found through a per-qubit history.
     """
     commodities: list[Commodity] = []
     for li, layer in enumerate(circuit.layers):
@@ -326,19 +372,24 @@ def extract_commodities(
         layer_comms.sort(key=lambda c: (min(c.gate.qubits), min(c.target_qubits)))
         commodities.extend(layer_comms)
 
+    # history[q]: indices of the commodities already emitted on qubit q, ascending
+    history: dict[int, list[int]] = {}
+    diagonal = [c.gate.is_diagonal() for c in commodities]
     prec: set[tuple[int, int]] = set()
     qpar: set[frozenset[int]] = set()
     for i, ci in enumerate(commodities):
-        for j in range(i):
+        qi = ci.gate.qubits
+        candidates: set[int] = set()
+        for q in qi:
+            candidates.update(history.setdefault(q, []))
+        for j in sorted(candidates):
             cj = commodities[j]
-            if cj.layer >= ci.layer:
-                continue
-            shared = set(cj.gate.qubits) & set(ci.gate.qubits)
-            if not shared:
-                continue
-            if cj.gate.is_diagonal() and ci.gate.is_diagonal():
+            if cj.layer >= ci.layer or (diagonal[j] and diagonal[i]):
                 continue
             prec.add((j, i))
+            shared = set(cj.gate.qubits).intersection(qi)
             if len(shared) == 1 and qpar_predicate(cj.gate, ci.gate, next(iter(shared))):
                 qpar.add(frozenset({j, i}))
+        for q in qi:
+            history[q].append(i)
     return CommoditySet(tuple(commodities), frozenset(prec), frozenset(qpar))

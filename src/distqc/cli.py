@@ -28,9 +28,17 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _read_json(path: str) -> dict:
+def _load(path: str, parse):
+    """Parse one input file; a missing key or a value of the wrong type
+    becomes a ValueError that names the file."""
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_gen_topology(args) -> int:
@@ -52,10 +60,10 @@ def cmd_gen_circuit(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    circuit = Circuit.from_json(_read_json(args.circuit))
-    graph = QuotientGraph.from_json(_read_json(args.topology))
+    circuit = _load(args.circuit, Circuit.from_json)
+    graph = _load(args.topology, QuotientGraph.from_json)
     if args.placement:
-        placement = Placement.from_json(_read_json(args.placement))
+        placement = _load(args.placement, Placement.from_json)
     else:
         placement = Placement.round_robin(circuit.num_qubits, graph.node_count)
     extended, sched, e_depth, e_count = compile_backend(
@@ -70,8 +78,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    extended = ExtendedCircuit.from_json(_read_json(args.extended))
-    logical = Circuit.from_json(_read_json(args.logical))
+    extended = _load(args.extended, ExtendedCircuit.from_json)
+    logical = _load(args.logical, Circuit.from_json)
     rng = random.Random(args.seed)
     ok = channel_equivalent(
         extended, logical, trials=args.trials, branches=args.branches, rng=rng

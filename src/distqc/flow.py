@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .circuit import CommoditySet
-from .netmodel import QuotientGraph
+from .netmodel import QuotientGraph, trace_path
 
 EXACT_MAX_COMMODITIES = 10
 EXACT_MAX_NODES = 25
@@ -142,18 +142,15 @@ def _simple_paths(q: QuotientGraph, s: int, t: int) -> list[tuple[int, ...]]:
 def _topological_order(cs: CommoditySet) -> list[int]:
     import heapq
 
-    indeg = {i: 0 for i in range(cs.k)}
-    succs: dict[int, list[int]] = {i: [] for i in range(cs.k)}
-    for j, i in cs.prec:
-        indeg[i] += 1
-        succs[j].append(i)
+    index = cs.order
+    indeg = [len(p) for p in index.preds]
     heap = [i for i in range(cs.k) if indeg[i] == 0]
     heapq.heapify(heap)
     order: list[int] = []
     while heap:
         u = heapq.heappop(heap)
         order.append(u)
-        for v in succs[u]:
+        for v in (*index.strict_succs[u], *index.qpar_succs[u]):
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(heap, v)
@@ -194,7 +191,7 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
     paths: dict[int, tuple[int, ...]] = {}
     usage: dict[tuple[tuple[int, int], int], int] = {}
 
-    preds = {i: cs.predecessors(i) for i in range(cs.k)}
+    preds = cs.order.preds
 
     def assign(pos: int, flow: int) -> None:
         nonlocal best_f, best
@@ -276,52 +273,72 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     """One step at a time, route as many ready commodities as capacity allows.
 
     Ready commodities are sorted by (shortest-path length, index) and routed
-    along their shortest path in the step's residual graph; commodities whose
-    quasi-parallel predecessors landed in the current batch become ready
-    within the same step.  Always terminates: a fresh step offers full
+    along their shortest path in the step's residual graph, in passes: a
+    commodity whose last quasi-parallel predecessor lands during a pass
+    becomes ready for the next pass of the same step, one whose last strict
+    predecessor lands becomes ready at the next step.  Readiness is kept as
+    counters of unplaced predecessors.
+
+    Residual capacity only shrinks within a step, so a commodity that found
+    no path stays unroutable until the step ends and is not retried.  For
+    the same reason a failed search, which ran to exhaustion, yields the
+    whole residual component R of its source, and R contains the source's
+    component for the rest of the step: a later commodity with its source in
+    R and its target outside R fails without a search.  Both rules skip only
+    searches that would fail, so the schedule is unchanged.  Always
+    terminates on an acyclic order relation: a fresh step offers full
     capacities and a connected graph, so some ready commodity routes.
     """
-    steps: dict[int, int] = {}
-    paths: dict[int, tuple[int, ...]] = {}
-    preds = {i: cs.predecessors(i) for i in range(cs.k)}
-    sp_len = {i: q.hops(c.source, c.target) for i, c in enumerate(cs.commodities)}
-    remaining = set(range(cs.k))
+    order = cs.order
+    sp_len = [q.hops(c.source, c.target) for c in cs.commodities]
+    waiting = [len(p) for p in order.preds]
+    steps: list[int] = [0] * cs.k
+    paths: list[tuple[int, ...]] = [()] * cs.k
+    ready = [i for i in range(cs.k) if not waiting[i]]
+    placed = 0
     tau = 0
-    while remaining:
+    while placed < cs.k:
         tau += 1
         residual = dict(q.capacity)
-
-        def ready(i: int) -> bool:
-            for j in preds[i]:
-                done = j in steps
-                if cs.quasi_parallel(i, j):
-                    if not (done and steps[j] <= tau):
-                        return False
-                elif not (done and steps[j] < tau):
-                    return False
-            return True
-
-        progress = True
-        while progress:
-            progress = False
-            batch = sorted((i for i in remaining if ready(i)), key=lambda i: (sp_len[i], i))
-            for i in batch:
+        component: dict[int, dict[int, int]] = {}  # node -> latest failed component
+        deferred: list[int] = []
+        landed: list[int] = []
+        batch = ready
+        while batch:
+            unlocked: list[int] = []
+            for i in sorted(batch, key=lambda i: (sp_len[i], i)):
                 c = cs.commodities[i]
-                path = q.shortest_path(c.source, c.target, usable=residual)
-                if path is None:
+                seen = component.get(c.source)
+                if seen is not None and c.target not in seen:
+                    deferred.append(i)
                     continue
+                dist, parent = q.bfs(c.source, residual, stop=c.target)
+                if c.target not in parent:
+                    for v in dist:
+                        component[v] = dist
+                    deferred.append(i)
+                    continue
+                path = trace_path(parent, c.target)
                 for u, v in zip(path, path[1:]):
                     residual[(min(u, v), max(u, v))] -= 1
                 steps[i] = tau
                 paths[i] = path
-                remaining.discard(i)
-                progress = True
-    horizon = max(steps.values(), default=0)
-    return FlowSchedule(
-        horizon,
-        tuple(steps[i] for i in range(cs.k)),
-        tuple(paths[i] for i in range(cs.k)),
-    )
+                landed.append(i)
+                for s in order.qpar_succs[i]:
+                    waiting[s] -= 1
+                    if not waiting[s]:
+                        unlocked.append(s)
+            batch = unlocked
+        if not landed:
+            raise ValueError("order relation contains a cycle")
+        placed += len(landed)
+        ready = deferred
+        for i in landed:
+            for s in order.strict_succs[i]:
+                waiting[s] -= 1
+                if not waiting[s]:
+                    ready.append(s)
+    return FlowSchedule(max(steps, default=0), tuple(steps), tuple(paths))
 
 
 def compile_circuit_flow(
@@ -333,12 +350,14 @@ def compile_circuit_flow(
     """Schedule a placed circuit and expand it into an extended circuit.
 
     mode "greedy" runs the iterative compiler; "exact" runs the quickest-flow
-    binary search over the exact sub-solver (small instances only).  Returns
+    binary search over the exact sub-solver (small instances only).  Raises
+    ValueError on a malformed input (see ``circuit.validate``).  Returns
     (extended circuit, schedule, commodity set).
     """
-    from .circuit import extract_commodities
+    from .circuit import extract_commodities, validate
     from .telegate import CircuitExpander
 
+    validate(circuit, placement, q)
     cs = extract_commodities(circuit, placement)
     if mode == "greedy":
         sched = iterative_greedy(q, cs)

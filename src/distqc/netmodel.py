@@ -86,6 +86,14 @@ class Network:
         return Network(procs, frozenset(), links)
 
 
+def trace_path(parent: dict[int, int], t: int) -> tuple[int, ...]:
+    """The node path from a BFS source (parent -1) to t, read off ``parent``."""
+    path = [t]
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
 @dataclass(frozen=True)
 class QuotientGraph:
     """Undirected capacitated processor graph; at most one edge per node pair."""
@@ -184,12 +192,7 @@ class QuotientGraph:
     ) -> tuple[int, ...] | None:
         """The BFS shortest s-t path as a node tuple, or None when there is none."""
         parent = self.bfs(s, usable, stop=t)[1]
-        if t not in parent:
-            return None
-        path = [t]
-        while path[-1] != s:
-            path.append(parent[path[-1]])
-        return tuple(reversed(path))
+        return trace_path(parent, t) if t in parent else None
 
     def is_connected(self) -> bool:
         return self.node_count == 0 or len(self.bfs(0)[0]) == self.node_count

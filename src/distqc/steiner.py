@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, Placement, fanin
+from .circuit import Circuit, Gate, Placement, fanin, validate
 from .netmodel import QuotientGraph
 from .telegate import CircuitExpander, ExtendedCircuit
 
@@ -315,7 +315,8 @@ def compile_circuit_steiner(
 
     Two-qubit gates are single-target fan-ins (their tree is a shortest
     path); fan gates get full Steiner trees; single-qubit gates, preparations
-    and measurements pass through locally.
+    and measurements pass through locally.  Raises ValueError on a malformed
+    input (see ``circuit.validate``).
     """
     return _compile_trees(circuit, placement, graph)
 
@@ -323,6 +324,7 @@ def compile_circuit_steiner(
 def _compile_trees(
     circuit: Circuit, placement: Placement, graph: QuotientGraph
 ) -> tuple[ExtendedCircuit, TreeSchedule]:
+    validate(circuit, placement, graph)
     expander = CircuitExpander(circuit, placement, graph)
     all_rounds: list[int] = []
     all_trees: list[frozenset[Edge]] = []

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's solver code paths: plain recursive
 enumeration for schedules, subset enumeration for Steiner trees, and
-networkx max-flow for the directed-gadget checks.
+networkx max-flow for the directed-gadget checks.  The reference commodity
+extraction and greedy scheduler are the plain quadratic versions that the
+indexed library code must match output for output.
 """
 
 from __future__ import annotations
@@ -12,7 +14,17 @@ import random
 
 import networkx as nx
 
-from distqc.circuit import Commodity, CommoditySet, cz
+from distqc.circuit import (
+    Circuit,
+    Commodity,
+    CommoditySet,
+    Placement,
+    QparPredicate,
+    _gate_commodities,
+    cz,
+    default_qpar,
+)
+from distqc.flow import FlowSchedule
 from distqc.netmodel import QuotientGraph
 
 
@@ -157,3 +169,79 @@ def random_commodity_set(
                 if rng.random() < qpar_prob:
                     qpar.add(frozenset({j, i}))
     return CommoditySet(tuple(comms), frozenset(prec), frozenset(qpar))
+
+
+def reference_extract_commodities(
+    circuit: Circuit, placement: Placement, qpar_predicate: QparPredicate = default_qpar
+) -> CommoditySet:
+    """Commodity extraction comparing every pair of commodities, O(k^2)."""
+    commodities: list[Commodity] = []
+    for li, layer in enumerate(circuit.layers):
+        layer_comms: list[Commodity] = []
+        for g in layer:
+            layer_comms.extend(_gate_commodities(g, li, placement))
+        layer_comms.sort(key=lambda c: (min(c.gate.qubits), min(c.target_qubits)))
+        commodities.extend(layer_comms)
+
+    prec: set[tuple[int, int]] = set()
+    qpar: set[frozenset[int]] = set()
+    for i, ci in enumerate(commodities):
+        for j in range(i):
+            cj = commodities[j]
+            if cj.layer >= ci.layer:
+                continue
+            shared = set(cj.gate.qubits) & set(ci.gate.qubits)
+            if not shared:
+                continue
+            if cj.gate.is_diagonal() and ci.gate.is_diagonal():
+                continue
+            prec.add((j, i))
+            if len(shared) == 1 and qpar_predicate(cj.gate, ci.gate, next(iter(shared))):
+                qpar.add(frozenset({j, i}))
+    return CommoditySet(tuple(commodities), frozenset(prec), frozenset(qpar))
+
+
+def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
+    """Greedy scheduling that re-tests readiness of every remaining commodity
+    by scanning all of prec, and retries failed commodities, on every pass."""
+    steps: dict[int, int] = {}
+    paths: dict[int, tuple[int, ...]] = {}
+    preds = {i: sorted(j for (j, i2) in cs.prec if i2 == i) for i in range(cs.k)}
+    sp_len = {i: q.hops(c.source, c.target) for i, c in enumerate(cs.commodities)}
+    remaining = set(range(cs.k))
+    tau = 0
+    while remaining:
+        tau += 1
+        residual = dict(q.capacity)
+
+        def ready(i: int) -> bool:
+            for j in preds[i]:
+                done = j in steps
+                if cs.quasi_parallel(i, j):
+                    if not (done and steps[j] <= tau):
+                        return False
+                elif not (done and steps[j] < tau):
+                    return False
+            return True
+
+        progress = True
+        while progress:
+            progress = False
+            batch = sorted((i for i in remaining if ready(i)), key=lambda i: (sp_len[i], i))
+            for i in batch:
+                c = cs.commodities[i]
+                path = q.shortest_path(c.source, c.target, usable=residual)
+                if path is None:
+                    continue
+                for u, v in zip(path, path[1:]):
+                    residual[(min(u, v), max(u, v))] -= 1
+                steps[i] = tau
+                paths[i] = path
+                remaining.discard(i)
+                progress = True
+    horizon = max(steps.values(), default=0)
+    return FlowSchedule(
+        horizon,
+        tuple(steps[i] for i in range(cs.k)),
+        tuple(paths[i] for i in range(cs.k)),
+    )

@@ -135,6 +135,26 @@ class TestBadInput:
         rc, err = self.compile_rc(capsys, circ, topo)
         assert rc == 2 and "disconnected" in err
 
+    def test_topology_without_edges(self, tmp_path, capsys, circ):
+        topo = tmp_path / "noedges.json"
+        topo.write_text(json.dumps({"nodes": 9}))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and f"{topo}: missing key 'edges'" in err
+
+    def test_qubit_twice_in_layer_steiner(self, tmp_path, capsys, topo):
+        circ = tmp_path / "dup.json"
+        circ.write_text(json.dumps(Circuit.from_layers(9, [[cz(0, 1), cz(1, 2)]]).to_json()))
+        rc = run(["compile", "--circuit", str(circ), "--topology", str(topo),
+                  "--backend", "steiner"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1 and "qubit 1 used twice" in err
+
+    def test_verify_extended_given_logical_circuit(self, capsys, circ):
+        rc = run(["verify", "--extended", str(circ), "--logical", str(circ)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1
+        assert err.startswith(f"distqc verify: error: {circ}: missing key")
+
 
 class TestBenchCommand:
     def test_bench_csv(self, tmp_path):

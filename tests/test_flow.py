@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -9,6 +11,7 @@ from distqc.circuit import (
     Commodity,
     CommoditySet,
     Placement,
+    cx,
     cz,
     extract_commodities,
 )
@@ -22,11 +25,29 @@ from distqc.flow import (
     quickest_flow,
     solve_mcf_exact,
 )
-from distqc.netmodel import QuotientGraph, gen_rect_low
+from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_high, gen_rect_low
 from oracles import brute_min_flow, brute_quickest, random_commodity_set, random_connected_graph
 
 EDGE = QuotientGraph(2, ((0, 1, 1),))
 EDGE2 = QuotientGraph(2, ((0, 1, 2),))
+
+
+GREEDY_PINNED_SHA256 = "7a8564a04d2bd9ef53532231d6240190c7c4d622883f83881055899a7957db8d"
+
+
+def random_pair_circuit(n, k, cx_share, rng):
+    """k gates on random qubit pairs, CX with probability cx_share, else CZ,
+    each in the first layer after the last use of either operand."""
+    layers, last = [], {}
+    for _ in range(k):
+        a, b = rng.sample(range(n), 2)
+        gate = cx(a, b) if rng.random() < cx_share else cz(a, b)
+        at = max(last.get(a, -1), last.get(b, -1)) + 1
+        while len(layers) <= at:
+            layers.append([])
+        layers[at].append(gate)
+        last[a] = last[b] = at
+    return Circuit.from_layers(n, layers)
 
 
 def simple_cs(pairs, prec=(), qpar=()):
@@ -195,6 +216,27 @@ class TestIterativeGreedy:
         cs = random_commodity_set(rng, g, 7)
         assert iterative_greedy(g, cs) == iterative_greedy(g, cs)
 
+    def test_cyclic_order_relation_rejected(self):
+        cs = simple_cs([(0, 1)] * 2, prec=[(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="cycle"):
+            iterative_greedy(EDGE2, cs)
+
+    def test_schedules_pinned(self):
+        # k = 256 random two-qubit gates, CZ only and half CX, on hex and
+        # rect-high at g = 5: a speed-up of extraction or greedy must leave
+        # every schedule byte-identical; the value comes from the quadratic
+        # extraction and rescanning greedy (``oracles.reference_*``)
+        docs = []
+        for make in (gen_hex, gen_rect_high):
+            g = make(5)
+            for cx_share in (0.0, 0.5):
+                rng = random.Random(f"{make.__name__}:{cx_share}")
+                circ = random_pair_circuit(g.node_count, 256, cx_share, rng)
+                cs = extract_commodities(circ, Placement.identity(g.node_count))
+                docs.append(iterative_greedy(g, cs).to_json())
+        blob = json.dumps(docs, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == GREEDY_PINNED_SHA256
+
 
 class TestMetrics:
     def test_empty(self):
@@ -238,6 +280,11 @@ class TestScheduleSerialization:
 
 
 class TestFlowCompileEquivalence:
+    def test_rejects_placement_outside_graph(self):
+        circ = Circuit.from_layers(3, [[cz(0, 2)]])
+        with pytest.raises(ValueError, match="processor 9 of a 9-node graph"):
+            compile_circuit_flow(circ, Placement((0, 1, 9)), gen_rect_low(3))
+
     def test_compiled_circuits_pass_oracle(self):
         rng = random.Random(31)
         from distqc.stabsim import channel_equivalent
