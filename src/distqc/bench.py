@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .circuit import Circuit, Placement, cz, fanin, validate
-from .flow import compile_circuit_flow, metrics
+from .flow import compile_circuit_flow
 from .netmodel import GENERATORS, QuotientGraph
 from .steiner import compile_circuit_steiner, cz_to_dense_fanin
 
@@ -134,18 +134,16 @@ def compile_backend(
     (`cancel_pairs` drops repeated pairs modulo 2); no other input is densified.
     """
     if backend in ("flow-greedy", "flow-exact"):
-        mode = "greedy" if backend == "flow-greedy" else "exact"
-        ext, sched, _cs = compile_circuit_flow(circuit, placement, graph, mode)
-        m = metrics(sched)
-        return ext, sched, m.e_depth, m.e_count
-    if backend == "steiner":
+        ext, sched, _cs = compile_circuit_flow(circuit, placement, graph, backend.removeprefix("flow-"))
+    elif backend == "steiner":
         source = circuit
         if circuit.all_gates() and all(g.kind == "cz" for g in circuit.all_gates()):
             validate(circuit, placement, graph)  # densifying drops the layers it checks
             source = cz_to_dense_fanin(circuit, cancel_pairs=cancel_pairs).to_circuit()
         ext, sched = compile_circuit_steiner(source, placement, graph)
-        return ext, sched, sched.horizon, ext.e_count
-    raise ValueError(f"unknown backend {backend!r}")
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    return ext, sched, sched.horizon, ext.e_count
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRecord]:

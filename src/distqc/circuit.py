@@ -266,9 +266,6 @@ class Commodity:
     target_qubits: tuple[int, ...]
     gate: Gate
 
-    def endpoints(self) -> tuple[int, int]:
-        return self.source, self.target
-
 
 @dataclass(frozen=True)
 class OrderIndex:
@@ -304,9 +301,6 @@ class CommoditySet:
             tuple(tuple(sorted(s)) for s in strict),
             tuple(tuple(sorted(s)) for s in qpar),
         )
-
-    def predecessors(self, i: int) -> list[int]:
-        return list(self.order.preds[i])
 
     def quasi_parallel(self, i: int, j: int) -> bool:
         return frozenset({i, j}) in self.qpar

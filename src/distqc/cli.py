@@ -16,7 +16,7 @@ from .bench import (
     gen_random_cz_circuit,
     run_bench,
 )
-from .circuit import Circuit, Placement
+from .circuit import Circuit, Placement, validate_layers
 from .netmodel import GENERATORS, QuotientGraph
 from .stabsim import channel_equivalent
 from .telegate import ExtendedCircuit
@@ -29,15 +29,15 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _load(path: str, parse):
-    """Parse one input file; a missing key or a value of the wrong type
-    becomes a ValueError that names the file."""
+    """Parse one input file; a missing key, a value of the wrong type or a
+    malformed value becomes a ValueError that names the file."""
     with open(path) as fh:
         doc = json.load(fh)
     try:
         return parse(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -80,6 +80,9 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     extended = _load(args.extended, ExtendedCircuit.from_json)
     logical = _load(args.logical, Circuit.from_json)
+    bad = validate_layers(logical)
+    if bad is not None:
+        raise ValueError(f"{args.logical}: layer {bad.layer}: {bad.reason}")
     rng = random.Random(args.seed)
     ok = channel_equivalent(
         extended, logical, trials=args.trials, branches=args.branches, rng=rng

@@ -369,22 +369,7 @@ def compile_circuit_flow(
     if bad is not None:
         raise AssertionError(f"scheduler produced an infeasible schedule: {bad}")
 
-    expander = CircuitExpander(circuit, placement, q)
-    pointer = 0
-    for li, layer in enumerate(circuit.layers):
-        layer_comms: list[tuple[int, object]] = []
-        while pointer < cs.k and cs.commodities[pointer].layer == li:
-            layer_comms.append((pointer, cs.commodities[pointer]))
-            pointer += 1
-        by_gate: dict = {}
-        for idx, com in layer_comms:
-            by_gate.setdefault(com.gate, []).append((idx, com))
-        for g in layer:
-            if g not in by_gate:
-                expander.emit_local(g)
-                continue
-            routes = {
-                com.target: set(sched.path_edges(idx)) for idx, com in by_gate[g]
-            }
-            expander.emit_remote(g, routes)
-    return expander.finish(), sched, cs
+    routes: dict = {}
+    for idx, com in enumerate(cs.commodities):
+        routes.setdefault((com.layer, com.gate), {})[com.target] = set(sched.path_edges(idx))
+    return CircuitExpander(circuit, placement, q).expand(routes), sched, cs

@@ -138,12 +138,6 @@ class PauliFrame:
     def copy(self) -> "PauliFrame":
         return PauliFrame(dict(self.x), dict(self.z))
 
-    def restricted(self, qubits: set[int]) -> "PauliFrame":
-        return PauliFrame(
-            {q: e for q, e in self.x.items() if q in qubits},
-            {q: e for q, e in self.z.items() if q in qubits},
-        )
-
     def to_json(self) -> dict:
         out: dict[str, dict[str, list[str]]] = {}
         for q in sorted(self.qubits()):

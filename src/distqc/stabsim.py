@@ -366,6 +366,8 @@ def channel_equivalent(
     """
     if rng is None:
         raise ValueError("channel_equivalent needs a seeded rng")
+    if trials < 1 or branches < 1:
+        raise ValueError(f"need at least one trial and one branch, got {trials} and {branches}")
     n = logical.num_qubits
     if extended.num_data != n:
         raise ValueError("data register mismatch between circuits")

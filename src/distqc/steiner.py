@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, Placement, fanin, validate
+from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, fanin, validate
 from .netmodel import QuotientGraph
 from .telegate import CircuitExpander, ExtendedCircuit
 
@@ -263,19 +263,17 @@ def cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) -> FanInLaye
 
 
 def _gate_tree(g: Gate, placement: Placement, graph: QuotientGraph) -> frozenset[Edge]:
+    """Steiner tree over a two-qubit or fan gate's processors; empty for a
+    local gate (any other kind, or all operands on one processor)."""
     procs = {placement.proc(q) for q in g.qubits}
-    if len(procs) == 1:
+    if g.kind not in TWO_QUBIT_KINDS | FAN_KINDS or len(procs) == 1:
         return frozenset()
     return steiner_tree(SteinerInstance(graph, frozenset(procs)))
 
 
-def _pack_rounds(
-    trees: list[frozenset[Edge]], graph: QuotientGraph, first_round: int
-) -> tuple[list[int], int]:
+def _pack_rounds(trees: list[frozenset[Edge]], graph: QuotientGraph, first_round: int) -> list[int]:
     """Assign each tree of one layer an entanglement round, splitting the
     layer into sequential sub-rounds when edge demand exceeds capacity."""
-    if not trees:
-        return [], first_round - 1
     rounds: list[int] = []
     usage: dict[int, dict[Edge, int]] = {}
     for tree in trees:
@@ -288,7 +286,7 @@ def _pack_rounds(
                 rounds.append(r)
                 break
             r += 1
-    return rounds, max(rounds)
+    return rounds
 
 
 def compile_fanin_circuit(
@@ -303,9 +301,9 @@ def compile_fanin_circuit(
     """
     for li, layer in enumerate(circuit.layers):
         for g in layer:
-            if g.kind not in ("fanin", "fanout"):
+            if g.kind not in FAN_KINDS:
                 raise ValueError(f"layer {li} holds non-fan gate {g.kind!r}")
-    return _compile_trees(circuit, placement, graph)
+    return compile_circuit_steiner(circuit, placement, graph)
 
 
 def compile_circuit_steiner(
@@ -315,39 +313,25 @@ def compile_circuit_steiner(
 
     Two-qubit gates are single-target fan-ins (their tree is a shortest
     path); fan gates get full Steiner trees; single-qubit gates, preparations
-    and measurements pass through locally.  Raises ValueError on a malformed
-    input (see ``circuit.validate``).
+    and measurements pass through locally.  Each layer's trees are packed
+    into rounds after the previous layer's.  Raises ValueError on a
+    malformed input (see ``circuit.validate``).
     """
-    return _compile_trees(circuit, placement, graph)
-
-
-def _compile_trees(
-    circuit: Circuit, placement: Placement, graph: QuotientGraph
-) -> tuple[ExtendedCircuit, TreeSchedule]:
     validate(circuit, placement, graph)
-    expander = CircuitExpander(circuit, placement, graph)
-    all_rounds: list[int] = []
-    all_trees: list[frozenset[Edge]] = []
-    next_round = 1
-    for layer in circuit.layers:
-        remote: list[tuple[Gate, frozenset[Edge]]] = []
+    rounds: list[int] = []
+    trees: list[frozenset[Edge]] = []
+    routes: dict = {}
+    last = 0  # the latest round of the layers so far
+    for li, layer in enumerate(circuit.layers):
+        layer_trees = []
         for g in layer:
-            if g.kind in ("cx", "cz", "fanin", "fanout"):
-                tree = _gate_tree(g, placement, graph)
-                if tree:
-                    remote.append((g, tree))
-                else:
-                    expander.emit_local(g)  # all operands on one processor
-            else:
-                expander.emit_local(g)
-        rounds, last = _pack_rounds([t for _, t in remote], graph, next_round)
-        for (g, tree), r in zip(remote, rounds):
-            routes = {p: set(tree) for p in {placement.proc(q) for q in g.qubits}}
-            expander.emit_remote(g, routes)
-            all_rounds.append(r)
-            all_trees.append(tree)
-        if remote:
-            next_round = last + 1
-    horizon = max(all_rounds, default=0)
-    extended = expander.finish()
-    return extended, TreeSchedule(horizon, tuple(all_rounds), tuple(all_trees))
+            tree = _gate_tree(g, placement, graph)
+            if tree:
+                layer_trees.append(tree)
+                routes[(li, g)] = {placement.proc(q): set(tree) for q in g.qubits}
+        layer_rounds = _pack_rounds(layer_trees, graph, last + 1)
+        last = max(layer_rounds, default=last)
+        rounds += layer_rounds
+        trees += layer_trees
+    extended = CircuitExpander(circuit, placement, graph).expand(routes)
+    return extended, TreeSchedule(last, tuple(rounds), tuple(trees))

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, bell, cx, cz, gate_from_json, gate_to_json, meas, pauli, yhalf
+from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, bell, cx, cz, meas, pauli, yhalf
+from .circuit import gate_from_json, gate_to_json
 from .netmodel import QuotientGraph
 from .pauli import ONE, PauliFrame, XorExpr
 from .pushing import normalize_frame
@@ -40,9 +41,6 @@ class ExtendedCircuit:
     @property
     def e_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "bell")
-
-    def comm_qubits(self) -> list[int]:
-        return list(range(self.num_data, self.num_qubits))
 
     def time_slices(self) -> list[list[Gate]]:
         """Greedy ASAP layering of the quantum gates (conditions ignored)."""
@@ -72,40 +70,37 @@ class ExtendedCircuit:
     @staticmethod
     def from_json(doc: dict) -> "ExtendedCircuit":
         gates = tuple(gate_from_json(g) for layer in doc["layers"] for g in layer)
-        return ExtendedCircuit(
-            doc["data"], doc["qubits"], gates, PauliFrame.from_json(doc.get("frame", {}))
-        )
+        n = doc["qubits"]
+        if not 0 <= doc["data"] <= n:
+            raise ValueError(f"{doc['data']} data qubits in a {n}-qubit circuit")
+        for g in gates:
+            if not all(0 <= q < n for q in g.qubits):
+                raise ValueError(f"{g.kind} gate on qubits {list(g.qubits)} of a {n}-qubit circuit")
+        return ExtendedCircuit(doc["data"], n, gates, PauliFrame.from_json(doc.get("frame", {})))
 
 
 class InvalidPathError(ValueError):
     pass
 
 
-def _check_path(path: list[int], graph: QuotientGraph | None) -> None:
-    if len(path) < 2:
-        raise InvalidPathError("path needs at least two processors")
-    if len(set(path)) != len(path):
-        raise InvalidPathError(f"path revisits a processor: {path}")
-    if graph is not None:
-        for u, v in zip(path, path[1:]):
-            if not graph.has_edge(u, v):
-                raise InvalidPathError(f"processors {u},{v} are not adjacent")
-
-
-def _check_tree(tree: set[tuple[int, int]], terminals: set[int], graph: QuotientGraph | None) -> None:
-    if not tree:
+def _check_tree(edges, terminals: set[int], graph: QuotientGraph | None) -> None:
+    """Reject an edge list that is not one tree spanning the terminals over
+    graph edges.  A repeated edge counts twice, so the hops of a path that
+    revisits a processor are rejected too."""
+    edges = list(edges)
+    if not edges:
         if len(terminals) > 1:
             raise InvalidPathError("empty tree cannot span several terminals")
         return
     nodes: set[int] = set()
-    for u, v in tree:
+    for u, v in edges:
         nodes |= {u, v}
         if graph is not None and not graph.has_edge(u, v):
             raise InvalidPathError(f"tree edge ({u},{v}) missing from graph")
-    if len(tree) != len(nodes) - 1:
+    if len(edges) != len(nodes) - 1:
         raise InvalidPathError("edge set is not a tree")
     adj: dict[int, set[int]] = {n: set() for n in nodes}
-    for u, v in tree:
+    for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
     start = next(iter(nodes))
@@ -121,6 +116,17 @@ def _check_tree(tree: set[tuple[int, int]], terminals: set[int], graph: Quotient
         raise InvalidPathError("edge set is not connected")
     if not terminals <= nodes:
         raise InvalidPathError(f"tree does not span terminals {sorted(terminals - nodes)}")
+
+
+def _path_hops(
+    path: list[int], source: int, target: int, graph: QuotientGraph | None
+) -> list[tuple[int, int]]:
+    """The hops of a simple path from source to target over graph edges."""
+    hops = list(zip(path, path[1:]))
+    if not hops or (path[0], path[-1]) != (source, target):
+        raise InvalidPathError(f"path {list(path)} must run from processor {source} to {target}")
+    _check_tree(hops, {source, target}, graph)
+    return hops
 
 
 class FragmentBuilder:
@@ -222,8 +228,13 @@ class FragmentBuilder:
         return normalize_frame(self.raw())
 
 
-def _path_tree(path: list[int]) -> set[tuple[int, int]]:
-    return {(u, v) for u, v in zip(path, path[1:])}
+def _expand_telegate(
+    kind: str, control_proc: int, target_proc: int, path: list[int], graph: QuotientGraph | None
+) -> ExtendedCircuit:
+    hops = _path_hops(path, control_proc, target_proc, graph)
+    b = FragmentBuilder(num_data=2)
+    b.emit_tree(control_proc, set(hops), 0, {target_proc: [1]}, kind)
+    return b.build()
 
 
 def expand_telegate_cx(
@@ -238,12 +249,7 @@ def expand_telegate_cx(
     Z^(xor of X-basis bits) on the control and X^(xor of Z-basis bits) on the
     target, matching the two-processor and entanglement-swap protocols.
     """
-    _check_path(path, graph)
-    if path[0] != control_proc or path[-1] != target_proc:
-        raise InvalidPathError("path endpoints must be the control and target processors")
-    b = FragmentBuilder(num_data=2)
-    b.emit_tree(control_proc, _path_tree(path), 0, {target_proc: [1]}, "cx")
-    return b.build()
+    return _expand_telegate("cx", control_proc, target_proc, path, graph)
 
 
 def expand_telegate_cz(
@@ -253,12 +259,7 @@ def expand_telegate_cz(
     graph: QuotientGraph | None = None,
 ) -> ExtendedCircuit:
     """Remote CZ over an entanglement path; both corrections are Z-type."""
-    _check_path(path, graph)
-    if path[0] != control_proc or path[-1] != target_proc:
-        raise InvalidPathError("path endpoints must be the control and target processors")
-    b = FragmentBuilder(num_data=2)
-    b.emit_tree(control_proc, _path_tree(path), 0, {target_proc: [1]}, "cz")
-    return b.build()
+    return _expand_telegate("cz", control_proc, target_proc, path, graph)
 
 
 def expand_fanin_tree(
@@ -291,9 +292,8 @@ def expand_teleport(src_proc: int, dst_proc: int, path: list[int] | None = None)
     """
     if path is None:
         path = [src_proc, dst_proc]
-    _check_path(path, None)
+    hops = _path_hops(path, src_proc, dst_proc, None)
     b = FragmentBuilder(num_data=1)
-    hops = list(zip(path, path[1:]))
     carrier = 0
     for _u, _v in hops:
         a = b.alloc_qubit()
@@ -386,8 +386,19 @@ class CircuitExpander:
         self.graph = graph
         self.builder = FragmentBuilder(circuit.num_qubits)
 
-    def emit_local(self, g: Gate) -> None:
-        self.builder.emit(g)
+    def expand(self, routes: dict[tuple[int, Gate], dict[int, set[tuple[int, int]]]]) -> ExtendedCircuit:
+        """Emit every layer in its gate order and normalize the frame.
+
+        `routes[(layer index, gate)]` holds the routes of a gate the backend
+        scheduled as remote (see `emit_remote`); every other gate is local.
+        """
+        for li, layer in enumerate(self.circuit.layers):
+            for g in layer:
+                if (li, g) in routes:
+                    self.emit_remote(g, routes[(li, g)])
+                else:
+                    self.builder.emit(g)
+        return self.builder.build()
 
     def emit_remote(self, g: Gate, routes: dict[int, set[tuple[int, int]]]) -> None:
         """Expand one gate whose commodities got the given routes.
@@ -397,12 +408,12 @@ class CircuitExpander:
         under each target processor (identical sets are merged).
         """
         place = self.placement
-        if g.kind in ("cx", "cz"):
+        if g.kind in TWO_QUBIT_KINDS:
             a, t = g.qubits
             edges = routes[place.proc(t)]
             self.builder.emit_tree(place.proc(a), edges, a, {place.proc(t): [t]}, g.kind)
             return
-        if g.kind not in ("fanin", "fanout"):
+        if g.kind not in FAN_KINDS:
             raise ValueError(f"gate kind {g.kind!r} is not a remote interaction")
         hub = g.hub
         hub_proc = place.proc(hub)
@@ -427,6 +438,3 @@ class CircuitExpander:
             self.builder.emit_tree(hub_proc, set(edge_set), hub, sub, kind)
         if mirror:
             self.builder.emit_mirror_layer(involved)
-
-    def finish(self) -> ExtendedCircuit:
-        return normalize_frame(self.builder.raw())

@@ -4,12 +4,15 @@ import pytest
 
 from distqc.bench import (
     BenchConfig,
+    compile_backend,
     gen_hardest_fanin,
     gen_random_cz_circuit,
     instance_seed,
     run_bench,
 )
 from distqc.circuit import Placement, extract_commodities, validate_layers
+from distqc.flow import metrics
+from distqc.netmodel import gen_hex
 
 
 class TestRandomCzGenerator:
@@ -112,3 +115,18 @@ class TestRunBench:
         )
         exact, greedy = run_bench(cfg)
         assert exact.e_depth <= greedy.e_depth
+
+
+class TestCompileBackend:
+    @pytest.mark.parametrize("backend", ["flow-exact", "flow-greedy"])
+    def test_flow_figures_equal_schedule_metrics(self, backend):
+        graph = gen_hex(2)
+        size = 4 if backend == "flow-exact" else 64
+        for seed in range(3):
+            circ = gen_random_cz_circuit(graph.node_count, size, random.Random(seed))
+            ext, sched, e_depth, e_count = compile_backend(
+                backend, circ, Placement.identity(graph.node_count), graph
+            )
+            m = metrics(sched)
+            assert (e_depth, e_count) == (m.e_depth, m.e_count)
+            assert e_count == ext.e_count

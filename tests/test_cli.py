@@ -155,6 +155,46 @@ class TestBadInput:
         assert rc == 2 and err.count("\n") == 1
         assert err.startswith(f"distqc verify: error: {circ}: missing key")
 
+    @pytest.fixture
+    def compiled_cx(self, tmp_path, topo):
+        logical = tmp_path / "cx.json"
+        logical.write_text(json.dumps(Circuit.from_layers(2, [[cx(0, 1)]]).to_json()))
+        ext = tmp_path / "cx_ext.json"
+        assert run(["compile", "--circuit", str(logical), "--topology", str(topo),
+                    "--backend", "flow-greedy", "--extended-out", str(ext)]) == 0
+        return ext
+
+    def verify_rc(self, capsys, ext, logical, *extra):
+        capsys.readouterr()
+        rc = run(["verify", "--extended", str(ext), "--logical", str(logical), *extra])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("distqc verify: error:")
+        return rc, err
+
+    @pytest.mark.parametrize("flag", ["--trials", "--branches"])
+    def test_verify_needs_one_trial_and_branch(self, tmp_path, capsys, compiled_cx, flag):
+        # a CX checked against a CZ: zero trials or branches must not pass it
+        logical = tmp_path / "cz.json"
+        logical.write_text(json.dumps(Circuit.from_layers(2, [[cz(0, 1)]]).to_json()))
+        assert run(["verify", "--extended", str(compiled_cx), "--logical", str(logical)]) == 1
+        rc, err = self.verify_rc(capsys, compiled_cx, logical, flag, "0")
+        assert rc == 2 and "at least one trial and one branch" in err
+
+    def test_verify_extended_gate_out_of_range(self, tmp_path, capsys, compiled_cx):
+        doc = json.loads(compiled_cx.read_text())
+        doc["layers"][0].append({"kind": "yhalf", "q": [doc["qubits"]]})
+        bad = tmp_path / "bad_ext.json"
+        bad.write_text(json.dumps(doc))
+        logical = tmp_path / "cx.json"
+        rc, err = self.verify_rc(capsys, bad, logical)
+        assert rc == 2 and f"on qubits [{doc['qubits']}]" in err
+
+    def test_verify_logical_qubit_out_of_range(self, tmp_path, capsys, compiled_cx):
+        logical = tmp_path / "wide.json"
+        logical.write_text(json.dumps({"qubits": 2, "layers": [[{"kind": "cz", "q": [0, 5]}]]}))
+        rc, err = self.verify_rc(capsys, compiled_cx, logical)
+        assert rc == 2 and "qubit 5 out of range" in err
+
 
 class TestBenchCommand:
     def test_bench_csv(self, tmp_path):

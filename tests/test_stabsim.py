@@ -199,6 +199,14 @@ class TestChannelEquivalent:
         logical = Circuit.from_layers(1, [[yhalf(0)]])
         assert not channel_equivalent(ext, logical, trials=20, branches=2, rng=random.Random(14))
 
+    @pytest.mark.parametrize("trials,branches", [(0, 10), (20, 0), (-1, 10)])
+    def test_no_trial_or_branch_rejected(self, trials, branches):
+        # with nothing sampled a wrong channel would pass unchecked
+        ext = ExtendedCircuit(2, 2, (cz(0, 1),), PauliFrame())
+        logical = Circuit.from_layers(2, [[cx(0, 1)]])
+        with pytest.raises(ValueError, match="at least one trial and one branch"):
+            channel_equivalent(ext, logical, trials=trials, branches=branches, rng=random.Random(15))
+
 
 class TestGateDispatch:
     def test_conditioned_pauli_fires_on_bits(self):

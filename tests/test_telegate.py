@@ -1,10 +1,12 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from distqc.circuit import Circuit, cx, cz, fanin, fanout
-from distqc.netmodel import QuotientGraph, gen_rect_low
+from distqc.circuit import Circuit, Placement, cx, cz, fanin, fanout, gate_to_json, yhalf
+from distqc.flow import compile_circuit_flow
+from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_low
 from distqc.pauli import XorExpr
 from distqc.stabsim import (
     StabilizerState,
@@ -13,6 +15,7 @@ from distqc.stabsim import (
     random_clifford_prefix,
     reduced_canonical,
 )
+from distqc.steiner import compile_circuit_steiner
 from distqc.telegate import (
     CircuitExpander,
     ExtendedCircuit,
@@ -75,6 +78,19 @@ class TestTelegateCx:
             expand_telegate_cx(0, 2, [0, 2], graph=g)
         with pytest.raises(InvalidPathError):
             expand_telegate_cx(0, 2, [0, 1, 1, 2])
+        faults = [
+            (0, 2, []),  # no processor
+            (0, 0, [0]),  # no hop
+            (0, 2, [0, 1]),  # wrong target end
+            (1, 2, [0, 1, 2]),  # wrong control end
+            (0, 2, [2, 1, 0]),  # both ends swapped
+            (0, 2, [0, 1, 0, 2]),  # revisits its control
+            (0, 0, [0, 1, 0]),  # a loop back to the control
+        ]
+        for control, target, route in faults:
+            for expand in (expand_telegate_cx, expand_telegate_cz):
+                with pytest.raises(InvalidPathError):
+                    expand(control, target, route)
 
 
 class TestTelegateCz:
@@ -205,6 +221,11 @@ class TestTeleport:
             st.apply_frame(frag.frame, bits)
             assert st.measure(recv, "Z", rng) == 0
 
+    @pytest.mark.parametrize("route", [[0], [0, 1, 0, 2], [0, 1]])
+    def test_teleport_path_faults_rejected(self, route):
+        with pytest.raises(InvalidPathError):
+            expand_teleport(0, 2, route)
+
     def test_chained_teleports_state_preserved(self):
         frag, recv = expand_teleport(0, 2, [0, 1, 2])
         assert frag.e_count == 2
@@ -285,10 +306,71 @@ class TestFanOutExpansion:
     def test_fanout_compiles_through_mirror_layers(self):
         g = gen_rect_low(3)
         circ = Circuit.from_layers(4, [[fanout(0, [1, 2, 3])]])
-        from distqc.circuit import Placement
-
-        ex = CircuitExpander(circ, Placement.identity(4), g)
-        ex.emit_remote(circ.layers[0][0], {1: {(0, 1)}, 2: {(0, 1), (1, 2)}, 3: {(0, 3)}})
-        out = ex.finish()
+        routes = {(0, circ.layers[0][0]): {1: {(0, 1)}, 2: {(0, 1), (1, 2)}, 3: {(0, 3)}}}
+        out = CircuitExpander(circ, Placement.identity(4), g).expand(routes)
         assert channel_equivalent(out, circ, trials=8, branches=6, rng=random.Random(9))
         assert not any(g2.kind == "pauli" for g2 in out.gates)
+
+
+def random_mixed_circuit(n, k, rng):
+    """k random gates: cz, cx, X- and Z-basis fan-ins, fan-outs and yhalf,
+    each in the first layer after the last use of any of its operands."""
+    layers, last = [], {}
+    for _ in range(k):
+        kind = rng.choice(("cz", "cx", "fanin", "fanin-z", "fanout", "yhalf"))
+        if kind == "yhalf":
+            gate = yhalf(rng.randrange(n))
+        elif kind in ("cz", "cx"):
+            gate = (cz if kind == "cz" else cx)(*rng.sample(range(n), 2))
+        else:
+            hub, *spokes = rng.sample(range(n), rng.randint(2, 5))
+            make = fanout if kind == "fanout" else fanin
+            gate = make(hub, spokes, basis="Z" if kind == "fanin-z" else "X")
+        at = max(last.get(q, -1) for q in gate.qubits) + 1
+        while len(layers) <= at:
+            layers.append([])
+        layers[at].append(gate)
+        for q in gate.qubits:
+            last[q] = at
+    return Circuit.from_layers(n, layers)
+
+
+# sha256 of the outputs below, taken when flow and steiner each drove
+# CircuitExpander through their own walk over the layers
+FLOW_EXTENDED_SHA256 = "76fe0012c0acef38753f503085f2b384b90893abe369d1f7c6abbcfd86edfaa9"
+STEINER_SCHEDULE_SHA256 = "dfb1878f9c1811c36f6a8ad55544158552d90675b7ebd62e203db5ad735cbf45"
+STEINER_EXTENDED_SHA256 = "2ad9593d5cff5c2f520fc440a37ec24bbaabacb98fd2aa2e6458464f026e653d"
+
+
+class TestBackendExpansion:
+    """Both backends hand their routes to one expansion walk; its outputs
+    are pinned on seeded mixed circuits with local gates (two qubits per
+    processor under round-robin placement)."""
+
+    @staticmethod
+    def _instances():
+        for make in (gen_rect_low, gen_hex):
+            g = make(2)
+            for seed in range(3):
+                rng = random.Random(f"{make.__name__}:{seed}")
+                circ = random_mixed_circuit(2 * g.node_count, 40, rng)
+                yield circ, Placement.round_robin(circ.num_qubits, g.node_count), g
+
+    @staticmethod
+    def _sha(docs):
+        return hashlib.sha256(json.dumps(docs, separators=(",", ":")).encode()).hexdigest()
+
+    def test_flow_extended_pinned(self):
+        docs = [compile_circuit_flow(c, p, g)[0].to_json() for c, p, g in self._instances()]
+        assert self._sha(docs) == FLOW_EXTENDED_SHA256
+
+    def test_steiner_pinned(self):
+        scheds, exts = [], []
+        for c, p, g in self._instances():
+            ext, sched = compile_circuit_steiner(c, p, g)
+            scheds.append(sched.to_json())
+            gates = sorted(json.dumps(gate_to_json(x), sort_keys=True) for x in ext.gates)
+            exts.append([gates, ext.frame.to_json(), ext.depth()])
+        assert self._sha(scheds) == STEINER_SCHEDULE_SHA256
+        # within a layer the order of local gates is free, so the gates are compared as a multiset
+        assert self._sha(exts) == STEINER_EXTENDED_SHA256
