@@ -142,12 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extended-out", help="extended circuit JSON output")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("verify", help="check a compiled circuit against its source")
+    p = sub.add_parser(
+        "verify", help="prove a compiled circuit equivalent to its unitary source circuit"
+    )
     p.add_argument("--extended", required=True)
     p.add_argument("--logical", required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--branches", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    no_effect = "does not change the verdict: the check is exact"
+    p.add_argument("--trials", type=int, default=20, help=f"at least 1; {no_effect}")
+    p.add_argument("--branches", type=int, default=10, help=f"at least 1; {no_effect}")
+    p.add_argument("--seed", type=int, default=0, help=no_effect)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run the benchmark matrix")

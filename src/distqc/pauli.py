@@ -43,10 +43,13 @@ class XorExpr:
     def is_zero(self) -> bool:
         return not self
 
-    def evaluate(self, assignment: dict[int, int]) -> bool:
-        value = self.const
+    def evaluate(self, assignment: dict[int, int]) -> int:
+        """XOR of the assigned bit values and the constant.  A value is 0 or
+        1, or an affine value of a symbolic stabilizer state (an int whose
+        bit 0 is the constant)."""
+        value = int(self.const)
         for b in self.bits:
-            value ^= bool(assignment[b])
+            value ^= assignment[b]
         return value
 
     def rewrite(self, flips: dict[int, "XorExpr"]) -> "XorExpr":

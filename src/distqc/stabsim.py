@@ -5,6 +5,16 @@ Binary symplectic tableau with explicit sign bits, 2n generators
 updates are vectorized over the generator rows, so a gate costs O(n) numpy
 work.  Measurements in the Z or X basis return deterministic outcomes when
 the observable is in the stabilizer group and fair coin flips otherwise.
+
+A symbolic state keeps every random outcome open instead of flipping a coin:
+each sign is then an affine GF(2) function of fresh outcome symbols, as in
+Stim (arXiv:2103.02202).  Such a value is a Python int whose bit 0 is the
+constant and whose bit j >= 1 is the coefficient of symbol j, so a concrete
+outcome 0 or 1 is the same value with no symbols.  Gates touch only the
+constant part `r`; the symbol part `sym` changes in row products,
+measurements and conditioned Paulis.  One run of a compiled circuit on the
+Choi state of its data register then covers every input and every
+measurement branch at once (`channel_equivalent`).
 """
 
 from __future__ import annotations
@@ -20,15 +30,22 @@ _BELL_PAULIS = {"phi+": "", "phi-": "Z", "psi+": "X", "psi-": "XZ"}
 
 
 class StabilizerState:
-    """n-qubit stabilizer state, initialized to |0...0>."""
+    """n-qubit stabilizer state, initialized to |0...0>.
 
-    def __init__(self, n: int):
+    With `symbolic=True` a random measurement outcome opens a new symbol
+    instead of drawing from an rng (see the module docstring).
+    """
+
+    def __init__(self, n: int, symbolic: bool = False):
         if n < 1:
             raise ValueError("need at least one qubit")
         self.n = n
         self.x = np.zeros((2 * n, n), dtype=np.uint8)
         self.z = np.zeros((2 * n, n), dtype=np.uint8)
         self.r = np.zeros(2 * n, dtype=np.uint8)
+        self.sym = np.zeros(2 * n, dtype=object)  # symbol part of each sign
+        self.symbolic = symbolic
+        self.symbols = 0
         idx = np.arange(n)
         self.x[idx, idx] = 1          # destabilizer i = X_i
         self.z[n + idx, idx] = 1      # stabilizer i = Z_i
@@ -62,6 +79,15 @@ class StabilizerState:
     def pauli_y(self, q: int) -> None:
         self.r ^= self.x[:, q] ^ self.z[:, q]
 
+    def flip(self, q: int, axis: str, value: int) -> None:
+        """Apply X or Z on q raised to an affine outcome value: the value is
+        added to the sign of every row that anticommutes with the Pauli."""
+        hit = self.z[:, q] if axis == "X" else self.x[:, q]
+        if value & 1:
+            self.r ^= hit
+        if value >> 1:
+            self.sym[hit.astype(bool)] ^= value & ~1
+
     def xhalf(self, q: int) -> None:
         # conjugation: Z -> -Y, Y -> Z, X -> X
         self.r ^= self.z[:, q] & (self.x[:, q] ^ 1)
@@ -91,7 +117,9 @@ class StabilizerState:
         """Measure qubit q along Z or X, collapsing the tableau.
 
         Deterministic outcomes need no randomness; a random outcome without a
-        supplied rng is an error (sampling must always be seeded).
+        supplied rng is an error (sampling must always be seeded), unless the
+        state is symbolic, where it is a new symbol.  The outcome is an
+        affine value: 0 or 1 on a concrete state.
         """
         if basis == "X":
             self.h(q)
@@ -106,35 +134,42 @@ class StabilizerState:
             p = int(anticommuting[0])
             others = np.flatnonzero(self.x[:, q])
             others = others[others != p]
-            _rowsum(self.x, self.z, self.r, others, p)
+            _rowsum(self.x, self.z, self.r, self.sym, others, p)
             # old stabilizer p becomes the destabilizer of the new Z_q row
             self.x[p - n] = self.x[p]
             self.z[p - n] = self.z[p]
             self.r[p - n] = self.r[p]
-            if rng is None:
+            self.sym[p - n] = self.sym[p]
+            if self.symbolic:
+                self.symbols += 1
+                outcome = 1 << self.symbols
+            elif rng is None:
                 raise RuntimeError("random measurement outcome requires an rng")
-            outcome = rng.randrange(2)
+            else:
+                outcome = rng.randrange(2)
             self.x[p] = 0
             self.z[p] = 0
             self.z[p, q] = 1
-            self.r[p] = outcome
+            self.r[p] = outcome & 1
+            self.sym[p] = outcome & ~1
             return outcome
         # deterministic: accumulate the stabilizers indexed by anticommuting
         # destabilizers into a scratch row
         sx = np.zeros(n, dtype=np.uint8)
         sz = np.zeros(n, dtype=np.uint8)
         sr = 0
+        symbols = 0
         for i in np.flatnonzero(self.x[:n, q]):
             g = int(_phase_sum(self.x[n + i], self.z[n + i], sx[None, :], sz[None, :])[0])
             sr = (sr + 2 * int(self.r[n + i]) + g) % 4
+            symbols ^= self.sym[n + i]
             sx ^= self.x[n + i]
             sz ^= self.z[n + i]
-        return sr // 2
+        return sr // 2 | symbols
 
     def reset(self, q: int, rng: random.Random | None = None) -> None:
         """Force qubit q back to |0>."""
-        if self.measure(q, "Z", rng):
-            self.pauli_x(q)
+        self.flip(q, "X", self.measure(q, "Z", rng))
 
     # -- circuit-level dispatch ----------------------------------------------
 
@@ -167,10 +202,8 @@ class StabilizerState:
         elif k == "bell":
             self.bell(gate.qubits[0], gate.qubits[1], gate.variant or "phi+")
         elif k == "pauli":
-            cond = gate.cond
-            fire = True if cond is None else cond.evaluate({} if bits is None else bits)
-            if fire:
-                (self.pauli_x if gate.basis == "X" else self.pauli_z)(gate.qubits[0])
+            value = 1 if gate.cond is None else gate.cond.evaluate({} if bits is None else bits)
+            self.flip(gate.qubits[0], gate.basis, value)
         elif k == "prep":
             self.reset(gate.qubits[0], rng)
             if gate.basis == "X":
@@ -184,11 +217,9 @@ class StabilizerState:
 
     def apply_frame(self, frame: PauliFrame, bits: dict[int, int]) -> None:
         for q, e in sorted(frame.x.items()):
-            if e.evaluate(bits):
-                self.pauli_x(q)
+            self.flip(q, "X", e.evaluate(bits))
         for q, e in sorted(frame.z.items()):
-            if e.evaluate(bits):
-                self.pauli_z(q)
+            self.flip(q, "Z", e.evaluate(bits))
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -209,26 +240,24 @@ class StabilizerState:
 
 
 def _phase_sum(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Sum over qubits of the AG g-exponent for (row1) * (rows2); rows2 is 2-D."""
-    x1i = x1.astype(np.int64)
-    z1i = z1.astype(np.int64)
-    x2i = x2.astype(np.int64)
-    z2i = z2.astype(np.int64)
-    g = (
-        (x1i & z1i) * (z2i - x2i)
-        + (x1i & (1 - z1i)) * (z2i * (2 * x2i - 1))
-        + ((1 - x1i) & z1i) * (x2i * (1 - 2 * z2i))
-    )
-    return g.sum(axis=1)
+    """Sum over qubits, modulo 4, of the AG g-exponent for (row1) * (rows2);
+    rows2 is 2-D.  g is 0 where the Paulis commute, -1 (3 mod 4) for the
+    pairs XZ, YX and ZY, and +1 for the other anticommuting pairs."""
+    anti = (x1 & z2) ^ (z1 & x2)
+    minus = anti & (x1 ^ x2 ^ z1 ^ z2 ^ (x1 & z2))
+    return (anti.sum(axis=1) + 2 * minus.sum(axis=1)) % 4
 
 
-def _rowsum(x: np.ndarray, z: np.ndarray, r: np.ndarray, rows: np.ndarray, src: int) -> None:
+def _rowsum(
+    x: np.ndarray, z: np.ndarray, r: np.ndarray, sym: np.ndarray, rows: np.ndarray, src: int
+) -> None:
     """Multiply each signed Pauli row in `rows` by row `src`, in place (phase-exact)."""
     if rows.size == 0:
         return
     g = _phase_sum(x[src], z[src], x[rows], z[rows])
-    total = 2 * r[rows].astype(np.int64) + 2 * int(r[src]) + g
-    r[rows] = ((total % 4) // 2).astype(np.uint8)
+    r[rows] ^= r[src] ^ (g >> 1).astype(np.uint8)
+    if sym[src]:
+        sym[rows] ^= sym[src]
     x[rows] ^= x[src]
     z[rows] ^= z[src]
 
@@ -254,26 +283,27 @@ def _gf2_rank(m: np.ndarray) -> int:
     return rank
 
 
-def canonical_tableau(state: StabilizerState) -> bytes:
+def canonical_tableau(state: StabilizerState) -> bytes | None:
     """Canonical byte form of the stabilizer group (row-reduced, signs kept)."""
     return reduced_canonical(state, list(range(state.n)))
 
 
-def _reduce(x: np.ndarray, z: np.ndarray, r: np.ndarray, coords: list[tuple[str, int]]) -> None:
-    """In-place Gaussian elimination of the rows (x, z, r) over the given
+def _reduce(
+    x: np.ndarray, z: np.ndarray, r: np.ndarray, sym: np.ndarray, coords: list[tuple[str, int]]
+) -> None:
+    """In-place Gaussian elimination of the rows (x, z, r, sym) over the given
     coordinate order: every processed coordinate that gets a pivot row ends
     with zero support on all other rows."""
-    used: set[int] = set()
-    nrows = x.shape[0]
+    free = np.ones(x.shape[0], dtype=bool)
     for axis, q in coords:
-        col = x[:, q] if axis == "x" else z[:, q]
-        candidates = [i for i in range(nrows) if col[i] and i not in used]
-        if not candidates:
+        col = (x[:, q] if axis == "x" else z[:, q]).astype(bool)
+        candidates = np.flatnonzero(col & free)
+        if not candidates.size:
             continue
-        p = candidates[0]
-        used.add(p)
-        others = np.array([i for i in range(nrows) if col[i] and i != p], dtype=np.int64)
-        _rowsum(x, z, r, others, p)
+        p = int(candidates[0])
+        free[p] = False
+        col[p] = False
+        _rowsum(x, z, r, sym, np.flatnonzero(col), p)
 
 
 class ResidualEntanglementError(RuntimeError):
@@ -281,17 +311,19 @@ class ResidualEntanglementError(RuntimeError):
     compiled fragment is wrong, not merely inequivalent."""
 
 
-def reduced_canonical(state: StabilizerState, data_qubits: list[int]) -> bytes:
+def reduced_canonical(state: StabilizerState, data_qubits: list[int]) -> bytes | None:
     """Canonical tableau of the reduced state on `data_qubits`.
 
     Requires the complement (communication qubits) to be in a product state
     with the data register; raises ResidualEntanglementError otherwise.
+    Returns None when a sign of the reduced state depends on a measurement
+    symbol, so that the state differs between branches.
     """
     n = state.n
     data = sorted(data_qubits)
     comm = [q for q in range(n) if q not in set(data)]
-    x, z, r = state.x[n:].copy(), state.z[n:].copy(), state.r[n:].copy()
-    _reduce(x, z, r, [(a, q) for q in comm for a in ("x", "z")])
+    x, z, r, sym = state.x[n:].copy(), state.z[n:].copy(), state.r[n:].copy(), state.sym[n:].copy()
+    _reduce(x, z, r, sym, [(a, q) for q in comm for a in ("x", "z")])
     comm_idx = np.array(comm, dtype=np.int64)
     data_only = np.array(
         [i for i in range(n) if not (x[i, comm_idx].any() or z[i, comm_idx].any())], dtype=np.int64
@@ -300,9 +332,11 @@ def reduced_canonical(state: StabilizerState, data_qubits: list[int]) -> bytes:
         raise ResidualEntanglementError(
             f"{len(data)} data qubits but {len(data_only)} data-supported generators"
         )
+    if any(sym[data_only]):
+        return None
     data_idx = np.array(data, dtype=np.int64)
     x, z, r = x[data_only][:, data_idx], z[data_only][:, data_idx], r[data_only]
-    _reduce(x, z, r, [(a, q) for a in ("x", "z") for q in range(len(data))])
+    _reduce(x, z, r, sym[data_only], [(a, q) for a in ("x", "z") for q in range(len(data))])
     order = np.lexsort(np.concatenate([x, z], axis=1).T[::-1])
     return b"".join(np.concatenate([x[i], z[i], r[i : i + 1]]).tobytes() for i in order)
 
@@ -326,26 +360,36 @@ def random_clifford_prefix(n: int, rng: random.Random, length: int | None = None
     return gates
 
 
-def _apply_prefix(state: StabilizerState, prefix: list[Gate]) -> None:
-    for g in prefix:
-        state.apply_gate(g)
+def choi_state(num_qubits: int, num_data: int, symbolic: bool = False) -> StabilizerState:
+    """Qubit i < num_data in a Bell pair with reference qubit num_qubits + i,
+    the other qubits in |0>.  A channel on the first num_qubits qubits is
+    fixed by what it makes of this one state."""
+    state = StabilizerState(num_qubits + num_data, symbolic)
+    for i in range(num_data):
+        state.bell(i, num_qubits + i)
+    return state
 
 
-def run_extended(
-    extended,
-    prefix: list[Gate],
-    rng: random.Random,
-    apply_frame: bool = True,
-) -> tuple[StabilizerState, dict[int, int]]:
-    """Run an extended circuit on a prefix-scrambled input, one sampled branch."""
-    state = StabilizerState(extended.num_qubits)
-    _apply_prefix(state, prefix)
+def run_extended(extended, apply_frame: bool = True) -> StabilizerState:
+    """Run an extended circuit once on the Choi state of its data register,
+    every random measurement outcome a symbol, then apply its frame."""
+    state = choi_state(extended.num_qubits, extended.num_data, symbolic=True)
     bits: dict[int, int] = {}
     for g in extended.gates:
-        state.apply_gate(g, bits, rng)
+        state.apply_gate(g, bits)
     if apply_frame:
         state.apply_frame(extended.frame, bits)
-    return state, bits
+    return state
+
+
+def _require_unitary(logical) -> None:
+    for li, layer in enumerate(logical.layers):
+        for g in layer:
+            if g.kind in ("prep", "meas") or (g.kind == "pauli" and g.cond is not None and g.cond.bits):
+                raise ValueError(
+                    f"logical layer {li}: {g.kind} on qubits {list(g.qubits)} is not unitary; "
+                    "only unitary logical circuits can be verified"
+                )
 
 
 def channel_equivalent(
@@ -356,13 +400,20 @@ def channel_equivalent(
     rng: random.Random | None = None,
     drop_frame: bool = False,
 ) -> bool:
-    """Compare a compiled extended circuit against its logical source.
+    """Prove a compiled extended circuit equivalent to its unitary logical source.
 
-    For each trial a random stabilizer input is prepared on the data qubits;
-    the extended circuit is run over `branches` sampled measurement branches,
-    its Pauli frame applied, the communication qubits traced out, and the
-    reduced canonical tableau compared against the logical circuit's output.
-    `drop_frame=True` skips the corrections (negative control).
+    Both circuits run once on the Choi state of the data register, which
+    stands for every input at once.  The extended run keeps its random
+    measurement outcomes as symbols, so it covers every branch too.  After
+    its frame and the trace over the communication qubits, the circuits are
+    equivalent exactly when every remaining sign is constant and the
+    canonical tableaus agree.  `drop_frame=True` skips the corrections
+    (negative control).  A logical circuit with a prep, a meas or a
+    conditioned pauli is refused with a ValueError.
+
+    `trials`, `branches` and `rng` do not change the verdict; they are still
+    checked (an rng, at least one trial and one branch) so that callers
+    passing sampling settings keep their contract.
     """
     if rng is None:
         raise ValueError("channel_equivalent needs a seeded rng")
@@ -371,18 +422,11 @@ def channel_equivalent(
     n = logical.num_qubits
     if extended.num_data != n:
         raise ValueError("data register mismatch between circuits")
-    data = list(range(n))
-    for _ in range(trials):
-        prefix = random_clifford_prefix(n, rng)
-        ref = StabilizerState(n)
-        _apply_prefix(ref, prefix)
-        bits: dict[int, int] = {}
-        for g in logical.all_gates():
-            ref.apply_gate(g, bits, rng)
-        ref_canon = canonical_tableau(ref)
-        for _ in range(branches):
-            state, _ = run_extended(extended, prefix, rng, apply_frame=not drop_frame)
-            red = reduced_canonical(state, data)
-            if red != ref_canon:
-                return False
-    return True
+    _require_unitary(logical)
+    ref = choi_state(n, n)
+    for g in logical.all_gates():
+        ref.apply_gate(g)
+    state = run_extended(extended, apply_frame=not drop_frame)
+    m = extended.num_qubits
+    red = reduced_canonical(state, [*range(n), *range(m, m + n)])
+    return red is not None and red == canonical_tableau(ref)

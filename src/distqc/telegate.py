@@ -384,7 +384,9 @@ class CircuitExpander:
         self.circuit = circuit
         self.placement = placement
         self.graph = graph
-        self.builder = FragmentBuilder(circuit.num_qubits)
+        # expansion bits follow the logical circuit's own measurement bits
+        last_bit = max((g.bit for g in circuit.all_gates() if g.kind == "meas"), default=0)
+        self.builder = FragmentBuilder(circuit.num_qubits, first_bit=last_bit + 1)
 
     def expand(self, routes: dict[tuple[int, Gate], dict[int, set[tuple[int, int]]]]) -> ExtendedCircuit:
         """Emit every layer in its gate order and normalize the frame.

@@ -4,7 +4,9 @@ These deliberately avoid the library's solver code paths: plain recursive
 enumeration for schedules, subset enumeration for Steiner trees, and
 networkx max-flow for the directed-gadget checks.  The reference commodity
 extraction and greedy scheduler are the plain quadratic versions that the
-indexed library code must match output for output.
+indexed library code must match output for output.  The sampled channel
+check runs concrete inputs and measurement branches, where the library's
+check runs one symbolic Choi state.
 """
 
 from __future__ import annotations
@@ -21,11 +23,20 @@ from distqc.circuit import (
     Placement,
     QparPredicate,
     _gate_commodities,
+    cx,
     cz,
     default_qpar,
+    fanin,
+    yhalf,
 )
 from distqc.flow import FlowSchedule
 from distqc.netmodel import QuotientGraph
+from distqc.stabsim import (
+    StabilizerState,
+    canonical_tableau,
+    random_clifford_prefix,
+    reduced_canonical,
+)
 
 
 def all_simple_paths(q: QuotientGraph, s: int, t: int) -> list[tuple[int, ...]]:
@@ -245,3 +256,51 @@ def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedu
         tuple(steps[i] for i in range(cs.k)),
         tuple(paths[i] for i in range(cs.k)),
     )
+
+
+def random_clifford_circuit(n: int, max_gates: int, rng: random.Random) -> Circuit:
+    """The criterion-9 corpus shape: 4..max_gates one-gate layers of cz, cx,
+    yhalf and 3-qubit fan-ins in 2:2:1:1 proportion (fan-ins need n >= 3)."""
+    layers = []
+    for _ in range(rng.randint(4, max_gates)):
+        kind = rng.choice(["cz", "cx", "cx", "cz", "yhalf", "fanin"])
+        if kind == "yhalf":
+            layers.append([yhalf(rng.randrange(n))])
+        elif kind == "fanin" and n >= 3:
+            qs = rng.sample(range(n), 3)
+            layers.append([fanin(qs[0], qs[1:])])
+        else:
+            a, b = rng.sample(range(n), 2)
+            layers.append([cz(a, b) if kind == "cz" else cx(a, b)])
+    return Circuit.from_layers(n, layers)
+
+
+def sampled_channel_equivalent(
+    extended, logical, trials: int, branches: int, rng: random.Random, drop_frame: bool = False
+) -> bool:
+    """Channel check by sampling: per trial a random Clifford word scrambles
+    the data register, and the extended circuit runs `branches` sampled
+    measurement branches, each compared, after its frame and the trace over
+    the communication qubits, with the logical circuit's output."""
+    n = logical.num_qubits
+    data = list(range(n))
+    for _ in range(trials):
+        prefix = random_clifford_prefix(n, rng)
+        ref = StabilizerState(n)
+        for g in prefix:
+            ref.apply_gate(g)
+        for g in logical.all_gates():
+            ref.apply_gate(g, {}, rng)
+        ref_canon = canonical_tableau(ref)
+        for _ in range(branches):
+            state = StabilizerState(extended.num_qubits)
+            for g in prefix:
+                state.apply_gate(g)
+            bits: dict[int, int] = {}
+            for g in extended.gates:
+                state.apply_gate(g, bits, rng)
+            if not drop_frame:
+                state.apply_frame(extended.frame, bits)
+            if reduced_canonical(state, data) != ref_canon:
+                return False
+    return True

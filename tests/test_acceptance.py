@@ -21,7 +21,6 @@ from distqc.circuit import (
     cx,
     cz,
     extract_commodities,
-    fanin,
     pauli,
     yhalf,
 )
@@ -57,7 +56,12 @@ from distqc.steiner import (
     steiner_tree_exact,
 )
 from distqc.telegate import ExtendedCircuit, expand_telegate_cx
-from oracles import brute_min_flow, random_commodity_set, random_connected_graph
+from oracles import (
+    brute_min_flow,
+    random_clifford_circuit,
+    random_commodity_set,
+    random_connected_graph,
+)
 
 
 def criterion(num: int, desc: str, limit: float):
@@ -201,21 +205,6 @@ def test_criterion_08_lattice_trend():
             assert rect <= hexa, f"cell g={g} size={size}: rect {rect} > hex {hexa}"
 
 
-def _random_clifford_circuit(n: int, max_gates: int, rng: random.Random) -> Circuit:
-    layers = []
-    for _ in range(rng.randint(4, max_gates)):
-        kind = rng.choice(["cz", "cx", "cx", "cz", "yhalf", "fanin"])
-        if kind == "yhalf":
-            layers.append([yhalf(rng.randrange(n))])
-        elif kind == "fanin" and n >= 3:
-            qs = rng.sample(range(n), 3)
-            layers.append([fanin(qs[0], qs[1:])])
-        else:
-            a, b = rng.sample(range(n), 2)
-            layers.append([cz(a, b) if kind == "cz" else cx(a, b)])
-    return Circuit.from_layers(n, layers)
-
-
 @criterion(9, "compiled circuits are channel-equivalent; dropped corrections are caught", 600.0)
 def test_criterion_09_channel_equivalence():
     lattice = gen_rect_low(2)  # the 6-node rectangle lattice
@@ -224,7 +213,7 @@ def test_criterion_09_channel_equivalence():
     negatives_detected = 0
     for i in range(100):
         n = rng.randint(3, 6)
-        circ = _random_clifford_circuit(n, 20, rng)
+        circ = random_clifford_circuit(n, 20, rng)
         place = Placement.round_robin(n, lattice.node_count)
         ext_flow, sched, cs = compile_circuit_flow(circ, place, lattice, "greedy")
         assert channel_equivalent(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from distqc.circuit import Circuit, cx, cz
+from distqc.circuit import Circuit, cx, cz, meas
 from distqc.cli import main
 
 
@@ -179,6 +179,13 @@ class TestBadInput:
         assert run(["verify", "--extended", str(compiled_cx), "--logical", str(logical)]) == 1
         rc, err = self.verify_rc(capsys, compiled_cx, logical, flag, "0")
         assert rc == 2 and "at least one trial and one branch" in err
+
+    def test_verify_non_unitary_logical_circuit(self, tmp_path, capsys, compiled_cx):
+        logical = tmp_path / "cx_meas.json"
+        circ = Circuit.from_layers(2, [[cx(0, 1)], [meas(1, "Z", 9)]])
+        logical.write_text(json.dumps(circ.to_json()))
+        rc, err = self.verify_rc(capsys, compiled_cx, logical)
+        assert rc == 2 and "logical layer 1: meas on qubits [1] is not unitary" in err
 
     def test_verify_extended_gate_out_of_range(self, tmp_path, capsys, compiled_cx):
         doc = json.loads(compiled_cx.read_text())

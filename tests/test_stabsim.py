@@ -137,6 +137,40 @@ class TestMeasurement:
             s.validate()
 
 
+class TestSymbolicMeasurement:
+    def test_random_outcome_opens_a_symbol(self):
+        s = StabilizerState(2, symbolic=True)
+        s.bell(0, 1)
+        first = s.measure(0, "Z")
+        assert first == 0b10  # symbol 1, no constant
+        assert s.measure(1, "Z") == first
+        s.yhalf(0)
+        assert s.measure(0, "Z") == 0b100
+        s.validate()
+
+    def test_deterministic_outcome_is_constant(self):
+        s = StabilizerState(1, symbolic=True)
+        s.pauli_x(0)
+        assert s.measure(0, "Z") == 1
+
+    def test_branch_dependent_reduced_state(self):
+        s = StabilizerState(2, symbolic=True)
+        s.bell(0, 1)
+        outcome = s.measure(0, "X")
+        assert reduced_canonical(s, [1]) is None  # |+> or |-> by the outcome
+        s.flip(1, "Z", outcome ^ 1)
+        want = StabilizerState(1)
+        want.yhalf(0)
+        want.pauli_z(0)  # |->
+        assert reduced_canonical(s, [1]) == canonical_tableau(want)
+
+    def test_symbolic_reset(self):
+        s = StabilizerState(2, symbolic=True)
+        s.bell(0, 1)
+        s.reset(0)
+        assert s.measure(0, "Z") == 0
+
+
 class TestCanonicalForm:
     def test_equal_states_equal_bytes(self):
         a = StabilizerState(3)

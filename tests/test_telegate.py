@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from distqc.circuit import Circuit, Placement, cx, cz, fanin, fanout, gate_to_json, yhalf
+from distqc.circuit import Circuit, Placement, cx, cz, fanin, fanout, gate_to_json, meas, yhalf
 from distqc.flow import compile_circuit_flow
 from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_low
 from distqc.pauli import XorExpr
@@ -310,6 +310,16 @@ class TestFanOutExpansion:
         out = CircuitExpander(circ, Placement.identity(4), g).expand(routes)
         assert channel_equivalent(out, circ, trials=8, branches=6, rng=random.Random(9))
         assert not any(g2.kind == "pauli" for g2 in out.gates)
+
+
+class TestLogicalMeasurementBits:
+    def test_expansion_bits_follow_logical_bits(self):
+        circ = Circuit.from_layers(3, [[meas(2, "Z", 1)], [cx(0, 1)]])
+        ext, _, _ = compile_circuit_flow(circ, Placement.identity(3), gen_rect_low(2), "greedy")
+        bits = [g.bit for g in ext.gates if g.kind == "meas"]
+        assert len(bits) == 3 and len(set(bits)) == 3
+        logical = [g for g in ext.gates if g.kind == "meas" and g.qubits == (2,)]
+        assert [g.bit for g in logical] == [1]
 
 
 def random_mixed_circuit(n, k, rng):
