@@ -18,7 +18,7 @@ from .bench import (
 )
 from .circuit import Circuit, Placement, validate_layers
 from .netmodel import GENERATORS, QuotientGraph
-from .stabsim import channel_equivalent
+from .stabsim import ResidualEntanglementError, channel_equivalent
 from .telegate import ExtendedCircuit
 
 
@@ -84,9 +84,13 @@ def cmd_verify(args) -> int:
     if bad is not None:
         raise ValueError(f"{args.logical}: layer {bad.layer}: {bad.reason}")
     rng = random.Random(args.seed)
-    ok = channel_equivalent(
-        extended, logical, trials=args.trials, branches=args.branches, rng=rng
-    )
+    try:
+        ok = channel_equivalent(
+            extended, logical, trials=args.trials, branches=args.branches, rng=rng
+        )
+    except ResidualEntanglementError as exc:
+        print(f"NOT equivalent: {exc}")
+        return 1
     print("equivalent" if ok else "NOT equivalent")
     return 0 if ok else 1
 

@@ -283,8 +283,11 @@ def _gf2_rank(m: np.ndarray) -> int:
     return rank
 
 
-def canonical_tableau(state: StabilizerState) -> bytes | None:
-    """Canonical byte form of the stabilizer group (row-reduced, signs kept)."""
+def canonical_tableau(state: StabilizerState) -> bytes:
+    """Canonical byte form of the stabilizer group (row-reduced, signs kept).
+
+    Raises BranchDependentError when a sign depends on a measurement symbol.
+    """
     return reduced_canonical(state, list(range(state.n)))
 
 
@@ -311,13 +314,18 @@ class ResidualEntanglementError(RuntimeError):
     compiled fragment is wrong, not merely inequivalent."""
 
 
-def reduced_canonical(state: StabilizerState, data_qubits: list[int]) -> bytes | None:
+class BranchDependentError(RuntimeError):
+    """A sign of the state depends on a measurement symbol, so the state
+    differs between measurement branches and has no single canonical form."""
+
+
+def reduced_canonical(state: StabilizerState, data_qubits: list[int]) -> bytes:
     """Canonical tableau of the reduced state on `data_qubits`.
 
     Requires the complement (communication qubits) to be in a product state
     with the data register; raises ResidualEntanglementError otherwise.
-    Returns None when a sign of the reduced state depends on a measurement
-    symbol, so that the state differs between branches.
+    Raises BranchDependentError when a sign of the reduced state depends on
+    a measurement symbol.
     """
     n = state.n
     data = sorted(data_qubits)
@@ -330,10 +338,10 @@ def reduced_canonical(state: StabilizerState, data_qubits: list[int]) -> bytes |
     )
     if len(data_only) != len(data):
         raise ResidualEntanglementError(
-            f"{len(data)} data qubits but {len(data_only)} data-supported generators"
+            f"{len(data)} kept qubits but {len(data_only)} generators supported on them"
         )
     if any(sym[data_only]):
-        return None
+        raise BranchDependentError("a sign of the reduced state depends on a measurement outcome")
     data_idx = np.array(data, dtype=np.int64)
     x, z, r = x[data_only][:, data_idx], z[data_only][:, data_idx], r[data_only]
     _reduce(x, z, r, sym[data_only], [(a, q) for a in ("x", "z") for q in range(len(data))])
@@ -360,11 +368,11 @@ def random_clifford_prefix(n: int, rng: random.Random, length: int | None = None
     return gates
 
 
-def choi_state(num_qubits: int, num_data: int, symbolic: bool = False) -> StabilizerState:
-    """Qubit i < num_data in a Bell pair with reference qubit num_qubits + i,
-    the other qubits in |0>.  A channel on the first num_qubits qubits is
-    fixed by what it makes of this one state."""
-    state = StabilizerState(num_qubits + num_data, symbolic)
+def choi_state(num_qubits: int, num_data: int) -> StabilizerState:
+    """Symbolic state with qubit i < num_data in a Bell pair with reference
+    qubit num_qubits + i, the other qubits in |0>.  A channel on the first
+    num_qubits qubits is fixed by what it makes of this one state."""
+    state = StabilizerState(num_qubits + num_data, symbolic=True)
     for i in range(num_data):
         state.bell(i, num_qubits + i)
     return state
@@ -373,7 +381,7 @@ def choi_state(num_qubits: int, num_data: int, symbolic: bool = False) -> Stabil
 def run_extended(extended, apply_frame: bool = True) -> StabilizerState:
     """Run an extended circuit once on the Choi state of its data register,
     every random measurement outcome a symbol, then apply its frame."""
-    state = choi_state(extended.num_qubits, extended.num_data, symbolic=True)
+    state = choi_state(extended.num_qubits, extended.num_data)
     bits: dict[int, int] = {}
     for g in extended.gates:
         state.apply_gate(g, bits)
@@ -409,7 +417,9 @@ def channel_equivalent(
     equivalent exactly when every remaining sign is constant and the
     canonical tableaus agree.  `drop_frame=True` skips the corrections
     (negative control).  A logical circuit with a prep, a meas or a
-    conditioned pauli is refused with a ValueError.
+    conditioned pauli is refused with a ValueError, and an extended circuit
+    that leaves communication qubits entangled with the data register raises
+    ResidualEntanglementError.
 
     `trials`, `branches` and `rng` do not change the verdict; they are still
     checked (an rng, at least one trial and one branch) so that callers
@@ -428,5 +438,12 @@ def channel_equivalent(
         ref.apply_gate(g)
     state = run_extended(extended, apply_frame=not drop_frame)
     m = extended.num_qubits
-    red = reduced_canonical(state, [*range(n), *range(m, m + n)])
-    return red is not None and red == canonical_tableau(ref)
+    try:
+        red = reduced_canonical(state, [*range(n), *range(m, m + n)])
+    except ResidualEntanglementError:
+        raise ResidualEntanglementError(
+            f"communication qubits stay entangled with the {n} data qubits"
+        ) from None
+    except BranchDependentError:
+        return False
+    return red == canonical_tableau(ref)

@@ -4,6 +4,8 @@ import pytest
 
 from distqc.circuit import Circuit, cx, cz, meas
 from distqc.cli import main
+from distqc.pauli import PauliFrame
+from distqc.telegate import ExtendedCircuit
 
 
 def run(argv):
@@ -98,6 +100,18 @@ class TestCompileAndVerify:
         rc = run(["verify", "--extended", str(ext), "--logical", str(circ),
                   "--trials", "5", "--branches", "5", "--seed", "3"])
         assert rc == 0
+
+    def test_verify_residual_entanglement(self, tmp_path, capsys):
+        # the communication qubit keeps a copy of the data qubit
+        ext = tmp_path / "leak.json"
+        ext.write_text(json.dumps(ExtendedCircuit(1, 2, (cx(0, 1),), PauliFrame()).to_json()))
+        logical = tmp_path / "empty.json"
+        logical.write_text(json.dumps(Circuit.from_layers(1, []).to_json()))
+        capsys.readouterr()
+        rc = run(["verify", "--extended", str(ext), "--logical", str(logical)])
+        out = capsys.readouterr().out
+        assert rc == 1 and out.count("\n") == 1
+        assert out.startswith("NOT equivalent: ") and "with the 1 data qubits" in out
 
     def test_steiner_keeps_cx_circuit(self, tmp_path, topo):
         circ = tmp_path / "cx.json"

@@ -5,6 +5,7 @@ import pytest
 from distqc.circuit import Circuit, Gate, cx, cz, fanin, pauli, prep, yhalf
 from distqc.pauli import ONE, PauliFrame
 from distqc.stabsim import (
+    BranchDependentError,
     ResidualEntanglementError,
     StabilizerState,
     canonical_tableau,
@@ -157,7 +158,10 @@ class TestSymbolicMeasurement:
         s = StabilizerState(2, symbolic=True)
         s.bell(0, 1)
         outcome = s.measure(0, "X")
-        assert reduced_canonical(s, [1]) is None  # |+> or |-> by the outcome
+        with pytest.raises(BranchDependentError):
+            reduced_canonical(s, [1])  # |+> or |-> by the outcome
+        with pytest.raises(BranchDependentError):
+            canonical_tableau(s)
         s.flip(1, "Z", outcome ^ 1)
         want = StabilizerState(1)
         want.yhalf(0)
@@ -232,6 +236,19 @@ class TestChannelEquivalent:
         ext = ExtendedCircuit(1, 1, (Gate("xhalf", (0,)),), PauliFrame())
         logical = Circuit.from_layers(1, [[yhalf(0)]])
         assert not channel_equivalent(ext, logical, trials=20, branches=2, rng=random.Random(14))
+
+    def test_residual_entanglement_counts_data_qubits(self):
+        # the communication qubit keeps a copy of the data qubit
+        ext = ExtendedCircuit(1, 2, (cx(0, 1),), PauliFrame())
+        empty = Circuit.from_layers(1, [])
+        with pytest.raises(ResidualEntanglementError, match="with the 1 data qubits"):
+            channel_equivalent(ext, empty, rng=random.Random(16))
+
+    def test_branch_dependent_result_rejected(self):
+        # measuring a data qubit leaves its state depending on the outcome
+        ext = ExtendedCircuit(1, 1, (Gate("meas", (0,), basis="Z", bit=1),), PauliFrame())
+        empty = Circuit.from_layers(1, [])
+        assert not channel_equivalent(ext, empty, rng=random.Random(17))
 
     @pytest.mark.parametrize("trials,branches", [(0, 10), (20, 0), (-1, 10)])
     def test_no_trial_or_branch_rejected(self, trials, branches):
