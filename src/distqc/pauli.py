@@ -5,6 +5,13 @@ GF(2) expression in measurement-outcome bits.  Keeping corrections in this
 form (instead of emitting conditioned quantum gates) lets the whole
 post-processing layer run on a classical computer after the quantum part of
 the circuit has finished.
+
+An expression is one int, ``mask``: bit 0 is the constant and bit ``b + 1``
+is measurement bit ``b`` (logical ``meas`` gates may emit bit 0), the layout
+of the symbolic signs in ``stabsim``.  XOR of two expressions is one int XOR.
+The expansion builder normalizes its frame as it emits gates
+(``pushing.FrameNormalizer``), so the textbook protocols' corrections go
+straight into per-qubit masks and never become inline ``pauli`` gates.
 """
 
 from __future__ import annotations
@@ -12,15 +19,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+def set_bits(mask: int) -> list[int]:
+    """Ascending positions of the set bits of a non-negative int, found with
+    one ``bin()`` scan instead of a shift per bit."""
+    s = bin(mask)[:1:-1]  # least significant digit first, "0b" dropped
+    out = []
+    i = s.find("1")
+    while i >= 0:
+        out.append(i)
+        i = s.find("1", i + 1)
+    return out
+
+
 class XorExpr:
     """Affine GF(2) expression: XOR of bit ids plus an optional constant 1.
 
-    ``XorExpr(frozenset({1, 3}), True)`` stands for ``b1 ^ b3 ^ 1``.
+    ``XorExpr(frozenset({1, 3}), True)`` stands for ``b1 ^ b3 ^ 1``; its mask
+    is ``0b10101``.  Immutable.
     """
 
-    bits: frozenset[int] = frozenset()
-    const: bool = False
+    __slots__ = ("mask",)
+
+    def __init__(self, bits: frozenset[int] = frozenset(), const: bool = False):
+        mask = 1 if const else 0
+        for b in bits:
+            mask |= 2 << b
+        object.__setattr__(self, "mask", mask)
+
+    @staticmethod
+    def from_mask(mask: int) -> "XorExpr":
+        e = object.__new__(XorExpr)
+        object.__setattr__(e, "mask", mask)
+        return e
+
+    def __setattr__(self, name, value):
+        raise AttributeError("XorExpr is immutable")
 
     @staticmethod
     def zero() -> "XorExpr":
@@ -34,55 +67,75 @@ class XorExpr:
     def of(*bits: int, const: bool = False) -> "XorExpr":
         return XorExpr(frozenset(bits), const)
 
+    @property
+    def bits(self) -> frozenset[int]:
+        return frozenset(set_bits(self.mask >> 1))
+
+    @property
+    def const(self) -> bool:
+        return bool(self.mask & 1)
+
     def __xor__(self, other: "XorExpr") -> "XorExpr":
-        return XorExpr(self.bits ^ other.bits, self.const ^ other.const)
+        return XorExpr.from_mask(self.mask ^ other.mask)
 
     def __bool__(self) -> bool:
-        return bool(self.bits) or self.const
+        return self.mask != 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, XorExpr):
+            return NotImplemented
+        return self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
+
+    def __repr__(self) -> str:
+        return f"XorExpr({self.bits!r}, {self.const})"
+
+    def __reduce__(self):
+        return (XorExpr.from_mask, (self.mask,))
 
     def is_zero(self) -> bool:
-        return not self
+        return not self.mask
 
     def evaluate(self, assignment: dict[int, int]) -> int:
         """XOR of the assigned bit values and the constant.  A value is 0 or
         1, or an affine value of a symbolic stabilizer state (an int whose
         bit 0 is the constant)."""
-        value = int(self.const)
-        for b in self.bits:
+        value = self.mask & 1
+        for b in set_bits(self.mask >> 1):
             value ^= assignment[b]
         return value
 
     def rewrite(self, flips: dict[int, "XorExpr"]) -> "XorExpr":
         """Substitute ``b -> b ^ flips[b]`` for every bit with a recorded flip."""
-        out = self
-        for b in self.bits:
+        mask = self.mask
+        for b in set_bits(mask >> 1):
             extra = flips.get(b)
             if extra is not None:
-                out = out ^ extra
-        return out
+                mask ^= extra.mask
+        return XorExpr.from_mask(mask)
 
     def tokens(self) -> list[str]:
-        toks = [f"b{b}" for b in sorted(self.bits)]
-        if self.const:
+        toks = [f"b{b}" for b in set_bits(self.mask >> 1)]
+        if self.mask & 1:
             toks.append("1")
         return toks
 
     @staticmethod
     def from_tokens(tokens: list[str]) -> "XorExpr":
-        bits: set[int] = set()
-        const = False
+        mask = 0
         for tok in tokens:
             if tok == "1":
-                const = not const
-            else:
-                if not tok.startswith("b"):
-                    raise ValueError(f"bad xor token: {tok!r}")
-                b = int(tok[1:])
-                if b in bits:
-                    bits.remove(b)
-                else:
-                    bits.add(b)
-        return XorExpr(frozenset(bits), const)
+                mask ^= 1
+                continue
+            if not tok.startswith("b"):
+                raise ValueError(f"bad xor token: {tok!r}")
+            b = int(tok[1:])
+            if b < 0:
+                raise ValueError(f"bad xor token: {tok!r}")
+            mask ^= 2 << b
+        return XorExpr.from_mask(mask)
 
     def __str__(self) -> str:
         return "(" + "^".join(self.tokens()) + ")" if self else "0"

@@ -18,14 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
-from .pauli import ONE, ZERO, PauliFrame, XorExpr
+from .pauli import ZERO, PauliFrame, XorExpr, set_bits
 
 
 @dataclass(frozen=True)
 class CondPauli:
     qubit: int
     axis: str  # "X" or "Z"
-    expr: XorExpr
+    expr: XorExpr  # carried, never inspected: FrameNormalizer passes int masks
 
 
 def push_pauli(gate: Gate, p: CondPauli) -> list[CondPauli]:
@@ -144,67 +144,118 @@ class NormalFormCircuit:
 _QUANTUM_KINDS = {"cx", "cz", "yhalf", "xhalf", "zhalf", "fanin", "fanout", "bell"}
 
 
+class FrameNormalizer:
+    """Streaming frame normalization over int-mask expressions.
+
+    Fed one gate at a time, it carries per-qubit pending X and Z masks (the
+    ``XorExpr.mask`` layout: bit 0 the constant, bit ``b + 1`` measurement
+    bit ``b``).  A `pauli` gate, or a correction handed to `add`, XORs into
+    the pending masks; quantum gates conjugate them (cx and cz directly on
+    the masks, other kinds through `push_pauli`); a measurement stores the
+    anticommuting mask as its bit's flip and drops the rest.  Every gate but
+    `pauli` goes to `gates`.
+    """
+
+    def __init__(self) -> None:
+        self.x: dict[int, int] = {}  # qubit -> pending X mask, never 0
+        self.z: dict[int, int] = {}
+        self.flips: dict[int, int] = {}  # bit -> mask its outcome flips by
+        self.gates: list[Gate] = []
+
+    def rewrite(self, mask: int) -> int:
+        """Substitute ``b -> b ^ flips[b]`` for every bit of `mask` with a flip."""
+        flips = self.flips
+        for b in set_bits(mask >> 1):
+            extra = flips.get(b)
+            if extra is not None:
+                mask ^= extra
+        return mask
+
+    def add(self, q: int, axis: str, mask: int) -> None:
+        """XOR an already rewritten mask into qubit q's pending Pauli."""
+        if axis == "X":
+            pending = self.x
+        elif axis == "Z":
+            pending = self.z
+        else:
+            raise ValueError(f"unknown Pauli axis {axis!r}")
+        mask ^= pending.get(q, 0)
+        if mask:
+            pending[q] = mask
+        else:
+            pending.pop(q, None)
+
+    def feed(self, g: Gate) -> None:
+        kind = g.kind
+        x, z = self.x, self.z
+        if kind == "cx":
+            c, t = g.qubits
+            xc = x.get(c)
+            if xc:
+                self.add(t, "X", xc)
+            zt = z.get(t)
+            if zt:
+                self.add(c, "Z", zt)
+        elif kind == "cz":
+            a, b = g.qubits
+            xa, xb = x.get(a), x.get(b)
+            if xa:
+                self.add(b, "Z", xa)
+            if xb:
+                self.add(a, "Z", xb)
+        elif kind == "pauli":
+            self.add(g.qubits[0], g.basis, self.rewrite(g.cond.mask) if g.cond is not None else 1)
+            return
+        elif kind == "meas":
+            q = g.qubits[0]
+            xq, zq = x.pop(q, 0), z.pop(q, 0)
+            anti = xq if (g.basis or "Z") == "Z" else zq
+            if anti:
+                self.flips[g.bit] = anti
+        elif kind == "prep" or kind == "bell":
+            for q in g.qubits:  # both overwrite their qubits
+                x.pop(q, None)
+                z.pop(q, None)
+        elif kind in _QUANTUM_KINDS:
+            live = [
+                CondPauli(q, axis, pending.pop(q))
+                for q in g.qubits
+                for axis, pending in (("X", x), ("Z", z))
+                if q in pending
+            ]
+            for p in live:
+                for moved in push_pauli(g, p):
+                    self.add(moved.qubit, moved.axis, moved.expr)
+        else:
+            raise ValueError(f"normalize_frame cannot handle gate kind {kind!r}")
+        self.gates.append(g)
+
+    def finish(self, frame: PauliFrame | None = None) -> tuple[tuple[Gate, ...], PauliFrame]:
+        """The gates fed so far and the terminal frame: the pending Paulis
+        plus `frame`, whose expressions are rewritten by the flips."""
+        if frame is not None:
+            for q, e in frame.x.items():
+                self.add(q, "X", self.rewrite(e.mask))
+            for q, e in frame.z.items():
+                self.add(q, "Z", self.rewrite(e.mask))
+        out = PauliFrame(
+            {q: XorExpr.from_mask(m) for q, m in self.x.items()},
+            {q: XorExpr.from_mask(m) for q, m in self.z.items()},
+        )
+        return tuple(self.gates), out
+
+
 def normalize_frame(ec):
     """Relocate every conditioned Pauli of an extended circuit into its frame.
 
-    Walks the gate list once, carrying per-qubit pending (x, z) expressions.
-    Quantum gates conjugate the pending Paulis via the push rules; a
-    measurement absorbs the anticommuting part into its bit (later references
-    to that bit are rewritten accordingly) and discards the commuting part.
-    The output circuit contains no inline `pauli` gates at all and its frame
-    holds the terminal corrections over raw measurement outcomes.
+    Feeds the gate list once through a `FrameNormalizer`.  The output
+    circuit contains no inline `pauli` gates at all and its frame holds the
+    terminal corrections over raw measurement outcomes.
     """
     from .telegate import ExtendedCircuit
 
-    pending = PauliFrame()
-    flips: dict[int, XorExpr] = {}
-    out_gates: list[Gate] = []
+    n = FrameNormalizer()
     for g in ec.gates:
-        if g.kind == "pauli":
-            expr = (g.cond if g.cond is not None else ONE).rewrite(flips)
-            pending.add(g.qubits[0], g.basis, expr)
-            continue
-        if g.kind == "meas":
-            q = g.qubits[0]
-            basis = g.basis or "Z"
-            anti = pending.x_of(q) if basis == "Z" else pending.z_of(q)
-            if anti:
-                flips[g.bit] = anti
-            pending.x.pop(q, None)
-            pending.z.pop(q, None)
-            out_gates.append(g)
-            continue
-        if g.kind == "prep":
-            pending.x.pop(g.qubits[0], None)
-            pending.z.pop(g.qubits[0], None)
-            out_gates.append(g)
-            continue
-        if g.kind == "bell":
-            for q in g.qubits:  # bell preparation overwrites both qubits
-                pending.x.pop(q, None)
-                pending.z.pop(q, None)
-            out_gates.append(g)
-            continue
-        if g.kind in _QUANTUM_KINDS:
-            live = [
-                CondPauli(q, axis, e)
-                for q in g.qubits
-                for axis, e in (("X", pending.x_of(q)), ("Z", pending.z_of(q)))
-                if e
-            ]
-            for q in g.qubits:
-                pending.x.pop(q, None)
-                pending.z.pop(q, None)
-            for p in live:
-                for moved in push_pauli(g, p):
-                    pending.add(moved.qubit, moved.axis, moved.expr)
-            out_gates.append(g)
-            continue
-        raise ValueError(f"normalize_frame cannot handle gate kind {g.kind!r}")
-
-    final = pending
-    for q, e in ec.frame.x.items():
-        final.add_x(q, e.rewrite(flips))
-    for q, e in ec.frame.z.items():
-        final.add_z(q, e.rewrite(flips))
-    return ExtendedCircuit(ec.num_data, ec.num_qubits, tuple(out_gates), final)
+        n.feed(g)
+    gates, frame = n.finish(ec.frame)
+    return ExtendedCircuit(ec.num_data, ec.num_qubits, gates, frame)

@@ -155,25 +155,24 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
                     heapq.heappush(heap, (w + 1, u))
         f[mask] = best
 
+    # rebuild the tree from the recorded choices, depth first, a merge's
+    # `sub` part before the rest; an explicit stack, because a recursive
+    # closure is a reference cycle that keeps `choice` and `f` alive until
+    # a full collection
     edges: set[Edge] = set()
-
-    def rebuild(mask: int, v: int) -> None:
-        kind = choice[(mask, v)]
-        if kind[0] == "leaf":
-            t = kind[1]
-            path = q.shortest_path(t, v)
+    stack = [(full, root)]
+    while stack:
+        mask, v = stack.pop()
+        kind, arg = choice[(mask, v)]
+        if kind == "leaf":
+            path = q.shortest_path(arg, v)
             edges.update(_norm(a, b) for a, b in zip(path, path[1:]))
-            return
-        if kind[0] == "grow":
-            u = kind[1]
-            edges.add(_norm(u, v))
-            rebuild(mask, u)
-            return
-        sub = kind[1]
-        rebuild(sub, v)
-        rebuild(mask ^ sub, v)
-
-    rebuild(full, root)
+        elif kind == "grow":
+            edges.add(_norm(arg, v))
+            stack.append((mask, arg))
+        else:
+            stack.append((mask ^ arg, v))
+            stack.append((arg, v))
     weight = int(f[full][root])
     if len(edges) != weight:
         raise AssertionError("Steiner reconstruction produced a non-tree edge multiset")

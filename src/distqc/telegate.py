@@ -3,12 +3,12 @@
 A remote interaction between processors connected by an entanglement path
 (or tree) becomes: Bell preparations on every link, one layer of local
 injection gates, one simultaneous measurement layer, and deferred Pauli
-corrections.  Fragments are built naively first, with the conditioned Pauli
-gates of the textbook protocols inline, and then run through the pushing
-rewriter, which relocates every correction into the terminal Pauli frame.
-That keeps the quantum part of a fragment at depth 3 (preparation,
-injection, measurement) plus one classical correction slot, for any path
-length.
+corrections.  The builder feeds every gate it emits to the pushing rewriter
+as it goes and hands it the textbook protocols' corrections directly, so
+every correction lands in the terminal Pauli frame without ever becoming an
+inline conditioned Pauli gate.  That keeps the quantum part of a fragment at
+depth 3 (preparation, injection, measurement) plus one classical correction
+slot, for any path length.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, bell, cx, cz, meas, pauli, yhalf
 from .circuit import gate_from_json, gate_to_json
 from .netmodel import QuotientGraph
-from .pauli import ONE, PauliFrame, XorExpr
-from .pushing import normalize_frame
+from .pauli import ONE, PauliFrame
+from .pushing import FrameNormalizer, normalize_frame
 
 _BELL_UNDO = {"phi+": "", "phi-": "Z", "psi+": "X", "psi-": "XZ"}
 
@@ -130,13 +130,14 @@ def _path_hops(
 
 
 class FragmentBuilder:
-    """Allocates communication qubits and bit ids while emitting gates."""
+    """Allocates communication qubits and bit ids while emitting gates, and
+    normalizes the Pauli frame as it goes."""
 
     def __init__(self, num_data: int, first_qubit: int | None = None, first_bit: int = 1):
         self.num_data = num_data
         self.next_qubit = num_data if first_qubit is None else first_qubit
         self.next_bit = first_bit
-        self.gates: list[Gate] = []
+        self.normalizer = FrameNormalizer()
 
     def alloc_qubit(self) -> int:
         q = self.next_qubit
@@ -149,7 +150,13 @@ class FragmentBuilder:
         return b
 
     def emit(self, g: Gate) -> None:
-        self.gates.append(g)
+        self.normalizer.feed(g)
+
+    def correct(self, q: int, axis: str, bit: int) -> None:
+        """Apply ``axis^b`` to qubit q, b the outcome of an expansion
+        measurement.  Each such bit feeds exactly one correction, so its
+        flip is consumed here."""
+        self.normalizer.add(q, axis, (2 << bit) ^ self.normalizer.flips.pop(bit, 0))
 
     def emit_tree(
         self,
@@ -205,27 +212,24 @@ class FragmentBuilder:
             u, v = e
             self.emit(cx(proxy[u], near[e]))
             self.emit(meas(near[e], "Z", bit_z[e]))
-            self.emit(pauli(far[e], "X", XorExpr.of(bit_z[e])))
+            self.correct(far[e], "X", bit_z[e])
             for tq in sorted(targets_by_proc.get(v, [])):
                 self.emit(interact(far[e], tq))
             proxy[v] = far[e]
         for e in order:
             self.emit(meas(far[e], "X", bit_x[e]))
-            self.emit(pauli(control_qubit, "Z", XorExpr.of(bit_x[e])))
+            self.correct(control_qubit, "Z", bit_x[e])
 
     def emit_mirror_layer(self, qubits: list[int]) -> None:
         """Basis-exchange layer: Z then Y^{1/2} per qubit acts as a Hadamard
         up to global phase; the Z constants end up in the frame."""
         for q in qubits:
-            self.emit(pauli(q, "Z", ONE))
+            self.normalizer.add(q, "Z", 1)
             self.emit(yhalf(q))
 
-    def raw(self, num_qubits: int | None = None) -> ExtendedCircuit:
-        n = self.next_qubit if num_qubits is None else num_qubits
-        return ExtendedCircuit(self.num_data, n, tuple(self.gates), PauliFrame())
-
     def build(self) -> ExtendedCircuit:
-        return normalize_frame(self.raw())
+        gates, frame = self.normalizer.finish()
+        return ExtendedCircuit(self.num_data, self.next_qubit, gates, frame)
 
 
 def _expand_telegate(
@@ -304,8 +308,8 @@ def expand_teleport(src_proc: int, dst_proc: int, path: list[int] | None = None)
         b.emit(cx(carrier, a))
         b.emit(meas(carrier, "X", b1))
         b.emit(meas(a, "Z", b2))
-        b.emit(pauli(f, "Z", XorExpr.of(b1)))
-        b.emit(pauli(f, "X", XorExpr.of(b2)))
+        b.correct(f, "Z", b1)
+        b.correct(f, "X", b2)
         carrier = f
     return b.build(), carrier
 
@@ -332,8 +336,8 @@ def expand_entanglement_swap(left_proc: int, mid_proc: int, right_proc: int) -> 
     b.emit(cx(q_mid1, q_mid2))
     b.emit(meas(q_mid1, "X", b1))
     b.emit(meas(q_mid2, "Z", b2))
-    b.emit(pauli(q_left, "Z", XorExpr.of(b1)))
-    b.emit(pauli(q_right, "X", XorExpr.of(b2)))
+    b.correct(q_left, "Z", b1)
+    b.correct(q_right, "X", b2)
     return b.build()
 
 
@@ -376,8 +380,8 @@ class CircuitExpander:
 
     Local gates pass through; remote interactions are handed routes (paths or
     trees on the quotient graph) by the scheduling backend.  Fan-outs are
-    compiled as fan-ins conjugated by basis-exchange layers.  A single
-    normalization at the end moves all corrections into the frame.
+    compiled as fan-ins conjugated by basis-exchange layers.  The builder
+    moves every correction into the frame as the gates are emitted.
     """
 
     def __init__(self, circuit: Circuit, placement, graph: QuotientGraph):
@@ -389,7 +393,7 @@ class CircuitExpander:
         self.builder = FragmentBuilder(circuit.num_qubits, first_bit=last_bit + 1)
 
     def expand(self, routes: dict[tuple[int, Gate], dict[int, set[tuple[int, int]]]]) -> ExtendedCircuit:
-        """Emit every layer in its gate order and normalize the frame.
+        """Emit every layer in its gate order; the frame is normalized as it goes.
 
         `routes[(layer index, gate)]` holds the routes of a gate the backend
         scheduled as remote (see `emit_remote`); every other gate is local.

@@ -1,16 +1,19 @@
 """Property tests: random connected capacitated graphs, layered cz/cx/fanin/
 yhalf circuits and placements.  Both backends must give sound schedules,
 outputs that verify against their source, and extended circuits that
-round-trip through JSON unchanged."""
+round-trip through JSON unchanged.  `XorExpr` must agree with a plain
+frozenset model of an affine GF(2) expression."""
 
 import json
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from distqc.circuit import Circuit, Placement, cx, cz, fanin, yhalf
 from distqc.flow import check_feasible, compile_circuit_flow
+from distqc.pauli import ONE, XorExpr
 from distqc.stabsim import channel_equivalent
 from distqc.steiner import compile_circuit_steiner
 from distqc.telegate import ExtendedCircuit
@@ -117,3 +120,86 @@ def test_steiner_output_has_sound_trees_and_is_equivalent(instance):
     ext, sched = compile_circuit_steiner(circ, placement, graph)
     assert tree_problems(sched, circ, placement, graph) == []
     assert_verifies_and_round_trips(ext, circ)
+
+
+# -- XorExpr against a frozenset model --------------------------------------------
+
+# bit 0 sits next to the constant; 62-65 straddle a machine word
+BIT_IDS = st.one_of(st.integers(0, 9), st.sampled_from([62, 63, 64, 65, 200, 4097]))
+MODELS = st.tuples(st.frozensets(BIT_IDS, max_size=8), st.booleans())
+
+
+def model_tokens(model):
+    bits, const = model
+    return [f"b{b}" for b in sorted(bits)] + (["1"] if const else [])
+
+
+def model_xor(a, b):
+    return a[0] ^ b[0], a[1] ^ b[1]
+
+
+@PROPERTY_SETTINGS
+@given(MODELS, MODELS)
+def test_xor_expr_matches_frozenset_model(a, b):
+    ea, eb = XorExpr(*a), XorExpr(*b)
+    assert (ea.bits, ea.const) == a
+    assert ((ea ^ eb).bits, (ea ^ eb).const) == model_xor(a, b)
+    assert bool(ea) == (bool(a[0]) or a[1])
+    assert (ea == eb) == (a == b)
+    assert ea == XorExpr.of(*a[0], const=a[1])
+    assert hash(ea) == hash(XorExpr(frozenset(a[0]), a[1]))
+    assert ea.tokens() == model_tokens(a)
+    assert str(ea) == ("(" + "^".join(model_tokens(a)) + ")" if ea else "0")
+    back = XorExpr.from_tokens(ea.tokens())
+    assert back == ea and hash(back) == hash(ea)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.one_of(BIT_IDS.map(lambda b: f"b{b}"), st.just("1")), max_size=12))
+def test_from_tokens_toggles_repeats(tokens):
+    bits, const = set(), False
+    for tok in tokens:
+        if tok == "1":
+            const = not const
+        else:
+            bits ^= {int(tok[1:])}
+    e = XorExpr.from_tokens(tokens)
+    assert (e.bits, e.const) == (frozenset(bits), const)
+
+
+@PROPERTY_SETTINGS
+@given(MODELS, st.dictionaries(BIT_IDS, MODELS, max_size=6))
+def test_rewrite_matches_model(model, flips):
+    want = model
+    for b in model[0]:
+        if b in flips:
+            want = model_xor(want, flips[b])
+    got = XorExpr(*model).rewrite({b: XorExpr(*f) for b, f in flips.items()})
+    assert (got.bits, got.const) == want
+
+
+@PROPERTY_SETTINGS
+@given(MODELS, st.data())
+def test_evaluate_matches_model(model, data):
+    bits, const = model
+    for values in (st.integers(0, 1), st.integers(0, 2**70)):  # outcomes, affine symbol masks
+        assignment = {b: data.draw(values) for b in bits}
+        want = int(const)
+        for v in assignment.values():
+            want ^= v
+        assert XorExpr(*model).evaluate(assignment) == want
+
+
+def test_measurement_bit_zero_is_not_the_constant():
+    b0 = XorExpr.of(0)
+    assert b0 != ONE and b0.bits == frozenset({0}) and not b0.const
+    assert (b0 ^ ONE).tokens() == ["b0", "1"]
+    assert XorExpr.from_tokens(["1", "b0"]) == XorExpr.of(0, const=True)
+    assert b0.evaluate({0: 1}) == 1 and ONE.evaluate({}) == 1
+    assert XorExpr.of(0).rewrite({0: ONE}) == XorExpr.of(0, const=True)
+
+
+def test_from_tokens_rejects_bad_tokens():
+    for bad in (["x3"], ["b-1"], ["b"], ["b1", "q"]):
+        with pytest.raises(ValueError):
+            XorExpr.from_tokens(bad)

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -45,6 +46,20 @@ class TestExactSteiner:
         g = gen_rect_low(3)
         t = steiner_tree_exact(SteinerInstance(g, frozenset({0, 8})))
         assert tree_weight(t) == 4
+
+    def test_leaves_no_reference_cycle(self):
+        # a cycle would keep the DP tables alive until a full collection
+        g = gen_rect_high(4)
+        inst = SteinerInstance(g, frozenset({0, 7, 13, 21, 24}))
+        steiner_tree_exact(inst)  # fills the graph's distance cache
+        gc.collect()
+        gc.disable()
+        try:
+            tree = steiner_tree_exact(inst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert tree_weight(tree) >= 4
 
     def test_single_terminal(self):
         g = path_graph(3)

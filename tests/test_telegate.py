@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from distqc.circuit import Circuit, Placement, cx, cz, fanin, fanout, gate_to_json, meas, yhalf
+from distqc.circuit import Circuit, Placement, cx, cz, fanin, fanout, gate_to_json, meas, pauli, yhalf
 from distqc.flow import compile_circuit_flow
-from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_low
+from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_high, gen_rect_low
 from distqc.pauli import XorExpr
 from distqc.stabsim import (
     StabilizerState,
@@ -384,3 +384,78 @@ class TestBackendExpansion:
         assert self._sha(scheds) == STEINER_SCHEDULE_SHA256
         # within a layer the order of local gates is free, so the gates are compared as a multiset
         assert self._sha(exts) == STEINER_EXTENDED_SHA256
+
+
+def _sha_json(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def half_cx_circuit(n, k, rng):
+    """k gates on random qubit pairs, each CX or CZ with equal odds, packed
+    into the first layer after the last use of either operand."""
+    layers, last = [], {}
+    for _ in range(k):
+        a, b = rng.sample(range(n), 2)
+        gate = cx(a, b) if rng.random() < 0.5 else cz(a, b)
+        at = max(last.get(a, -1), last.get(b, -1)) + 1
+        while len(layers) <= at:
+            layers.append([])
+        layers[at].append(gate)
+        last[a] = last[b] = at
+    return Circuit.from_layers(n, layers)
+
+
+def classical_logical_circuit():
+    """Logical measurements (one writing bit 0) and conditioned Paulis around
+    remote CX/CZ gates, so that frame normalization rewrites logical
+    conditions, and flips logical bits, next to the expansion's own."""
+    return Circuit.from_layers(6, [
+        [meas(5, "Z", 0), cx(0, 3)],
+        [pauli(0, "X", XorExpr.of(0)), cz(1, 4)],
+        [cx(0, 2), pauli(4, "Z", XorExpr.of(0, const=True))],
+        [meas(2, "Z", 3), cx(1, 5)],
+        [pauli(3, "X", XorExpr.of(3)), meas(0, "X", 7), yhalf(4)],
+        [cz(3, 4), pauli(1, "Z", XorExpr.of(0, 3, 7))],
+        [meas(4, "Z", 8), cx(1, 3)],
+        [pauli(2, "X", XorExpr.of(8, 0))],
+    ])
+
+
+# sha256 of the outputs below, taken before the Pauli frame was normalized as
+# the expansion emits its gates
+HALF_CX_FLOW_SHA256 = "5863b9cdb3d3ff93c8297cec93c44fe8dfc187ceda98838b9d77c3d06dae0637"
+CLASSICAL_LOGICAL_SHA256 = "df514c3ad6e2cc186c5033b109d298c9441807858bd83715ccd681b63a790846"
+FRAGMENTS_SHA256 = "c36b6942f20e9c22a3ec301c443ab7ab55b864fce8024682cfb640dc060582ab"
+
+
+class TestPinnedLargerOutputs:
+    def test_half_cx_flow_greedy_pinned(self):
+        # rect-high g=4, k=256: CX chains up to hundreds of bits per frame
+        # entry and paths of several hops
+        g = gen_rect_high(4)
+        circ = half_cx_circuit(g.node_count, 256, random.Random("half-cx"))
+        ext, sched, _ = compile_circuit_flow(circ, Placement.identity(g.node_count), g, "greedy")
+        assert max(len(e.bits) for e in ext.frame.z.values()) > 100
+        assert _sha_json([sched.to_json(), ext.to_json()]) == HALF_CX_FLOW_SHA256
+
+    def test_classical_logical_circuit_pinned(self):
+        circ = classical_logical_circuit()
+        g = gen_rect_low(2)
+        place = Placement.round_robin(circ.num_qubits, g.node_count)
+        flow_ext = compile_circuit_flow(circ, place, g, "greedy")[0]
+        steiner_ext = compile_circuit_steiner(circ, place, g)[0]
+        assert not any(x.kind == "pauli" for x in flow_ext.gates + steiner_ext.gates)
+        assert "b0" in json.dumps(flow_ext.frame.to_json())
+        assert _sha_json([flow_ext.to_json(), steiner_ext.to_json()]) == CLASSICAL_LOGICAL_SHA256
+
+    def test_fragments_pinned(self):
+        frags = [
+            expand_teleport(0, 3, [0, 1, 2, 3])[0],
+            expand_teleport(2, 1)[0],
+            expand_entanglement_swap(0, 1, 2),
+            expand_with_bell_variant(expand_telegate_cx(0, 3, path(3)), ["psi-", "phi-", "psi+"]),
+            expand_with_bell_variant(expand_fanin_tree(0, {2, 3, 4}, {(0, 1), (1, 2), (1, 3), (0, 4)}), "psi-"),
+            expand_with_bell_variant(expand_teleport(0, 2, [0, 1, 2])[0], {1: "phi-"}),
+            expand_with_bell_variant(expand_entanglement_swap(0, 1, 2), "psi+"),
+        ]
+        assert _sha_json([f.to_json() for f in frags]) == FRAGMENTS_SHA256
