@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .pauli import XorExpr
+from .pauli import XorExpr, set_bits
 
 if TYPE_CHECKING:
     from .netmodel import QuotientGraph
@@ -211,11 +211,25 @@ def validate_layers(circuit: Circuit) -> LayerViolation | None:
 
 def validate(circuit: Circuit, placement: Placement, graph: QuotientGraph) -> None:
     """Reject a malformed compile input with a ValueError naming the fault:
-    a layer violation, a placement missing a qubit, or a processor outside
-    the graph."""
+    a layer violation, a condition reading a bit that no meas of an earlier
+    layer emits, a placement missing a qubit, or a processor outside the
+    graph."""
     bad = validate_layers(circuit)
     if bad is not None:
         raise ValueError(f"layer {bad.layer}: {bad.reason}")
+    emitted = 1  # an XorExpr mask of the bits measured so far, and the constant
+    for li, layer in enumerate(circuit.layers):
+        measured = 0
+        for g in layer:
+            if g.cond is not None and g.cond.mask & ~emitted:
+                bit = set_bits(g.cond.mask & ~emitted)[0] - 1
+                raise ValueError(
+                    f"layer {li}: {g.kind} on qubit {g.qubits[0]} reads bit {bit}, "
+                    "which no meas of an earlier layer emits"
+                )
+            if g.kind == "meas":
+                measured |= 2 << g.bit
+        emitted |= measured
     procs = placement.qubit_to_processor
     if len(procs) < circuit.num_qubits:
         raise ValueError(f"placement maps {len(procs)} of {circuit.num_qubits} qubits")

@@ -119,22 +119,13 @@ def check_feasible(sched: FlowSchedule, q: QuotientGraph, cs: CommoditySet) -> V
 def _simple_paths(q: QuotientGraph, s: int, t: int) -> list[tuple[int, ...]]:
     """All simple s-t paths, shortest first then lexicographic."""
     out: list[tuple[int, ...]] = []
-    path = [s]
-    on_path = {s}
-
-    def dfs(u: int) -> None:
-        if u == t:
-            out.append(tuple(path))
-            return
-        for v in q.adjacency[u]:
-            if v not in on_path:
-                on_path.add(v)
-                path.append(v)
-                dfs(v)
-                path.pop()
-                on_path.remove(v)
-
-    dfs(s)
+    stack = [(s,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == t:
+            out.append(path)
+            continue
+        stack.extend(path + (v,) for v in q.adjacency[path[-1]] if v not in path)
     out.sort(key=lambda p: (len(p), p))
     return out
 
@@ -164,7 +155,10 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
 
     Branch and bound over (step, path) choices in topological commodity
     order, pruned with shortest-path lower bounds on the remaining flow.
-    Intended for small instances; guarded against larger ones.
+    A commodity's step is bounded from above by its tail, the longest chain
+    of strict successors below it (a quasi-parallel successor may share its
+    step), which prunes only branches with no complete schedule.  Intended
+    for small instances; guarded against larger ones.
     """
     if cs.k > EXACT_MAX_COMMODITIES or q.node_count > EXACT_MAX_NODES:
         raise InstanceTooLarge(
@@ -176,6 +170,15 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
     if d < 1:
         return None
     order = _topological_order(cs)
+    index = cs.order
+    tail = [0] * cs.k
+    for i in reversed(order):
+        tail[i] = max(
+            [tail[j] + 1 for j in index.strict_succs[i]] + [tail[j] for j in index.qpar_succs[i]],
+            default=0,
+        )
+    if max(tail) >= d:
+        return None
     options = [_simple_paths(q, c.source, c.target) for c in cs.commodities]
     lower = [len(opts[0]) - 1 if opts else math.inf for opts in options]
     for i, opts in enumerate(options):
@@ -191,7 +194,7 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
     paths: dict[int, tuple[int, ...]] = {}
     usage: dict[tuple[tuple[int, int], int], int] = {}
 
-    preds = cs.order.preds
+    preds = index.preds
 
     def assign(pos: int, flow: int) -> None:
         nonlocal best_f, best
@@ -211,7 +214,7 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
                 earliest = max(earliest, steps[j])
             else:
                 earliest = max(earliest, steps[j] + 1)
-        for tau in range(earliest, d + 1):
+        for tau in range(earliest, d - tail[i] + 1):
             for path in options[i]:
                 if flow + (len(path) - 1) + remaining_lb[pos + 1] >= best_f:
                     break  # paths are sorted by length
@@ -229,6 +232,7 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
         paths.pop(i, None)
 
     assign(0, 0)
+    del assign  # the closure refers to itself: a reference cycle per call
     if best is None:
         return None
     return FlowSchedule(d, best[0], best[1])

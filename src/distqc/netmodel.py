@@ -8,8 +8,8 @@ entanglement links between the same processor pair collapsed into a single
 edge whose capacity is the link count.
 
 ``QuotientGraph`` is the single owner of graph distances: one breadth-first
-search (``bfs``, memoised per source) backs the hop counts and shortest
-paths that the flow and Steiner backends route along.
+search (``bfs``, memoised per source) backs the hop counts, shortest paths
+and the all-pairs distance matrix that the flow and Steiner backends use.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 
 import networkx as nx
+import numpy as np
+
+UNREACHABLE = 1 << 40  # distance-matrix entry of a pair with no path
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,18 @@ class QuotientGraph:
         if usable is None:
             self._bfs_memo[s] = (dist, parent)
         return dist, parent
+
+    @cached_property
+    def distance_matrix(self) -> np.ndarray:
+        """n x n int64 hop distances from ``bfs``; UNREACHABLE where no path
+        exists.  Read-only: it is shared by every caller."""
+        n = self.node_count
+        dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
+        for s in range(n):
+            row = self.bfs(s)[0]
+            dist[s, list(row)] = list(row.values())
+        dist.flags.writeable = False
+        return dist
 
     def hops(self, s: int, t: int) -> int:
         """Length in edges of a shortest s-t path; ValueError when there is none."""

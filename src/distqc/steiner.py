@@ -10,11 +10,13 @@ are first re-expressed as at most n-1 fan-in layers by a greedy covering.
 
 from __future__ import annotations
 
-import heapq
+import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, fanin, validate
-from .netmodel import QuotientGraph
+from .netmodel import UNREACHABLE, QuotientGraph
 from .telegate import CircuitExpander, ExtendedCircuit
 
 Edge = tuple[int, int]
@@ -101,11 +103,40 @@ def steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
     return frozenset(tree)
 
 
+@functools.cache
+def _splits(r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per mask over r terminals, its two-part splits as read-only index
+    arrays (sub, mask ^ sub), each split once (sub < mask ^ sub) and `sub`
+    descending from (mask - 1) & mask: the order in which ties go to the
+    first split."""
+    table = []
+    for mask in range(1 << r):
+        subs = []
+        sub = (mask - 1) & mask
+        while sub:
+            if sub < mask ^ sub:
+                subs.append(sub)
+            sub = (sub - 1) & mask
+        subs_arr = np.array(subs, dtype=np.intp)
+        pair = (subs_arr, mask ^ subs_arr)
+        for a in pair:
+            a.flags.writeable = False
+        table.append(pair)
+    return tuple(table)
+
+
 def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     """Minimum Steiner tree by the Dreyfus-Wagner subset dynamic program.
 
     Unit edge weights (each edge is one Bell pair).  Guarded to at most
     EXACT_MAX_TERMINALS terminals; exponential in the terminal count only.
+    Row f[mask] holds, per node v, the weight of a cheapest tree joining v
+    to the terminals in mask.  A mask's row is the minimum over its splits
+    of f[sub] + f[mask ^ sub], then grown along shortest paths: with unit
+    weights that is a min-plus product with the hop-distance matrix.
+    Raises ValueError when a terminal cannot reach the others.  An entry of
+    a node cut off from some terminal sums at most ten UNREACHABLE values,
+    far inside int64.
     """
     q = inst.graph
     terms = sorted(inst.terminals)
@@ -114,67 +145,49 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     if len(terms) == 1:
         return frozenset()
     root, rest = terms[0], terms[1:]
+    dist = q.distance_matrix
+    for t in rest:
+        if dist[root, t] == UNREACHABLE:
+            raise ValueError(f"no path between {root} and {t}")
     full = (1 << len(rest)) - 1
-    INF = float("inf")
-    n = q.node_count
-    f: dict[int, list[float]] = {}
-    choice: dict[tuple[int, int], tuple] = {}
+    splits = _splits(len(rest))
+    f = np.empty((full + 1, q.node_count), dtype=np.int64)
+    merged = np.empty_like(f)  # a row before its grow step
     for i, t in enumerate(rest):
-        mask = 1 << i
-        dist = q.bfs(t)[0]
-        f[mask] = [dist.get(v, INF) for v in range(n)]
-        for v in range(n):
-            choice[(mask, v)] = ("leaf", t)
-    for mask in range(1, full + 1):
-        if mask in f:
-            continue
-        base = [INF] * n
-        sub = (mask - 1) & mask
-        while sub:
-            other = mask ^ sub
-            if sub < other:  # each split once
-                fs, fo = f[sub], f[other]
-                for v in range(n):
-                    w = fs[v] + fo[v]
-                    if w < base[v]:
-                        base[v] = w
-                        choice[(mask, v)] = ("merge", sub)
-            sub = (sub - 1) & mask
-        # grow: Dijkstra relaxation from the merged values
-        heap = [(base[v], v) for v in range(n) if base[v] < INF]
-        heapq.heapify(heap)
-        best = base[:]
-        while heap:
-            w, v = heapq.heappop(heap)
-            if w > best[v]:
-                continue
-            for u in q.adjacency[v]:
-                if w + 1 < best[u]:
-                    best[u] = w + 1
-                    choice[(mask, u)] = ("grow", v)
-                    heapq.heappush(heap, (w + 1, u))
-        f[mask] = best
+        f[1 << i] = dist[t]
+    for mask in range(3, full + 1):
+        if mask & (mask - 1):
+            subs, others = splits[mask]
+            base = (f.take(subs, axis=0) + f.take(others, axis=0)).min(axis=0)
+            merged[mask] = base
+            f[mask] = (base[:, None] + dist).min(axis=0)
 
-    # rebuild the tree from the recorded choices, depth first, a merge's
-    # `sub` part before the rest; an explicit stack, because a recursive
-    # closure is a reference cycle that keeps `choice` and `f` alive until
-    # a full collection
+    # Rebuild the tree depth first, a merge's `sub` part before the rest,
+    # working out each visited entry's choice again, with the tie-breaks of
+    # a heap Dijkstra that keeps a choice unless strictly improved: a leaf
+    # row's BFS path; else, when the grow step did not lower the entry, the
+    # first split attaining it; else a grow step from the lowest-numbered
+    # neighbour one hop cheaper.
     edges: set[Edge] = set()
     stack = [(full, root)]
     while stack:
         mask, v = stack.pop()
-        kind, arg = choice[(mask, v)]
-        if kind == "leaf":
-            path = q.shortest_path(arg, v)
+        if not mask & (mask - 1):
+            path = q.shortest_path(rest[mask.bit_length() - 1], v)
             edges.update(_norm(a, b) for a, b in zip(path, path[1:]))
-        elif kind == "grow":
-            edges.add(_norm(arg, v))
-            stack.append((mask, arg))
+            continue
+        w = f[mask, v]
+        if merged[mask, v] == w:
+            subs, others = splits[mask]
+            col = f[:, v]
+            sub = int(subs[(col.take(subs) + col.take(others)).argmin()])
+            stack.append((mask ^ sub, v))
+            stack.append((sub, v))
         else:
-            stack.append((mask ^ arg, v))
-            stack.append((arg, v))
-    weight = int(f[full][root])
-    if len(edges) != weight:
+            u = next(u for u in q.adjacency[v] if f[mask, u] == w - 1)
+            edges.add(_norm(u, v))
+            stack.append((mask, u))
+    if len(edges) != f[full, root]:
         raise AssertionError("Steiner reconstruction produced a non-tree edge multiset")
     return frozenset(edges)
 

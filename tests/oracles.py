@@ -4,13 +4,17 @@ These deliberately avoid the library's solver code paths: plain recursive
 enumeration for schedules, subset enumeration for Steiner trees, and
 networkx max-flow for the directed-gadget checks.  The reference commodity
 extraction and greedy scheduler are the plain quadratic versions that the
-indexed library code must match output for output.  The sampled channel
+indexed library code must match output for output, and the scalar
+Dreyfus-Wagner program (dict rows, a heap Dijkstra grow step and a recorded
+choice per entry) is the reference the vectorized one must match tree for
+tree.  The sampled channel
 check runs concrete inputs and measurement branches, where the library's
 check runs one symbolic Choi state.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
@@ -37,6 +41,7 @@ from distqc.stabsim import (
     random_clifford_prefix,
     reduced_canonical,
 )
+from distqc.steiner import EXACT_MAX_TERMINALS, Edge, SteinerInstance, _norm
 
 
 def all_simple_paths(q: QuotientGraph, s: int, t: int) -> list[tuple[int, ...]]:
@@ -123,6 +128,84 @@ def brute_steiner_weight(q: QuotientGraph, terminals: set[int]) -> int:
     if best is None:
         raise ValueError("terminals cannot be connected")
     return best
+
+
+def reference_steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
+    """Minimum Steiner tree by the Dreyfus-Wagner subset dynamic program.
+
+    Unit edge weights (each edge is one Bell pair).  Guarded to at most
+    EXACT_MAX_TERMINALS terminals; exponential in the terminal count only.
+    """
+    q = inst.graph
+    terms = sorted(inst.terminals)
+    if len(terms) > EXACT_MAX_TERMINALS:
+        raise ValueError(f"exact Steiner limited to {EXACT_MAX_TERMINALS} terminals")
+    if len(terms) == 1:
+        return frozenset()
+    root, rest = terms[0], terms[1:]
+    full = (1 << len(rest)) - 1
+    INF = float("inf")
+    n = q.node_count
+    f: dict[int, list[float]] = {}
+    choice: dict[tuple[int, int], tuple] = {}
+    for i, t in enumerate(rest):
+        mask = 1 << i
+        dist = q.bfs(t)[0]
+        f[mask] = [dist.get(v, INF) for v in range(n)]
+        for v in range(n):
+            choice[(mask, v)] = ("leaf", t)
+    for mask in range(1, full + 1):
+        if mask in f:
+            continue
+        base = [INF] * n
+        sub = (mask - 1) & mask
+        while sub:
+            other = mask ^ sub
+            if sub < other:  # each split once
+                fs, fo = f[sub], f[other]
+                for v in range(n):
+                    w = fs[v] + fo[v]
+                    if w < base[v]:
+                        base[v] = w
+                        choice[(mask, v)] = ("merge", sub)
+            sub = (sub - 1) & mask
+        # grow: Dijkstra relaxation from the merged values
+        heap = [(base[v], v) for v in range(n) if base[v] < INF]
+        heapq.heapify(heap)
+        best = base[:]
+        while heap:
+            w, v = heapq.heappop(heap)
+            if w > best[v]:
+                continue
+            for u in q.adjacency[v]:
+                if w + 1 < best[u]:
+                    best[u] = w + 1
+                    choice[(mask, u)] = ("grow", v)
+                    heapq.heappush(heap, (w + 1, u))
+        f[mask] = best
+
+    # rebuild the tree from the recorded choices, depth first, a merge's
+    # `sub` part before the rest; an explicit stack, because a recursive
+    # closure is a reference cycle that keeps `choice` and `f` alive until
+    # a full collection
+    edges: set[Edge] = set()
+    stack = [(full, root)]
+    while stack:
+        mask, v = stack.pop()
+        kind, arg = choice[(mask, v)]
+        if kind == "leaf":
+            path = q.shortest_path(arg, v)
+            edges.update(_norm(a, b) for a, b in zip(path, path[1:]))
+        elif kind == "grow":
+            edges.add(_norm(arg, v))
+            stack.append((mask, arg))
+        else:
+            stack.append((mask ^ arg, v))
+            stack.append((arg, v))
+    weight = int(f[full][root])
+    if len(edges) != weight:
+        raise AssertionError("Steiner reconstruction produced a non-tree edge multiset")
+    return frozenset(edges)
 
 
 def undirected_max_flow(q: QuotientGraph, s: int, t: int) -> int:

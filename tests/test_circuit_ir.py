@@ -15,11 +15,14 @@ from distqc.circuit import (
     fanin,
     fanout,
     meas,
+    pauli,
     validate_layers,
     yhalf,
 )
-from distqc.flow import iterative_greedy, metrics
+from distqc.flow import compile_circuit_flow, iterative_greedy, metrics
 from distqc.netmodel import gen_rect_low
+from distqc.pauli import XorExpr
+from distqc.steiner import compile_circuit_steiner
 
 
 class TestGate:
@@ -62,6 +65,24 @@ class TestValidateLayers:
         c = gen_random_cz_circuit(49, 1024, rng)
         assert len(c.all_gates()) == 1024
         assert validate_layers(c) is None
+
+
+class TestValidate:
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            [pauli(2, "X", XorExpr.of(1))],
+            [meas(0, "Z", 1), pauli(2, "X", XorExpr.of(1))],  # not an earlier layer
+        ],
+    )
+    def test_condition_on_unmeasured_bit_rejected(self, layer):
+        # compiled, the frame would read the remote CX's own measurement
+        # of the same bit id
+        circ = Circuit.from_layers(3, [[cx(0, 1)], layer])
+        msg = "layer 1: pauli on qubit 2 reads bit 1, which no meas of an earlier layer emits"
+        for compile_ in (compile_circuit_flow, compile_circuit_steiner):
+            with pytest.raises(ValueError, match=msg):
+                compile_(circ, Placement.identity(3), gen_rect_low(2))
 
 
 class TestExtractCommodities:

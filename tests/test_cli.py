@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from distqc.circuit import Circuit, cx, cz, meas
+from distqc.circuit import Circuit, cx, cz, meas, pauli
 from distqc.cli import main
-from distqc.pauli import PauliFrame
+from distqc.pauli import PauliFrame, XorExpr
 from distqc.telegate import ExtendedCircuit
 
 
@@ -154,6 +154,13 @@ class TestBadInput:
         topo.write_text(json.dumps({"nodes": 9}))
         rc, err = self.compile_rc(capsys, circ, topo)
         assert rc == 2 and f"{topo}: missing key 'edges'" in err
+
+    def test_condition_on_unmeasured_bit(self, tmp_path, capsys, topo):
+        circ = tmp_path / "cond.json"
+        logical = Circuit.from_layers(9, [[cx(0, 1)], [pauli(2, "X", XorExpr.of(1))]])
+        circ.write_text(json.dumps(logical.to_json()))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and "layer 1: pauli on qubit 2 reads bit 1" in err
 
     def test_qubit_twice_in_layer_steiner(self, tmp_path, capsys, topo):
         circ = tmp_path / "dup.json"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -26,13 +27,21 @@ from distqc.flow import (
     solve_mcf_exact,
 )
 from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_high, gen_rect_low
-from oracles import brute_min_flow, brute_quickest, random_commodity_set, random_connected_graph
+from oracles import (
+    brute_min_flow,
+    brute_quickest,
+    random_clifford_circuit,
+    random_commodity_set,
+    random_connected_graph,
+)
 
 EDGE = QuotientGraph(2, ((0, 1, 1),))
 EDGE2 = QuotientGraph(2, ((0, 1, 2),))
 
 
 GREEDY_PINNED_SHA256 = "7a8564a04d2bd9ef53532231d6240190c7c4d622883f83881055899a7957db8d"
+# taken before solve_mcf_exact bounded each commodity's step from above
+QUICKEST_PINNED_SHA256 = "edbd4e0ec42744284ee3c873ce5421ef9437b2e26b6b96e4937f0894b421cf13"
 
 
 def random_pair_circuit(n, k, cx_share, rng):
@@ -122,6 +131,19 @@ class TestExactSolver:
         sched = solve_mcf_exact(g, cs, 1)
         assert sched is not None and metrics(sched).e_count == 1
 
+    def test_leaves_no_reference_cycle(self):
+        g = gen_rect_low(2)
+        cs = extract_commodities(gen_hardest_fanin(4), Placement.identity(4))
+        solve_mcf_exact(g, cs, cs.k)  # fills the graph's and the order's caches
+        gc.collect()
+        gc.disable()
+        try:
+            sched = solve_mcf_exact(g, cs, cs.k)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert sched is not None
+
     def test_matches_enumeration_oracle_small(self):
         rng = random.Random(13)
         for _ in range(40):
@@ -179,6 +201,24 @@ class TestQuickestFlow:
         cs = simple_cs([])
         sched = quickest_flow(EDGE, cs)
         assert metrics(sched) == type(metrics(sched))(0, 0)
+
+    def test_schedules_pinned(self):
+        # criterion-9 shaped circuits (3-6 qubits, up to 12 layers) with
+        # k <= 10 on rect-low and hex at g = 2: a faster branch and bound
+        # must find the same first optimum
+        docs = []
+        for make in (gen_rect_low, gen_hex):
+            g = make(2)
+            rng = random.Random(f"quickest:{make.__name__}")
+            for _ in range(20):
+                n = rng.randint(3, 6)
+                circ = random_clifford_circuit(n, 12, rng)
+                cs = extract_commodities(circ, Placement.round_robin(n, g.node_count))
+                if cs.k <= 10:
+                    docs.append(quickest_flow(g, cs).to_json())
+        assert len(docs) == 31
+        blob = json.dumps(docs, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == QUICKEST_PINNED_SHA256
 
 
 class TestIterativeGreedy:

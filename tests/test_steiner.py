@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 
 import pytest
@@ -20,7 +22,12 @@ from distqc.steiner import (
     steiner_tree_approx,
     steiner_tree_exact,
 )
-from oracles import brute_steiner_weight, random_connected_graph
+from oracles import brute_steiner_weight, random_connected_graph, reference_steiner_tree_exact
+
+# sha256 of the schedule of one densified k = 256 random-CZ circuit on
+# rect-high g = 11, taken from the scalar Dreyfus-Wagner program with a heap
+# Dijkstra grow step (``oracles.reference_steiner_tree_exact``)
+DENSE_TREES_SHA256 = "0c318d8fee099f1161a9f384585e475cfe280a119d8d9005b7e4b28b6b74ec5a"
 
 
 def tree_weight(edges):
@@ -82,6 +89,38 @@ class TestExactSteiner:
             terms = frozenset(rng.sample(range(g.node_count), nt))
             t = steiner_tree_exact(SteinerInstance(g, terms))
             assert tree_weight(t) == brute_steiner_weight(g, set(terms))
+
+    @pytest.mark.parametrize("solve", [steiner_tree_exact, steiner_tree_approx])
+    @pytest.mark.parametrize("terms", [{0, 2}, {0, 1, 2}])
+    def test_unreachable_terminal_raises(self, solve, terms):
+        g = QuotientGraph(4, ((0, 1, 1), (2, 3, 1)))
+        with pytest.raises(ValueError, match="no path between 0 and 2"):
+            solve(SteinerInstance(g, frozenset(terms)))
+
+    def test_matches_reference_program(self):
+        # grids have many tied optima, so equal edge sets pin the tie-breaks:
+        # first split in order, then the lowest-numbered neighbour
+        rng = random.Random(61)
+        cases = []
+        for make in (gen_rect_low, gen_rect_high, gen_hex):
+            for g_factor in (2, 3, 5, 11):
+                g = make(g_factor)
+                for _ in range(12):
+                    nt = rng.randint(2, min(8, g.node_count))
+                    cases.append((g, rng.sample(range(g.node_count), nt)))
+            g = make(11)
+            cases += [(g, rng.sample(range(g.node_count), nt)) for nt in (9, 10, 10)]
+        for g, terms in cases:
+            inst = SteinerInstance(g, frozenset(terms))
+            assert steiner_tree_exact(inst) == reference_steiner_tree_exact(inst), terms
+
+    def test_dense_rect_high_trees_pinned(self):
+        g = gen_rect_high(11)
+        circ = gen_random_cz_circuit(g.node_count, 256, random.Random("steiner-pin"))
+        dense = cz_to_dense_fanin(circ).to_circuit()
+        _, sched = compile_circuit_steiner(dense, Placement.identity(g.node_count), g)
+        blob = json.dumps(sched.to_json(), separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == DENSE_TREES_SHA256
 
     def test_result_is_spanning_tree(self):
         rng = random.Random(43)
