@@ -168,16 +168,34 @@ def gate_to_json(g: Gate) -> dict:
     return doc
 
 
+# the Pauli on the first qubit of a phi+ pair that makes each Bell state;
+# a bell gate's empty variant is phi+
+BELL_PAULIS = {"phi+": "", "phi-": "Z", "psi+": "X", "psi-": "XZ"}
+# bases a gate read from JSON may name; "" is the default of prep and meas (Z)
+# and of fanin and fanout (X), and a pauli has no default axis
+_JSON_BASES = {
+    "pauli": ("X", "Z"),
+    "prep": ("", "X", "Z"),
+    "meas": ("", "X", "Z"),
+    "fanin": ("", "X", "Z"),
+    "fanout": ("", "X", "Z"),
+}
+
+
 def gate_from_json(doc: dict) -> Gate:
+    """Read one gate, rejecting a basis or Bell variant the simulator and
+    the compiler would misread."""
+    kind, qubits = doc["kind"], tuple(doc["q"])
+    basis, variant = doc.get("basis", ""), doc.get("variant", "")
+    if kind in _JSON_BASES and basis not in _JSON_BASES[kind]:
+        raise ValueError(f"{kind} gate on qubits {list(qubits)} has basis {basis!r}, expected X or Z")
+    if kind == "bell" and variant and variant not in BELL_PAULIS:
+        raise ValueError(
+            f"bell gate on qubits {list(qubits)} has variant {variant!r}, "
+            f"expected one of {', '.join(BELL_PAULIS)}"
+        )
     cond = XorExpr.from_tokens(doc["cond"]) if "cond" in doc else None
-    return Gate(
-        kind=doc["kind"],
-        qubits=tuple(doc["q"]),
-        basis=doc.get("basis", ""),
-        bit=doc.get("bit", -1),
-        cond=cond,
-        variant=doc.get("variant", ""),
-    )
+    return Gate(kind=kind, qubits=qubits, basis=basis, bit=doc.get("bit", -1), cond=cond, variant=variant)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, bell, cx, cz, meas, pauli, yhalf
-from .circuit import gate_from_json, gate_to_json
+from .circuit import BELL_PAULIS, gate_from_json, gate_to_json
 from .netmodel import QuotientGraph
 from .pauli import ONE, PauliFrame
 from .pushing import FrameNormalizer, normalize_frame
-
-_BELL_UNDO = {"phi+": "", "phi-": "Z", "psi+": "X", "psi-": "XZ"}
 
 
 @dataclass(frozen=True)
@@ -365,10 +363,10 @@ def expand_with_bell_variant(fragment: ExtendedCircuit, variants) -> ExtendedCir
             continue
         v = lookup(count)
         count += 1
-        if v not in _BELL_UNDO:
+        if v not in BELL_PAULIS:
             raise ValueError(f"unknown Bell variant {v!r}")
         gates.append(bell(g.qubits[0], g.qubits[1], v))
-        for axis in _BELL_UNDO[v]:
+        for axis in BELL_PAULIS[v]:
             gates.append(pauli(g.qubits[0], axis, ONE))
     return normalize_frame(
         ExtendedCircuit(fragment.num_data, fragment.num_qubits, tuple(gates), fragment.frame.copy())

@@ -45,7 +45,6 @@ from distqc.stabsim import (
     StabilizerState,
     canonical_tableau,
     channel_equivalent,
-    random_clifford_prefix,
 )
 from distqc.steiner import (
     SteinerInstance,
@@ -59,6 +58,7 @@ from distqc.telegate import ExtendedCircuit, expand_telegate_cx
 from oracles import (
     brute_min_flow,
     random_clifford_circuit,
+    random_clifford_prefix,
     random_commodity_set,
     random_connected_graph,
 )

@@ -217,6 +217,34 @@ class TestBadInput:
         rc, err = self.verify_rc(capsys, bad, logical)
         assert rc == 2 and f"on qubits [{doc['qubits']}]" in err
 
+    def write_pair(self, tmp_path, gate, logical_layers):
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps({"qubits": 2, "data": 1, "layers": [[gate]], "frame": {}}))
+        logical = tmp_path / "logical.json"
+        logical.write_text(json.dumps({"qubits": 1, "layers": logical_layers}))
+        return ext, logical
+
+    def test_verify_pauli_with_unknown_basis(self, tmp_path, capsys):
+        # read as a Z flip, it would match the logical Z
+        ext, logical = self.write_pair(
+            tmp_path, {"kind": "pauli", "q": [0], "basis": "Y"},
+            [[{"kind": "pauli", "q": [0], "basis": "Z"}]],
+        )
+        rc, err = self.verify_rc(capsys, ext, logical)
+        assert rc == 2 and "pauli gate on qubits [0] has basis 'Y', expected X or Z" in err
+
+    def test_verify_prep_with_unknown_basis(self, tmp_path, capsys):
+        # read as a Z prep, it would pass as |0>
+        ext, logical = self.write_pair(tmp_path, {"kind": "prep", "q": [1], "basis": "Y"}, [])
+        rc, err = self.verify_rc(capsys, ext, logical)
+        assert rc == 2 and "prep gate on qubits [1] has basis 'Y'" in err
+
+    def test_verify_bell_with_unknown_variant(self, tmp_path, capsys):
+        # the simulator has no Bell state by that name
+        ext, logical = self.write_pair(tmp_path, {"kind": "bell", "q": [0, 1], "variant": "nope"}, [])
+        rc, err = self.verify_rc(capsys, ext, logical)
+        assert rc == 2 and "bell gate on qubits [0, 1] has variant 'nope'" in err
+
     def test_verify_logical_qubit_out_of_range(self, tmp_path, capsys, compiled_cx):
         logical = tmp_path / "wide.json"
         logical.write_text(json.dumps({"qubits": 2, "layers": [[{"kind": "cz", "q": [0, 5]}]]}))

@@ -11,12 +11,9 @@ from distqc.pushing import (
     push_through_measurement,
     normalize_frame,
 )
-from distqc.stabsim import (
-    StabilizerState,
-    canonical_tableau,
-    random_clifford_prefix,
-)
+from distqc.stabsim import StabilizerState, canonical_tableau
 from distqc.telegate import ExtendedCircuit, expand_telegate_cx
+from oracles import random_clifford_prefix
 
 B = XorExpr.of(1)
 

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from distqc.circuit import Circuit, Gate, cx, cz, fanin, pauli, prep, yhalf
+from distqc.circuit import Circuit, Gate, Placement, cx, cz, fanin, pauli, prep, yhalf
+from distqc.flow import compile_circuit_flow
+from distqc.netmodel import gen_rect_low
 from distqc.pauli import ONE, PauliFrame
 from distqc.stabsim import (
     BranchDependentError,
@@ -10,10 +12,15 @@ from distqc.stabsim import (
     StabilizerState,
     canonical_tableau,
     channel_equivalent,
-    random_clifford_prefix,
     reduced_canonical,
 )
 from distqc.telegate import ExtendedCircuit, expand_telegate_cx
+from oracles import (
+    ReferenceStabilizerState,
+    random_clifford_prefix,
+    reference_canonical_tableau,
+    reference_reduced_canonical,
+)
 
 
 def scrambled(n, seed):
@@ -22,6 +29,20 @@ def scrambled(n, seed):
     for g in random_clifford_prefix(n, rng):
         s.apply_gate(g)
     return s
+
+
+def half_cx_circuit(n, k, rng):
+    """k gates on random qubit pairs, each CX or CZ with probability 1/2,
+    each in the first layer after the last use of either operand."""
+    layers, last = [], {}
+    for _ in range(k):
+        a, b = rng.sample(range(n), 2)
+        gate = cx(a, b) if rng.random() < 0.5 else cz(a, b)
+        at = max(last.get(a, -1), last.get(b, -1)) + 1
+        layers.extend([] for _ in range(at + 1 - len(layers)))
+        layers[at].append(gate)
+        last[a] = last[b] = at
+    return Circuit.from_layers(n, layers)
 
 
 class TestGates:
@@ -65,9 +86,9 @@ class TestGates:
         s = StabilizerState(2)
         s.bell(0, 1)
         gens = set()
-        for i in range(2, 4):
-            label = "".join("IXZY"[s.x[i, j] + 2 * s.z[i, j]] for j in range(2))
-            gens.add(("-" if s.r[i] else "+") + label)
+        for i in range(2, 4):  # bit i of each column is stabilizer row i
+            label = "".join("IXZY"[(s.x[j] >> i & 1) + 2 * (s.z[j] >> i & 1)] for j in range(2))
+            gens.add(("-" if s.r >> i & 1 else "+") + label)
         assert gens == {"+XX", "+ZZ"}
 
     def test_cz_symmetric(self):
@@ -250,6 +271,17 @@ class TestChannelEquivalent:
         empty = Circuit.from_layers(1, [])
         assert not channel_equivalent(ext, empty, rng=random.Random(17))
 
+    def test_wide_tableau(self):
+        # 557 qubits: each column int holds 1114 row bits, so every row mask
+        # and product spans many machine words
+        graph = gen_rect_low(3)
+        n = graph.node_count
+        logical = half_cx_circuit(n, 128, random.Random(5))
+        ext, _, _ = compile_circuit_flow(logical, Placement.identity(n), graph, "greedy")
+        assert ext.num_qubits == 557
+        assert channel_equivalent(ext, logical, rng=random.Random(1))
+        assert not channel_equivalent(ext, logical, rng=random.Random(1), drop_frame=True)
+
     @pytest.mark.parametrize("trials,branches", [(0, 10), (20, 0), (-1, 10)])
     def test_no_trial_or_branch_rejected(self, trials, branches):
         # with nothing sampled a wrong channel would pass unchecked
@@ -257,6 +289,63 @@ class TestChannelEquivalent:
         logical = Circuit.from_layers(2, [[cx(0, 1)]])
         with pytest.raises(ValueError, match="at least one trial and one branch"):
             channel_equivalent(ext, logical, trials=trials, branches=branches, rng=random.Random(15))
+
+
+SINGLE_QUBIT_OPS = ("h", "s", "xhalf", "yhalf", "zhalf", "pauli_x", "pauli_y", "pauli_z")
+
+
+class TestAgainstReference:
+    """The bit-packed tableau against the numpy tableau in the oracles, on
+    seeded random programs of gates, measurements, resets and flips."""
+
+    @staticmethod
+    def result(fn, *args):
+        try:
+            return fn(*args)
+        except (ResidualEntanglementError, BranchDependentError) as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_random_programs_match(self, symbolic):
+        for seed in range(120):
+            rng = random.Random(seed)
+            n = 1 + seed % 12
+            state, ref = StabilizerState(n, symbolic), ReferenceStabilizerState(n, symbolic)
+            # one outcome rng per tableau, so both draw the same coin flips
+            state_rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(5 * n + 6):
+                op = rng.choice(("gate", "gate", "single", "measure", "reset", "flip"))
+                q = rng.randrange(n)
+                if op == "gate":
+                    (g,) = random_clifford_prefix(n, rng, 1)
+                    state.apply_gate(g)
+                    ref.apply_gate(g)
+                elif op == "single":
+                    name = rng.choice(SINGLE_QUBIT_OPS)
+                    getattr(state, name)(q)
+                    getattr(ref, name)(q)
+                elif op == "measure":
+                    basis = rng.choice("XZ")
+                    assert state.measure(q, basis, state_rng) == ref.measure(q, basis, ref_rng)
+                elif op == "reset":
+                    state.reset(q, state_rng)
+                    ref.reset(q, ref_rng)
+                else:  # an affine value: a constant and any of the open symbols
+                    axis = rng.choice("XZ")
+                    value = rng.getrandbits(1) | rng.getrandbits(state.symbols) << 1
+                    state.flip(q, axis, value)
+                    ref.flip(q, axis, value)
+            assert state.symbols == ref.symbols
+            state.validate()
+            assert self.result(canonical_tableau, state) == self.result(reference_canonical_tableau, ref)
+            data = rng.sample(range(n), rng.randint(1, n))
+            assert self.result(reduced_canonical, state, data) == self.result(
+                reference_reduced_canonical, ref, data
+            )
+
+    def test_unknown_flip_axis_rejected(self):
+        with pytest.raises(ValueError, match="unknown Pauli axis 'Y'"):
+            StabilizerState(1).flip(0, "Y", 1)
 
 
 class TestGateDispatch:

@@ -12,7 +12,6 @@ from distqc.stabsim import (
     StabilizerState,
     canonical_tableau,
     channel_equivalent,
-    random_clifford_prefix,
 )
 from distqc.steiner import (
     SteinerInstance,
@@ -22,7 +21,12 @@ from distqc.steiner import (
     steiner_tree_approx,
     steiner_tree_exact,
 )
-from oracles import brute_steiner_weight, random_connected_graph, reference_steiner_tree_exact
+from oracles import (
+    brute_steiner_weight,
+    random_clifford_prefix,
+    random_connected_graph,
+    reference_steiner_tree_exact,
+)
 
 # sha256 of the schedule of one densified k = 256 random-CZ circuit on
 # rect-high g = 11, taken from the scalar Dreyfus-Wagner program with a heap

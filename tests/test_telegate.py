@@ -12,7 +12,6 @@ from distqc.stabsim import (
     StabilizerState,
     canonical_tableau,
     channel_equivalent,
-    random_clifford_prefix,
     reduced_canonical,
 )
 from distqc.steiner import compile_circuit_steiner
@@ -27,6 +26,7 @@ from distqc.telegate import (
     expand_teleport,
     expand_with_bell_variant,
 )
+from oracles import random_clifford_prefix
 
 CX2 = Circuit.from_layers(2, [[cx(0, 1)]])
 CZ2 = Circuit.from_layers(2, [[cz(0, 1)]])
