@@ -227,6 +227,34 @@ def validate_layers(circuit: Circuit) -> LayerViolation | None:
     return None
 
 
+def unemitted_bit(expr: XorExpr, emitted: int) -> int | None:
+    """The lowest bit that ``expr`` reads outside the mask ``emitted``, or None."""
+    extra = expr.mask & ~emitted
+    return set_bits(extra)[0] - 1 if extra else None
+
+
+def check_reads(layers: Iterable[Iterable[Gate]]) -> int:
+    """Reject, with a ValueError, a condition reading a bit that no meas of
+    an earlier layer emits.  Returns the XorExpr mask of every emitted bit,
+    with the constant set."""
+    emitted = 1
+    for li, layer in enumerate(layers):
+        measured = 0
+        for g in layer:
+            bit = None if g.cond is None else unemitted_bit(g.cond, emitted)
+            if bit is not None:
+                raise ValueError(
+                    f"layer {li}: {g.kind} on qubit {g.qubits[0]} reads bit {bit}, "
+                    "which no meas of an earlier layer emits"
+                )
+            if g.kind == "meas":
+                if g.bit < 0:
+                    raise ValueError(f"layer {li}: meas on qubit {g.qubits[0]} emits no bit")
+                measured |= 2 << g.bit
+        emitted |= measured
+    return emitted
+
+
 def validate(circuit: Circuit, placement: Placement, graph: QuotientGraph) -> None:
     """Reject a malformed compile input with a ValueError naming the fault:
     a layer violation, a condition reading a bit that no meas of an earlier
@@ -235,19 +263,7 @@ def validate(circuit: Circuit, placement: Placement, graph: QuotientGraph) -> No
     bad = validate_layers(circuit)
     if bad is not None:
         raise ValueError(f"layer {bad.layer}: {bad.reason}")
-    emitted = 1  # an XorExpr mask of the bits measured so far, and the constant
-    for li, layer in enumerate(circuit.layers):
-        measured = 0
-        for g in layer:
-            if g.cond is not None and g.cond.mask & ~emitted:
-                bit = set_bits(g.cond.mask & ~emitted)[0] - 1
-                raise ValueError(
-                    f"layer {li}: {g.kind} on qubit {g.qubits[0]} reads bit {bit}, "
-                    "which no meas of an earlier layer emits"
-                )
-            if g.kind == "meas":
-                measured |= 2 << g.bit
-        emitted |= measured
+    check_reads(circuit.layers)
     procs = placement.qubit_to_processor
     if len(procs) < circuit.num_qubits:
         raise ValueError(f"placement maps {len(procs)} of {circuit.num_qubits} qubits")

@@ -10,6 +10,8 @@ edge whose capacity is the link count.
 ``QuotientGraph`` is the single owner of graph distances: one breadth-first
 search (``bfs``, memoised per source) backs the hop counts, shortest paths
 and the all-pairs distance matrix that the flow and Steiner backends use.
+The lattice generators list their edges in plain Python, so numpy is the
+only runtime dependency of the package.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 UNREACHABLE = 1 << 40  # distance-matrix entry of a pair with no path
@@ -212,13 +213,6 @@ class QuotientGraph:
     def is_connected(self) -> bool:
         return self.node_count == 0 or len(self.bfs(0)[0]) == self.node_count
 
-    def to_nx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.node_count))
-        for u, v, c in self.edges:
-            g.add_edge(u, v, capacity=c)
-        return g
-
     def to_json(self) -> dict:
         return {"nodes": self.node_count, "edges": [[u, v, c] for u, v, c in self.edges]}
 
@@ -295,12 +289,11 @@ def network_from_quotient(q: QuotientGraph) -> Network:
 
 
 def _grid(rows: int, cols: int) -> QuotientGraph:
-    g = nx.grid_2d_graph(rows, cols)
-    order = {node: i for i, node in enumerate(sorted(g.nodes()))}  # row-major ids
-    edges = sorted(
-        (min(order[a], order[b]), max(order[a], order[b]), 1) for a, b in g.edges()
-    )
-    return QuotientGraph(rows * cols, tuple(edges))
+    """A rows x cols grid with row-major node ids."""
+    n = rows * cols
+    edges = [(u, u + 1, 1) for u in range(n) if (u + 1) % cols]
+    edges += [(u, u + cols, 1) for u in range(n - cols)]
+    return QuotientGraph(n, tuple(sorted(edges)))
 
 
 def gen_rect_low(g: int) -> QuotientGraph:
@@ -341,12 +334,17 @@ def gen_hex(g: int) -> QuotientGraph:
         raise ValueError("generator factor must be >= 1")
     rows = (g + 2) // 2
     cols = (g + 1) // 2
-    h = nx.hexagonal_lattice_graph(rows, cols)
-    order = {node: i for i, node in enumerate(sorted(h.nodes()))}
-    edges = sorted(
-        (min(order[a], order[b]), max(order[a], order[b]), 1) for a, b in h.edges()
-    )
-    return QuotientGraph(h.number_of_nodes(), tuple(edges))
+    # A brick-wall layout: column i holds nodes (i, 0..h-1) joined in a path,
+    # a row edge joins (i, j) and (i+1, j) where i and j have equal parity,
+    # and the two degree-1 corners are dropped.  Ids follow sorted (i, j).
+    h = 2 * rows + 2
+    corners = {(0, h - 1), (cols, (h - 1) * (cols % 2))}
+    nodes = [(i, j) for i in range(cols + 1) for j in range(h) if (i, j) not in corners]
+    ids = {node: k for k, node in enumerate(nodes)}
+    pairs = [((i, j), (i, j + 1)) for i in range(cols + 1) for j in range(h - 1)]
+    pairs += [((i, j), (i + 1, j)) for i in range(cols) for j in range(h) if i % 2 == j % 2]
+    edges = sorted((ids[a], ids[b], 1) for a, b in pairs if a in ids and b in ids)
+    return QuotientGraph(len(ids), tuple(edges))
 
 
 GENERATORS = {"rect-low": gen_rect_low, "rect-high": gen_rect_high, "hex": gen_hex}

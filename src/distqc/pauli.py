@@ -16,7 +16,11 @@ straight into per-qubit masks and never become inline ``pauli`` gates.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+
+_BIT_TOKEN = re.compile(r"b[0-9]+")  # a measurement bit in JSON
+_QUBIT_KEY = re.compile(r"q[0-9]+")  # a frame entry's qubit in JSON
 
 
 def set_bits(mask: int) -> list[int]:
@@ -124,17 +128,16 @@ class XorExpr:
 
     @staticmethod
     def from_tokens(tokens: list[str]) -> "XorExpr":
+        """Read ``tokens()`` back: ``"1"`` or ``"b<digits>"`` strings, a
+        repeated token cancelling; anything else is a ValueError."""
         mask = 0
         for tok in tokens:
             if tok == "1":
                 mask ^= 1
-                continue
-            if not tok.startswith("b"):
+            elif isinstance(tok, str) and _BIT_TOKEN.fullmatch(tok):
+                mask ^= 2 << int(tok[1:])
+            else:
                 raise ValueError(f"bad xor token: {tok!r}")
-            b = int(tok[1:])
-            if b < 0:
-                raise ValueError(f"bad xor token: {tok!r}")
-            mask ^= 2 << b
         return XorExpr.from_mask(mask)
 
     def __str__(self) -> str:
@@ -201,10 +204,21 @@ class PauliFrame:
         return out
 
     @staticmethod
-    def from_json(doc: dict) -> "PauliFrame":
+    def from_json(doc: dict, num_qubits: int) -> "PauliFrame":
+        """Read ``to_json()`` back, rejecting a key that is not ``q<digits>``,
+        names a qubit outside ``0..num_qubits-1`` or holds anything but x
+        and z token lists."""
+        if not isinstance(doc, dict):
+            raise ValueError("frame must map q<qubit> keys to x and z token lists")
         frame = PauliFrame()
         for key, parts in doc.items():
-            q = int(key.lstrip("q"))
+            if not _QUBIT_KEY.fullmatch(key):
+                raise ValueError(f"bad frame key {key!r}, expected q<qubit>")
+            q = int(key[1:])
+            if q >= num_qubits:
+                raise ValueError(f"frame entry {key} of a {num_qubits}-qubit circuit")
+            if not isinstance(parts, dict) or not parts.keys() <= {"x", "z"}:
+                raise ValueError(f"frame entry {key} must hold only x and z token lists")
             frame.add_x(q, XorExpr.from_tokens(parts.get("x", [])))
             frame.add_z(q, XorExpr.from_tokens(parts.get("z", [])))
         return frame

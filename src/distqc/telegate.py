@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, bell, cx, cz, meas, pauli, yhalf
-from .circuit import BELL_PAULIS, gate_from_json, gate_to_json
+from .circuit import BELL_PAULIS, check_reads, gate_from_json, gate_to_json, unemitted_bit
 from .netmodel import QuotientGraph
 from .pauli import ONE, PauliFrame
 from .pushing import FrameNormalizer, normalize_frame
@@ -41,16 +41,23 @@ class ExtendedCircuit:
         return sum(1 for g in self.gates if g.kind == "bell")
 
     def time_slices(self) -> list[list[Gate]]:
-        """Greedy ASAP layering of the quantum gates (conditions ignored)."""
+        """Greedy ASAP layering of the quantum gates.  A conditioned gate
+        goes after the slice of each meas whose bit it reads, the order
+        ``from_json`` requires."""
         slices: list[list[Gate]] = []
         last: dict[int, int] = {}
+        measured_at: dict[int, int] = {}
         for g in self.gates:
             at = max((last.get(q, -1) for q in g.qubits), default=-1) + 1
+            if g.cond is not None:
+                at = max([at, *(measured_at.get(b, -1) + 1 for b in g.cond.bits)])
             while len(slices) <= at:
                 slices.append([])
             slices[at].append(g)
             for q in g.qubits:
                 last[q] = at
+            if g.kind == "meas":
+                measured_at[g.bit] = at
         return slices
 
     def depth(self) -> int:
@@ -67,14 +74,24 @@ class ExtendedCircuit:
 
     @staticmethod
     def from_json(doc: dict) -> "ExtendedCircuit":
-        gates = tuple(gate_from_json(g) for layer in doc["layers"] for g in layer)
+        """Read ``to_json()`` back, rejecting a qubit outside the circuit and
+        a condition or frame entry reading a bit that no meas emits first."""
+        layers = [[gate_from_json(g) for g in layer] for layer in doc["layers"]]
+        gates = tuple(g for layer in layers for g in layer)
         n = doc["qubits"]
         if not 0 <= doc["data"] <= n:
             raise ValueError(f"{doc['data']} data qubits in a {n}-qubit circuit")
         for g in gates:
             if not all(0 <= q < n for q in g.qubits):
                 raise ValueError(f"{g.kind} gate on qubits {list(g.qubits)} of a {n}-qubit circuit")
-        return ExtendedCircuit(doc["data"], n, gates, PauliFrame.from_json(doc.get("frame", {})))
+        emitted = check_reads(layers)
+        frame = PauliFrame.from_json(doc.get("frame", {}), n)
+        for axis, exprs in (("x", frame.x), ("z", frame.z)):
+            for q, e in exprs.items():
+                bit = unemitted_bit(e, emitted)
+                if bit is not None:
+                    raise ValueError(f"frame entry q{q} {axis} reads bit {bit}, which no meas emits")
+        return ExtendedCircuit(doc["data"], n, gates, frame)
 
 
 class InvalidPathError(ValueError):

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 These deliberately avoid the library's solver code paths: plain recursive
-enumeration for schedules, subset enumeration for Steiner trees, and
-networkx max-flow for the directed-gadget checks.  The reference commodity
+enumeration for schedules, subset enumeration for Steiner trees,
+networkx max-flow for the directed-gadget checks, and networkx's lattice
+generators for the three topology families.  The reference commodity
 extraction and greedy scheduler are the plain quadratic versions that the
 indexed library code must match output for output, and the scalar
 Dreyfus-Wagner program (dict rows, a heap Dijkstra grow step and a recorded
@@ -44,8 +45,32 @@ from distqc.stabsim import BranchDependentError, ResidualEntanglementError
 from distqc.steiner import EXACT_MAX_TERMINALS, Edge, SteinerInstance, _norm
 
 
+def to_nx(q: QuotientGraph) -> nx.Graph:
+    """The quotient graph as a networkx graph with a ``capacity`` per edge."""
+    g = nx.Graph()
+    g.add_nodes_from(range(q.node_count))
+    for u, v, c in q.edges:
+        g.add_edge(u, v, capacity=c)
+    return g
+
+
+def _from_nx(h: nx.Graph) -> QuotientGraph:
+    order = {node: i for i, node in enumerate(sorted(h.nodes()))}
+    edges = sorted((min(order[a], order[b]), max(order[a], order[b]), 1) for a, b in h.edges())
+    return QuotientGraph(h.number_of_nodes(), tuple(edges))
+
+
+# the lattice families built by networkx's generators, nodes numbered in
+# sorted order: the reference the library's plain-Python generators match
+NX_LATTICES = {
+    "rect-low": lambda g: _from_nx(nx.grid_2d_graph((g + 3) // 2, (g + 4) // 2)),
+    "rect-high": lambda g: _from_nx(nx.grid_2d_graph(g + 1, g + 1)),
+    "hex": lambda g: _from_nx(nx.hexagonal_lattice_graph((g + 2) // 2, (g + 1) // 2)),
+}
+
+
 def all_simple_paths(q: QuotientGraph, s: int, t: int) -> list[tuple[int, ...]]:
-    g = q.to_nx()
+    g = to_nx(q)
     return [tuple(p) for p in nx.all_simple_paths(g, s, t)]
 
 
@@ -113,7 +138,7 @@ def brute_quickest(q: QuotientGraph, cs: CommoditySet) -> tuple[int, int] | None
 
 def brute_steiner_weight(q: QuotientGraph, terminals: set[int]) -> int:
     """Minimum Steiner weight by enumerating Steiner-point subsets."""
-    g = q.to_nx()
+    g = to_nx(q)
     others = [v for v in range(q.node_count) if v not in terminals]
     best = None
     for r in range(len(others) + 1):

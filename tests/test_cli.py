@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import distqc
 from distqc.circuit import Circuit, cx, cz, meas, pauli
 from distqc.cli import main
 from distqc.pauli import PauliFrame, XorExpr
@@ -245,6 +250,44 @@ class TestBadInput:
         rc, err = self.verify_rc(capsys, ext, logical)
         assert rc == 2 and "bell gate on qubits [0, 1] has variant 'nope'" in err
 
+    @pytest.mark.parametrize(
+        "layers,frame,message",
+        [
+            ([[{"kind": "pauli", "q": [0], "basis": "X", "cond": ["b7"]}]], {},
+             "layer 0: pauli on qubit 0 reads bit 7, which no meas of an earlier layer emits"),
+            ([[{"kind": "meas", "q": [1], "bit": 2}]], {"q0": {"x": ["b2", "b9"]}},
+             "frame entry q0 x reads bit 9, which no meas emits"),
+            ([], {"q-1": {"x": ["1"]}}, "bad frame key 'q-1', expected q<qubit>"),
+            ([], {"q7": {"z": ["1"]}}, "frame entry q7 of a 2-qubit circuit"),
+            ([[{"kind": "pauli", "q": [0], "basis": "X", "cond": [7]}]], {}, "bad xor token: 7"),
+            ([[{"kind": "meas", "q": [1]}]], {}, "layer 0: meas on qubit 1 emits no bit"),
+            ([], [], "frame must map q<qubit> keys to x and z token lists"),
+            ([], {"q0": ["1"]}, "frame entry q0 must hold only x and z token lists"),
+            ([], {"q0": {"y": ["1"]}}, "frame entry q0 must hold only x and z token lists"),
+        ],
+        ids=["unemitted-cond", "unemitted-frame-bit", "negative-frame-key",
+             "frame-qubit-out-of-range", "int-cond-token", "meas-without-bit",
+             "frame-not-object", "frame-entry-not-object", "frame-entry-unknown-axis"],
+    )
+    def test_verify_malformed_extended(self, tmp_path, capsys, layers, frame, message):
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps({"qubits": 2, "data": 1, "layers": layers, "frame": frame}))
+        logical = tmp_path / "logical.json"
+        logical.write_text(json.dumps({"qubits": 1, "layers": []}))
+        rc, err = self.verify_rc(capsys, ext, logical)
+        assert rc == 2 and err == f"distqc verify: error: {ext}: {message}\n"
+
+    def test_non_string_condition_token(self, tmp_path, capsys, topo, compiled_cx):
+        circ = tmp_path / "cond.json"
+        circ.write_text(json.dumps({"qubits": 9, "layers": [
+            [{"kind": "meas", "q": [0], "bit": 7}],
+            [{"kind": "pauli", "q": [1], "basis": "X", "cond": [7]}],
+        ]}))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and err == f"distqc compile: error: {circ}: bad xor token: 7\n"
+        rc, err = self.verify_rc(capsys, compiled_cx, circ)
+        assert rc == 2 and err == f"distqc verify: error: {circ}: bad xor token: 7\n"
+
     def test_verify_logical_qubit_out_of_range(self, tmp_path, capsys, compiled_cx):
         logical = tmp_path / "wide.json"
         logical.write_text(json.dumps({"qubits": 2, "layers": [[{"kind": "cz", "q": [0, 5]}]]}))
@@ -262,3 +305,12 @@ class TestBenchCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "topology,g,nodes,edges,k,backend,e_depth,e_count,wall_time_ms,seed"
         assert len(lines) == 3
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # numpy is the only runtime dependency; networkx is a test reference only
+    src = str(Path(distqc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, distqc.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

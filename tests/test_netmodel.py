@@ -9,6 +9,7 @@ from distqc.bench import gen_random_cz_circuit
 from distqc.circuit import Placement, extract_commodities
 from distqc.flow import iterative_greedy
 from distqc.netmodel import (
+    GENERATORS,
     Network,
     Processor,
     QuotientGraph,
@@ -21,7 +22,13 @@ from distqc.netmodel import (
     to_directed,
 )
 from distqc.steiner import compile_circuit_steiner, cz_to_dense_fanin
-from oracles import gadget_max_flow, random_connected_graph, undirected_max_flow
+from oracles import (
+    NX_LATTICES,
+    gadget_max_flow,
+    random_connected_graph,
+    to_nx,
+    undirected_max_flow,
+)
 
 
 def toy_network():
@@ -70,6 +77,11 @@ class TestQuotient:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("kind", sorted(NX_LATTICES))
+    @pytest.mark.parametrize("g", range(1, 30))
+    def test_matches_networkx_generators(self, kind, g):
+        assert GENERATORS[kind](g) == NX_LATTICES[kind](g)
+
     def test_reported_sizes_at_g11(self):
         low, high, hexa = gen_rect_low(11), gen_rect_high(11), gen_hex(11)
         assert (low.node_count, low.edge_count) == (49, 84)
@@ -196,7 +208,7 @@ class TestDistanceService:
     @pytest.mark.parametrize("gen", [gen_rect_low, gen_hex, gen_rect_high])
     def test_hops_match_networkx(self, gen):
         q = gen(11)
-        expected = dict(nx.all_pairs_shortest_path_length(q.to_nx()))
+        expected = dict(nx.all_pairs_shortest_path_length(to_nx(q)))
         for s in range(q.node_count):
             for t in range(q.node_count):
                 assert q.hops(s, t) == expected[s][t]

@@ -7,7 +7,7 @@ import pytest
 from distqc.circuit import Circuit, Placement, cx, cz, fanin, fanout, gate_to_json, meas, pauli, yhalf
 from distqc.flow import compile_circuit_flow
 from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_high, gen_rect_low
-from distqc.pauli import XorExpr
+from distqc.pauli import PauliFrame, XorExpr
 from distqc.stabsim import (
     StabilizerState,
     canonical_tableau,
@@ -294,6 +294,14 @@ class TestExtendedCircuitProperties:
         assert back.frame.to_json() == frag.frame.to_json()
         assert back.num_qubits == frag.num_qubits
         assert channel_equivalent(back, CX2, trials=5, branches=5, rng=random.Random(8))
+
+    def test_conditioned_pauli_sliced_after_its_meas(self):
+        # qubit 0 is free from the start, but its correction reads qubit 1's bit
+        ext = ExtendedCircuit(
+            1, 2, (yhalf(1), meas(1, "Z", 0), pauli(0, "X", XorExpr.of(0))), PauliFrame()
+        )
+        assert [[g.kind for g in sl] for sl in ext.time_slices()] == [["yhalf"], ["meas"], ["pauli"]]
+        assert ExtendedCircuit.from_json(json.loads(json.dumps(ext.to_json()))).gates == ext.gates
 
     def test_frame_json_tokens(self):
         frag = expand_telegate_cx(0, 1, [0, 1])
