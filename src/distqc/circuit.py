@@ -31,7 +31,8 @@ FAN_KINDS = {"fanin", "fanout"}
 class Gate:
     """One circuit operation.
 
-    kind     one of: cz, cx, fanin, fanout, yhalf, pauli, prep, meas, bell
+    kind     one of GATE_KINDS: cx, cz, bell, yhalf, xhalf, zhalf, pauli,
+             prep, meas, fanin, fanout
     qubits   operands; for cx: (control, target); for fanin: (control, *targets);
              for fanout: (target, *controls)
     basis    Pauli axis for pauli/prep/meas, and the interaction type ("X"/"Z")
@@ -149,7 +150,7 @@ class Circuit:
     @staticmethod
     def from_json(doc: dict) -> "Circuit":
         layers = [[gate_from_json(g) for g in layer] for layer in doc["layers"]]
-        return Circuit.from_layers(doc["qubits"], layers)
+        return Circuit.from_layers(json_int(doc["qubits"], "qubit count"), layers)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=None, separators=(",", ":"))
@@ -171,31 +172,58 @@ def gate_to_json(g: Gate) -> dict:
 # the Pauli on the first qubit of a phi+ pair that makes each Bell state;
 # a bell gate's empty variant is phi+
 BELL_PAULIS = {"phi+": "", "phi-": "Z", "psi+": "X", "psi-": "XZ"}
-# bases a gate read from JSON may name; "" is the default of prep and meas (Z)
-# and of fanin and fanout (X), and a pauli has no default axis
-_JSON_BASES = {
-    "pauli": ("X", "Z"),
-    "prep": ("", "X", "Z"),
-    "meas": ("", "X", "Z"),
-    "fanin": ("", "X", "Z"),
-    "fanout": ("", "X", "Z"),
+# every gate kind, with its operand count (0: a fan gate's hub and one or
+# more spokes) and the bases it may name; "" is the default of prep and meas
+# (Z) and of fanin and fanout (X), and a pauli has no default axis
+GATE_KINDS = {
+    "cx": (2, ("",)),
+    "cz": (2, ("",)),
+    "bell": (2, ("",)),
+    "yhalf": (1, ("",)),
+    "xhalf": (1, ("",)),
+    "zhalf": (1, ("",)),
+    "pauli": (1, ("X", "Z")),
+    "prep": (1, ("", "X", "Z")),
+    "meas": (1, ("", "X", "Z")),
+    "fanin": (0, ("", "X", "Z")),
+    "fanout": (0, ("", "X", "Z")),
 }
 
 
+def json_int(value, what: str) -> int:
+    """`value` if it is a non-negative JSON integer; anything else, a float
+    or a boolean too, is a ValueError naming `what`."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {json.dumps(value)}")
+    return value
+
+
 def gate_from_json(doc: dict) -> Gate:
-    """Read one gate, rejecting a basis or Bell variant the simulator and
-    the compiler would misread."""
-    kind, qubits = doc["kind"], tuple(doc["q"])
+    """Read one gate, rejecting an unknown kind, a wrong operand count, and
+    a qubit, bit, basis or Bell variant the simulator and the compiler
+    would misread."""
+    kind = doc["kind"]
+    if type(kind) is not str or kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {json.dumps(kind)}")
+    count, bases = GATE_KINDS[kind]
+    qubits = tuple(json_int(q, f"{kind} gate qubit") for q in doc["q"])
     basis, variant = doc.get("basis", ""), doc.get("variant", "")
-    if kind in _JSON_BASES and basis not in _JSON_BASES[kind]:
-        raise ValueError(f"{kind} gate on qubits {list(qubits)} has basis {basis!r}, expected X or Z")
+    if len(qubits) != count and not (count == 0 and len(qubits) >= 2):
+        raise ValueError(
+            f"{kind} gate on qubits {list(qubits)} has the wrong number of operands, "
+            f"expected {count or '2 or more'}"
+        )
+    if basis not in bases:
+        expected = " or ".join(b for b in bases if b) or "none"
+        raise ValueError(f"{kind} gate on qubits {list(qubits)} has basis {basis!r}, expected {expected}")
     if kind == "bell" and variant and variant not in BELL_PAULIS:
         raise ValueError(
             f"bell gate on qubits {list(qubits)} has variant {variant!r}, "
             f"expected one of {', '.join(BELL_PAULIS)}"
         )
+    bit = json_int(doc["bit"], f"{kind} gate bit") if "bit" in doc else -1
     cond = XorExpr.from_tokens(doc["cond"]) if "cond" in doc else None
-    return Gate(kind=kind, qubits=qubits, basis=basis, bit=doc.get("bit", -1), cond=cond, variant=variant)
+    return Gate(kind=kind, qubits=qubits, basis=basis, bit=bit, cond=cond, variant=variant)
 
 
 @dataclass(frozen=True)
@@ -217,7 +245,7 @@ def validate_layers(circuit: Circuit) -> LayerViolation | None:
             for q in g.qubits:
                 if q in used:
                     return LayerViolation(li, (used[q], g), f"qubit {q} used twice in layer")
-                if q >= circuit.num_qubits:
+                if not 0 <= q < circuit.num_qubits:
                     return LayerViolation(li, (g,), f"qubit {q} out of range")
                 used[q] = g
             if g.kind == "meas":
@@ -294,7 +322,7 @@ class Placement:
 
     @staticmethod
     def from_json(doc: dict) -> "Placement":
-        return Placement(tuple(doc["map"]))
+        return Placement(tuple(json_int(p, "placement processor") for p in doc["map"]))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .circuit import json_int
+
 UNREACHABLE = 1 << 40  # distance-matrix entry of a pair with no path
 
 
@@ -218,7 +220,8 @@ class QuotientGraph:
 
     @staticmethod
     def from_json(doc: dict) -> "QuotientGraph":
-        q = QuotientGraph(doc["nodes"], tuple((u, v, c) for u, v, c in doc["edges"]))
+        edges = tuple(tuple(json_int(x, "edge entry") for x in e) for e in doc["edges"])
+        q = QuotientGraph(json_int(doc["nodes"], "node count"), edges)
         if not q.is_connected():
             raise ValueError("processor-level graph is disconnected")
         return q

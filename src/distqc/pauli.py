@@ -111,15 +111,6 @@ class XorExpr:
             value ^= assignment[b]
         return value
 
-    def rewrite(self, flips: dict[int, "XorExpr"]) -> "XorExpr":
-        """Substitute ``b -> b ^ flips[b]`` for every bit with a recorded flip."""
-        mask = self.mask
-        for b in set_bits(mask >> 1):
-            extra = flips.get(b)
-            if extra is not None:
-                mask ^= extra.mask
-        return XorExpr.from_mask(mask)
-
     def tokens(self) -> list[str]:
         toks = [f"b{b}" for b in set_bits(self.mask >> 1)]
         if self.mask & 1:

@@ -1,11 +1,15 @@
 """Pushing conditioned Pauli operations to the end of a Clifford circuit.
 
-The rewrite rules commute an ``X^b`` / ``Z^b`` past the supported gates:
+`FrameNormalizer.feed` is the one implementation of the rules that commute
+a pending ``X^b`` / ``Z^b`` past a gate.  It applies them to int masks; a
+Pauli that no rule names passes unchanged:
 
-    cx:     X^b (x) 1 -> X^b (x) X^b        1 (x) Z^b -> Z^b (x) Z^b
-            1 (x) X^b -> 1 (x) X^b          Z^b (x) 1 -> Z^b (x) 1
-    cz:     X^b (x) 1 -> X^b (x) Z^b        Z^b (x) 1 -> Z^b (x) 1
-    yhalf:  X^b -> Z^b (up to global phase)     Z^b -> X^b
+    cx(c, t):   X on c -> X on c and t          Z on t -> Z on c and t
+    cz(a, b):   X on a -> X on a, Z on b        X on b -> X on b, Z on a
+    yhalf:      X -> Z, Z -> X (up to global phase)
+    xhalf:      Z -> X Z (the Y it becomes)     zhalf:  X -> X Z
+    fanin:      the cx (basis X) or cz (basis Z) from the hub to each spoke
+    fanout:     the cx or cz from each spoke to the hub
 
 A Pauli meeting a measurement in the same basis is dropped; an anticommuting
 Pauli folds into the emitted bit (the outcome flips whenever the condition
@@ -18,63 +22,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
-from .pauli import ZERO, PauliFrame, XorExpr, set_bits
+from .pauli import PauliFrame, XorExpr, set_bits
 
 
 @dataclass(frozen=True)
 class CondPauli:
     qubit: int
     axis: str  # "X" or "Z"
-    expr: XorExpr  # carried, never inspected: FrameNormalizer passes int masks
+    expr: XorExpr  # carried, never inspected: the push rules act on masks
 
 
 def push_pauli(gate: Gate, p: CondPauli) -> list[CondPauli]:
-    """Commute one conditioned Pauli from before `gate` to after it."""
-    if p.qubit not in gate.qubits:
-        return [p]
-    if gate.kind == "cx":
-        c, t = gate.qubits
-        if p.axis == "X":
-            if p.qubit == c:
-                return [CondPauli(c, "X", p.expr), CondPauli(t, "X", p.expr)]
-            return [p]
-        if p.qubit == t:
-            return [CondPauli(c, "Z", p.expr), CondPauli(t, "Z", p.expr)]
-        return [p]
-    if gate.kind == "cz":
-        if p.axis == "X":
-            other = gate.qubits[1] if p.qubit == gate.qubits[0] else gate.qubits[0]
-            return [p, CondPauli(other, "Z", p.expr)]
-        return [p]
-    if gate.kind == "yhalf":
-        return [CondPauli(p.qubit, "Z" if p.axis == "X" else "X", p.expr)]
-    if gate.kind in ("fanin", "fanout"):
-        return _push_fan(gate, p)
-    if gate.kind in ("xhalf", "zhalf"):
-        # the rotation axis is preserved; the other Pauli maps to Y, handled
-        # as the X*Z product (X^{1/2}: Z -> Y, Z^{1/2}: X -> Y)
-        preserved = "X" if gate.kind == "xhalf" else "Z"
-        if p.axis == preserved:
-            return [p]
-        return [CondPauli(p.qubit, "X", p.expr), CondPauli(p.qubit, "Z", p.expr)]
-    raise ValueError(f"no push rule through gate kind {gate.kind!r}")
-
-
-def _push_fan(gate: Gate, p: CondPauli) -> list[CondPauli]:
-    """Fan gates are products of cx/cz sharing the hub: push through each."""
-    if gate.kind == "fanin":
-        pairs = [(gate.hub, t) for t in gate.spokes]
-    else:
-        pairs = [(c, gate.hub) for c in gate.spokes]
-    sub = Gate("cz" if gate.basis == "Z" else "cx", pairs[0])
-    current = [p]
-    for c, t in pairs:
-        g2 = Gate(sub.kind, (c, t))
-        nxt: list[CondPauli] = []
-        for cp in current:
-            nxt.extend(push_pauli(g2, cp) if cp.qubit in (c, t) else [cp])
-        current = nxt
-    return current
+    """Commute one conditioned Pauli from before the unitary `gate` to after
+    it, by `FrameNormalizer.feed`'s rules."""
+    if gate.kind in ("pauli", "prep", "meas", "bell"):
+        raise ValueError(f"no push rule through gate kind {gate.kind!r}")
+    n = FrameNormalizer()
+    n.add(p.qubit, p.axis, 1)  # the rules are linear: every mask out is this 1
+    n.feed(gate)
+    return [CondPauli(q, axis, p.expr) for axis, pending in (("X", n.x), ("Z", n.z)) for q in pending]
 
 
 def push_through_measurement(p: CondPauli, measurement: Gate) -> XorExpr:
@@ -86,10 +52,10 @@ def push_through_measurement(p: CondPauli, measurement: Gate) -> XorExpr:
     """
     if measurement.kind != "meas" or p.qubit != measurement.qubits[0]:
         raise ValueError("pauli and measurement must share a qubit")
-    basis = measurement.basis or "Z"
-    if p.axis != basis:
-        return p.expr
-    return ZERO
+    n = FrameNormalizer()
+    n.add(p.qubit, p.axis, p.expr.mask)
+    n.feed(measurement)
+    return XorExpr.from_mask(n.flips.get(measurement.bit, 0))
 
 
 @dataclass(frozen=True)
@@ -141,19 +107,16 @@ class NormalFormCircuit:
         return Circuit.from_layers(self.num_qubits, layers)
 
 
-_QUANTUM_KINDS = {"cx", "cz", "yhalf", "xhalf", "zhalf", "fanin", "fanout", "bell"}
-
-
 class FrameNormalizer:
     """Streaming frame normalization over int-mask expressions.
 
     Fed one gate at a time, it carries per-qubit pending X and Z masks (the
     ``XorExpr.mask`` layout: bit 0 the constant, bit ``b + 1`` measurement
     bit ``b``).  A `pauli` gate, or a correction handed to `add`, XORs into
-    the pending masks; quantum gates conjugate them (cx and cz directly on
-    the masks, other kinds through `push_pauli`); a measurement stores the
-    anticommuting mask as its bit's flip and drops the rest.  Every gate but
-    `pauli` goes to `gates`.
+    the pending masks; unitary gates conjugate them by the rules in the
+    module docstring; a measurement stores the anticommuting mask as its
+    bit's flip and drops the rest, and a prep or bell drops its qubits'
+    masks.  Every gate but `pauli` goes to `gates`.
     """
 
     def __init__(self) -> None:
@@ -185,24 +148,28 @@ class FrameNormalizer:
         else:
             pending.pop(q, None)
 
+    def _cx(self, c: int, t: int) -> None:
+        xc = self.x.get(c)
+        if xc:
+            self.add(t, "X", xc)
+        zt = self.z.get(t)
+        if zt:
+            self.add(c, "Z", zt)
+
+    def _cz(self, a: int, b: int) -> None:
+        xa, xb = self.x.get(a), self.x.get(b)
+        if xa:
+            self.add(b, "Z", xa)
+        if xb:
+            self.add(a, "Z", xb)
+
     def feed(self, g: Gate) -> None:
         kind = g.kind
         x, z = self.x, self.z
         if kind == "cx":
-            c, t = g.qubits
-            xc = x.get(c)
-            if xc:
-                self.add(t, "X", xc)
-            zt = z.get(t)
-            if zt:
-                self.add(c, "Z", zt)
+            self._cx(*g.qubits)
         elif kind == "cz":
-            a, b = g.qubits
-            xa, xb = x.get(a), x.get(b)
-            if xa:
-                self.add(b, "Z", xa)
-            if xb:
-                self.add(a, "Z", xb)
+            self._cz(*g.qubits)
         elif kind == "pauli":
             self.add(g.qubits[0], g.basis, self.rewrite(g.cond.mask) if g.cond is not None else 1)
             return
@@ -216,16 +183,25 @@ class FrameNormalizer:
             for q in g.qubits:  # both overwrite their qubits
                 x.pop(q, None)
                 z.pop(q, None)
-        elif kind in _QUANTUM_KINDS:
-            live = [
-                CondPauli(q, axis, pending.pop(q))
-                for q in g.qubits
-                for axis, pending in (("X", x), ("Z", z))
-                if q in pending
-            ]
-            for p in live:
-                for moved in push_pauli(g, p):
-                    self.add(moved.qubit, moved.axis, moved.expr)
+        elif kind == "yhalf":
+            q = g.qubits[0]
+            xq, zq = x.pop(q, 0), z.pop(q, 0)
+            if zq:
+                x[q] = zq
+            if xq:
+                z[q] = xq
+        elif kind == "xhalf":
+            self.add(g.qubits[0], "X", z.get(g.qubits[0], 0))
+        elif kind == "zhalf":
+            self.add(g.qubits[0], "Z", x.get(g.qubits[0], 0))
+        elif kind == "fanin":
+            rule = self._cz if g.basis == "Z" else self._cx
+            for t in g.spokes:
+                rule(g.hub, t)
+        elif kind == "fanout":
+            rule = self._cz if g.basis == "Z" else self._cx
+            for c in g.spokes:
+                rule(c, g.hub)
         else:
             raise ValueError(f"normalize_frame cannot handle gate kind {kind!r}")
         self.gates.append(g)

@@ -11,11 +11,10 @@ bit-sliced two-bit counter.  Finding that support scans the columns, so a
 random measurement and each pivot of `reduced_canonical` take O(n) Python
 steps: below about 550 qubits that beats the per-call overhead of a numpy
 tableau, above it a numpy tableau is faster (README, Verification).
-Measurements in the Z or X basis return deterministic outcomes when the
-observable is in the stabilizer group and fair coin flips otherwise.
 
-A symbolic state keeps every random outcome open instead of flipping a coin:
-each sign is then an affine GF(2) function of fresh outcome symbols, as in
+A measurement in the Z or X basis returns an affine GF(2) value: a
+constant when the observable is in the stabilizer group, a fresh outcome
+symbol otherwise, so every sign is an affine function of the symbols, as in
 Stim.  Such a value is a Python int whose bit 0 is the constant and whose
 bit j >= 1 is the coefficient of symbol j, so a concrete outcome 0 or 1 is
 the same value with no symbols.  Gates touch only the constant part `r`;
@@ -27,22 +26,24 @@ measurement branch at once (`channel_equivalent`).
 
 from __future__ import annotations
 
-import random
+from typing import TYPE_CHECKING
 
 from .circuit import BELL_PAULIS, Gate
 from .pauli import PauliFrame, set_bits
+
+if TYPE_CHECKING:
+    import random
 
 
 class StabilizerState:
     """n-qubit stabilizer state, initialized to |0...0>.
 
     `x`, `z` and `r` hold the tableau columns and constant signs described in
-    the module docstring, and `sym[i]` the symbol part of row i's sign.  With
-    `symbolic=True` a random measurement outcome opens a new symbol instead
-    of drawing from an rng.
+    the module docstring, `sym[i]` the symbol part of row i's sign and
+    `symbols` the number of outcome symbols opened so far.
     """
 
-    def __init__(self, n: int, symbolic: bool = False):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one qubit")
         self.n = n
@@ -50,7 +51,6 @@ class StabilizerState:
         self.z = [1 << (n + q) for q in range(n)]  # stabilizer q = Z_q
         self.r = 0
         self.sym = [0] * (2 * n)
-        self.symbolic = symbolic
         self.symbols = 0
 
     # -- elementary gates ---------------------------------------------------
@@ -133,17 +133,13 @@ class StabilizerState:
 
     # -- measurement ----------------------------------------------------------
 
-    def measure(self, q: int, basis: str = "Z", rng: random.Random | None = None) -> int:
-        """Measure qubit q along Z or X, collapsing the tableau.
-
-        Deterministic outcomes need no randomness; a random outcome without a
-        supplied rng is an error (sampling must always be seeded), unless the
-        state is symbolic, where it is a new symbol.  The outcome is an
-        affine value: 0 or 1 on a concrete state.
-        """
+    def measure(self, q: int, basis: str = "Z") -> int:
+        """Measure qubit q along Z or X, collapsing the tableau.  The outcome
+        is an affine value: 0 or 1 when it is deterministic, a new symbol
+        when it is random."""
         if basis == "X":
             self.h(q)
-            out = self.measure(q, "Z", rng)
+            out = self.measure(q, "Z")
             self.h(q)
             return out
         if basis != "Z":
@@ -153,13 +149,8 @@ class StabilizerState:
         anticommuting = x[q] >> n  # stabilizers with an X part on q
         if not anticommuting:
             return self._stabilizer_sign(x[q] & ((1 << n) - 1))
-        if self.symbolic:
-            self.symbols += 1
-            outcome = 1 << self.symbols
-        elif rng is None:
-            raise RuntimeError("random measurement outcome requires an rng")
-        else:
-            outcome = rng.randrange(2)
+        self.symbols += 1
+        outcome = 1 << self.symbols
         # the first anticommuting stabilizer p multiplies into every other row
         # with an X part on q, then becomes the destabilizer p - n of the new
         # Z_q row; only columns where row p or row p - n has support change
@@ -176,9 +167,9 @@ class StabilizerState:
             z[j] = (zj & keep) | (zj & pbit) >> n
         z[q] |= pbit
         r = self.r
-        self.r = (r & keep) | (r & pbit) >> n | (pbit if outcome & 1 else 0)
+        self.r = (r & keep) | (r & pbit) >> n
         self.sym[p - n] = self.sym[p]
-        self.sym[p] = outcome & ~1
+        self.sym[p] = outcome
         return outcome
 
     def _stabilizer_sign(self, destabilizers: int) -> int:
@@ -212,18 +203,13 @@ class StabilizerState:
             symbols ^= self.sym[n + i]
         return phase >> 1 & 1 | symbols
 
-    def reset(self, q: int, rng: random.Random | None = None) -> None:
+    def reset(self, q: int) -> None:
         """Force qubit q back to |0>."""
-        self.flip(q, "X", self.measure(q, "Z", rng))
+        self.flip(q, "X", self.measure(q, "Z"))
 
     # -- circuit-level dispatch ----------------------------------------------
 
-    def apply_gate(
-        self,
-        gate: Gate,
-        bits: dict[int, int] | None = None,
-        rng: random.Random | None = None,
-    ) -> None:
+    def apply_gate(self, gate: Gate, bits: dict[int, int] | None = None) -> None:
         """Apply one IR gate; measurement outcomes are recorded into `bits`."""
         k = gate.kind
         if k == "cx":
@@ -250,11 +236,11 @@ class StabilizerState:
             value = 1 if gate.cond is None else gate.cond.evaluate({} if bits is None else bits)
             self.flip(gate.qubits[0], gate.basis, value)
         elif k == "prep":
-            self.reset(gate.qubits[0], rng)
+            self.reset(gate.qubits[0])
             if gate.basis == "X":
                 self.h(gate.qubits[0])
         elif k == "meas":
-            out = self.measure(gate.qubits[0], gate.basis or "Z", rng)
+            out = self.measure(gate.qubits[0], gate.basis or "Z")
             if bits is not None:
                 bits[gate.bit] = out
         else:
@@ -413,10 +399,10 @@ def reduced_canonical(state: StabilizerState, data_qubits: list[int]) -> bytes:
 
 
 def choi_state(num_qubits: int, num_data: int) -> StabilizerState:
-    """Symbolic state with qubit i < num_data in a Bell pair with reference
+    """State with qubit i < num_data in a Bell pair with reference
     qubit num_qubits + i, the other qubits in |0>.  A channel on the first
     num_qubits qubits is fixed by what it makes of this one state."""
-    state = StabilizerState(num_qubits + num_data, symbolic=True)
+    state = StabilizerState(num_qubits + num_data)
     for i in range(num_data):
         state.bell(i, num_qubits + i)
     return state

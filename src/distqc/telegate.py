@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, bell, cx, cz, meas, pauli, yhalf
-from .circuit import BELL_PAULIS, check_reads, gate_from_json, gate_to_json, unemitted_bit
+from .circuit import BELL_PAULIS, check_reads, gate_from_json, gate_to_json, json_int, unemitted_bit
 from .netmodel import QuotientGraph
 from .pauli import ONE, PauliFrame
 from .pushing import FrameNormalizer, normalize_frame
@@ -78,9 +78,9 @@ class ExtendedCircuit:
         a condition or frame entry reading a bit that no meas emits first."""
         layers = [[gate_from_json(g) for g in layer] for layer in doc["layers"]]
         gates = tuple(g for layer in layers for g in layer)
-        n = doc["qubits"]
-        if not 0 <= doc["data"] <= n:
-            raise ValueError(f"{doc['data']} data qubits in a {n}-qubit circuit")
+        n, data = json_int(doc["qubits"], "qubit count"), json_int(doc["data"], "data qubit count")
+        if data > n:
+            raise ValueError(f"{data} data qubits in a {n}-qubit circuit")
         for g in gates:
             if not all(0 <= q < n for q in g.qubits):
                 raise ValueError(f"{g.kind} gate on qubits {list(g.qubits)} of a {n}-qubit circuit")
@@ -91,7 +91,7 @@ class ExtendedCircuit:
                 bit = unemitted_bit(e, emitted)
                 if bit is not None:
                     raise ValueError(f"frame entry q{q} {axis} reads bit {bit}, which no meas emits")
-        return ExtendedCircuit(doc["data"], n, gates, frame)
+        return ExtendedCircuit(data, n, gates, frame)
 
 
 class InvalidPathError(ValueError):
@@ -148,9 +148,9 @@ class FragmentBuilder:
     """Allocates communication qubits and bit ids while emitting gates, and
     normalizes the Pauli frame as it goes."""
 
-    def __init__(self, num_data: int, first_qubit: int | None = None, first_bit: int = 1):
+    def __init__(self, num_data: int, first_bit: int = 1):
         self.num_data = num_data
-        self.next_qubit = num_data if first_qubit is None else first_qubit
+        self.next_qubit = num_data
         self.next_bit = first_bit
         self.normalizer = FrameNormalizer()
 
@@ -341,9 +341,8 @@ def expand_entanglement_swap(left_proc: int, mid_proc: int, right_proc: int) -> 
     """
     if len({left_proc, mid_proc, right_proc}) != 3:
         raise InvalidPathError("swap needs three distinct processors")
-    b = FragmentBuilder(num_data=0, first_qubit=0)
-    q_left, q_mid1, q_mid2, q_right = 0, 1, 2, 3
-    b.next_qubit = 4
+    b = FragmentBuilder(num_data=0)
+    q_left, q_mid1, q_mid2, q_right = (b.alloc_qubit() for _ in range(4))
     b1 = b.alloc_bit()
     b2 = b.alloc_bit()
     b.emit(bell(q_left, q_mid1))

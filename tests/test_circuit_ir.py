@@ -52,6 +52,11 @@ class TestValidateLayers:
         v = validate_layers(c)
         assert v is not None and v.layer == 0
 
+    def test_negative_qubit_out_of_range(self):
+        # an index from the end would name a real qubit
+        v = validate_layers(Circuit.from_layers(3, [[cx(0, -1)]]))
+        assert v is not None and v.reason == "qubit -1 out of range"
+
     def test_empty_circuit_ok(self):
         assert validate_layers(Circuit.from_layers(3, [])) is None
 

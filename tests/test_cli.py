@@ -288,6 +288,79 @@ class TestBadInput:
         rc, err = self.verify_rc(capsys, compiled_cx, circ)
         assert rc == 2 and err == f"distqc verify: error: {circ}: bad xor token: 7\n"
 
+    @pytest.mark.parametrize(
+        "gate,message",
+        [
+            ({"kind": "yhalf", "q": [0, 1]},
+             "yhalf gate on qubits [0, 1] has the wrong number of operands, expected 1"),
+            ({"kind": "pauli", "q": [0, 1], "basis": "X"},
+             "pauli gate on qubits [0, 1] has the wrong number of operands, expected 1"),
+            ({"kind": "cx", "q": [0, 1, 2]},
+             "cx gate on qubits [0, 1, 2] has the wrong number of operands, expected 2"),
+            ({"kind": "cx", "q": [0]}, "cx gate on qubits [0] has the wrong number of operands, expected 2"),
+            ({"kind": "fanin", "q": [0]},
+             "fanin gate on qubits [0] has the wrong number of operands, expected 2 or more"),
+            ({"kind": "yhalf", "q": [0], "basis": "Q"},
+             "yhalf gate on qubits [0] has basis 'Q', expected none"),
+            ({"kind": "swap", "q": [0, 1]}, 'unknown gate kind "swap"'),
+            ({"kind": "cx", "q": [0, 1.0]}, "cx gate qubit must be a non-negative integer, got 1.0"),
+            ({"kind": "yhalf", "q": [True]}, "yhalf gate qubit must be a non-negative integer, got true"),
+            ({"kind": "cx", "q": [0, -1]}, "cx gate qubit must be a non-negative integer, got -1"),
+            ({"kind": "meas", "q": [0], "bit": "3"}, 'meas gate bit must be a non-negative integer, got "3"'),
+        ],
+        ids=["yhalf-two-qubits", "pauli-two-qubits", "cx-three-operands", "cx-one-operand",
+             "fanin-one-operand", "yhalf-basis", "unknown-kind", "float-qubit", "bool-qubit",
+             "negative-qubit", "string-bit"],
+    )
+    def test_malformed_gate(self, tmp_path, capsys, topo, compiled_cx, gate, message):
+        # compiled as a logical circuit, and verified as each of the two inputs
+        circ = tmp_path / "circ.json"
+        circ.write_text(json.dumps({"qubits": 9, "layers": [[gate]]}))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and err == f"distqc compile: error: {circ}: {message}\n"
+        rc, err = self.verify_rc(capsys, compiled_cx, circ)
+        assert rc == 2 and err == f"distqc verify: error: {circ}: {message}\n"
+        ext, logical = self.write_pair(tmp_path, gate, [])
+        rc, err = self.verify_rc(capsys, ext, logical)
+        assert rc == 2 and err == f"distqc verify: error: {ext}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"nodes": 9, "edges": [[0, 1.0, 1]]}, "edge entry must be a non-negative integer, got 1.0"),
+            ({"nodes": 9, "edges": [[0, 1, 1.5]]}, "edge entry must be a non-negative integer, got 1.5"),
+            ({"nodes": 9.0, "edges": [[0, 1, 1]]}, "node count must be a non-negative integer, got 9.0"),
+        ],
+        ids=["float-endpoint", "float-capacity", "float-node-count"],
+    )
+    def test_malformed_topology(self, tmp_path, capsys, circ, doc, message):
+        topo = tmp_path / "bad_topo.json"
+        topo.write_text(json.dumps(doc))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and err == f"distqc compile: error: {topo}: {message}\n"
+
+    @pytest.mark.parametrize("entry,shown", [(1.0, "1.0"), (True, "true")])
+    def test_placement_entry_not_an_int(self, tmp_path, capsys, topo, circ, entry, shown):
+        placement = tmp_path / "p.json"
+        placement.write_text(json.dumps({"map": [0, entry] + list(range(2, 9))}))
+        rc, err = self.compile_rc(capsys, circ, topo, "--placement", str(placement))
+        message = f"placement processor must be a non-negative integer, got {shown}"
+        assert rc == 2 and err == f"distqc compile: error: {placement}: {message}\n"
+
+    def test_qubit_counts_not_ints(self, tmp_path, capsys, topo, compiled_cx):
+        circ = tmp_path / "circ.json"
+        circ.write_text(json.dumps({"qubits": 9.0, "layers": []}))
+        message = f"{circ}: qubit count must be a non-negative integer, got 9.0\n"
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and err == f"distqc compile: error: {message}"
+        rc, err = self.verify_rc(capsys, compiled_cx, circ)
+        assert rc == 2 and err == f"distqc verify: error: {message}"
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps({"qubits": 2, "data": True, "layers": [], "frame": {}}))
+        rc, err = self.verify_rc(capsys, ext, circ)
+        message = "data qubit count must be a non-negative integer, got true"
+        assert rc == 2 and err == f"distqc verify: error: {ext}: {message}\n"
+
     def test_verify_logical_qubit_out_of_range(self, tmp_path, capsys, compiled_cx):
         logical = tmp_path / "wide.json"
         logical.write_text(json.dumps({"qubits": 2, "layers": [[{"kind": "cz", "q": [0, 5]}]]}))

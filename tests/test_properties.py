@@ -1,8 +1,9 @@
 """Property tests: random connected capacitated graphs, layered cz/cx/fanin/
 yhalf circuits and placements.  Both backends must give sound schedules,
 outputs that verify against their source, and extended circuits that
-round-trip through JSON unchanged.  `XorExpr` must agree with a plain
-frozenset model of an affine GF(2) expression."""
+round-trip through JSON unchanged.  `XorExpr`, and the frame normalizer's
+rewrite of its masks, must agree with a plain frozenset model of an affine
+GF(2) expression."""
 
 import json
 import random
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from distqc.circuit import Circuit, Placement, cx, cz, fanin, yhalf
 from distqc.flow import check_feasible, compile_circuit_flow
 from distqc.pauli import ONE, XorExpr
+from distqc.pushing import FrameNormalizer
 from distqc.stabsim import channel_equivalent
 from distqc.steiner import compile_circuit_steiner
 from distqc.telegate import ExtendedCircuit
@@ -174,7 +176,9 @@ def test_rewrite_matches_model(model, flips):
     for b in model[0]:
         if b in flips:
             want = model_xor(want, flips[b])
-    got = XorExpr(*model).rewrite({b: XorExpr(*f) for b, f in flips.items()})
+    n = FrameNormalizer()
+    n.flips = {b: XorExpr(*f).mask for b, f in flips.items()}
+    got = XorExpr.from_mask(n.rewrite(XorExpr(*model).mask))
     assert (got.bits, got.const) == want
 
 
@@ -196,7 +200,9 @@ def test_measurement_bit_zero_is_not_the_constant():
     assert (b0 ^ ONE).tokens() == ["b0", "1"]
     assert XorExpr.from_tokens(["1", "b0"]) == XorExpr.of(0, const=True)
     assert b0.evaluate({0: 1}) == 1 and ONE.evaluate({}) == 1
-    assert XorExpr.of(0).rewrite({0: ONE}) == XorExpr.of(0, const=True)
+    n = FrameNormalizer()
+    n.flips[0] = ONE.mask
+    assert n.rewrite(XorExpr.of(0).mask) == XorExpr.of(0, const=True).mask
 
 
 def test_from_tokens_rejects_bad_tokens():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from distqc.circuit import Gate, cx, cz, meas, pauli, prep, yhalf
+from distqc.circuit import GATE_KINDS, Gate, cx, cz, fanin, fanout, gate_from_json, meas, pauli, prep, yhalf
 from distqc.pauli import ONE, XorExpr
 from distqc.pushing import (
     CondPauli,
+    FrameNormalizer,
     NormalFormCircuit,
     push_pauli,
     push_through_measurement,
@@ -27,6 +28,17 @@ RULES = [
     (cz(0, 1), CondPauli(0, "Z", B), [(0, "Z")]),
     (yhalf(0), CondPauli(0, "X", B), [(0, "Z")]),
     (yhalf(0), CondPauli(0, "Z", B), [(0, "X")]),
+    # fan gates: the cx (basis X) or cz (basis Z) of the hub with each spoke
+    (fanin(0, [1, 2]), CondPauli(0, "X", B), [(0, "X"), (1, "X"), (2, "X")]),
+    (fanin(0, [1, 2]), CondPauli(2, "Z", B), [(0, "Z"), (2, "Z")]),
+    (fanin(0, [1, 2]), CondPauli(0, "Z", B), [(0, "Z")]),
+    (fanin(0, [1, 2], "Z"), CondPauli(0, "X", B), [(0, "X"), (1, "Z"), (2, "Z")]),
+    (fanin(0, [1, 2], "Z"), CondPauli(1, "X", B), [(0, "Z"), (1, "X")]),
+    (fanout(0, [1, 2]), CondPauli(1, "X", B), [(0, "X"), (1, "X")]),
+    (fanout(0, [1, 2]), CondPauli(0, "Z", B), [(0, "Z"), (1, "Z"), (2, "Z")]),
+    (fanout(0, [1, 2]), CondPauli(0, "X", B), [(0, "X")]),
+    (fanout(0, [1, 2], "Z"), CondPauli(0, "X", B), [(0, "X"), (1, "Z"), (2, "Z")]),
+    (fanout(0, [1, 2], "Z"), CondPauli(2, "X", B), [(0, "Z"), (2, "X")]),
 ]
 
 
@@ -94,6 +106,23 @@ class TestPushRuleTable:
     def test_unsupported_gate(self):
         with pytest.raises(ValueError):
             push_pauli(Gate("meas", (0,), basis="Z", bit=0), CondPauli(0, "X", B))
+
+    def test_every_gate_kind_has_rules(self):
+        # GATE_KINDS is the one list of kinds: the normalizer and the
+        # simulator take each, JSON names no other, and only the unitary
+        # kinds have a push rule
+        for kind, (count, bases) in GATE_KINDS.items():
+            doc = {"kind": kind, "q": list(range(count or 3)), "basis": bases[-1]}
+            g = gate_from_json({**doc, "bit": 0} if kind == "meas" else doc)
+            FrameNormalizer().feed(g)
+            StabilizerState(3).apply_gate(g, {})
+            if kind in ("meas", "prep", "bell", "pauli"):
+                with pytest.raises(ValueError, match="no push rule"):
+                    push_pauli(g, CondPauli(0, "X", B))
+            else:
+                push_pauli(g, CondPauli(0, "X", B))
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            gate_from_json({"kind": "swap", "q": [0, 1]})
 
 
 class TestPushThroughMeasurement:

@@ -189,37 +189,32 @@ class TestTeleport:
         assert frag.frame.x_of(recv) == XorExpr.of(2)
 
     def test_teleport_then_measure_matches_direct(self):
+        # on every branch the received state is the sent one, so a Z
+        # measurement of it is the same constant, or random in both
         frag, recv = expand_teleport(0, 1)
-        ones_direct = 0
-        ones_tele = 0
         for seed in range(100):
-            rng = random.Random(seed)
-            prefix = random_clifford_prefix(1, rng)
+            prefix = random_clifford_prefix(1, random.Random(seed))
             direct = StabilizerState(1)
-            for g in prefix:
-                direct.apply_gate(g)
-            rng_a = random.Random(1000 + seed)
-            ones_direct += direct.measure(0, "Z", rng_a)
             st = StabilizerState(frag.num_qubits)
             for g in prefix:
+                direct.apply_gate(g)
                 st.apply_gate(g)
             bits = {}
             for g in frag.gates:
-                st.apply_gate(g, bits, rng_a)
+                st.apply_gate(g, bits)
             st.apply_frame(frag.frame, bits)
-            ones_tele += st.measure(recv, "Z", rng_a)
-        assert abs(ones_direct - ones_tele) <= 15
+            assert reduced_canonical(st, [recv]) == canonical_tableau(direct)
+            want, got = direct.measure(0, "Z"), st.measure(recv, "Z")
+            assert got == want if want in (0, 1) else got not in (0, 1)
 
     def test_teleport_zero_state(self):
         frag, recv = expand_teleport(0, 1)
-        for seed in range(20):
-            rng = random.Random(seed)
-            st = StabilizerState(frag.num_qubits)
-            bits = {}
-            for g in frag.gates:
-                st.apply_gate(g, bits, rng)
-            st.apply_frame(frag.frame, bits)
-            assert st.measure(recv, "Z", rng) == 0
+        st = StabilizerState(frag.num_qubits)
+        bits = {}
+        for g in frag.gates:
+            st.apply_gate(g, bits)
+        st.apply_frame(frag.frame, bits)
+        assert st.measure(recv, "Z") == 0
 
     @pytest.mark.parametrize("route", [[0], [0, 1, 0, 2], [0, 1]])
     def test_teleport_path_faults_rejected(self, route):
@@ -237,7 +232,7 @@ class TestTeleport:
                 st.apply_gate(g)
             bits = {}
             for g in frag.gates:
-                st.apply_gate(g, bits, rng)
+                st.apply_gate(g, bits)
             st.apply_frame(frag.frame, bits)
             ref = StabilizerState(1)
             for g in prefix:
@@ -262,15 +257,13 @@ class TestEntanglementSwap:
         frag = expand_entanglement_swap(0, 1, 2)
         ref = StabilizerState(2)
         ref.bell(0, 1)
-        want = canonical_tableau(ref)
-        for seed in range(40):
-            rng = random.Random(seed)
-            st = StabilizerState(4)
-            bits = {}
-            for g in frag.gates:
-                st.apply_gate(g, bits, rng)
-            st.apply_frame(frag.frame, bits)
-            assert reduced_canonical(st, [0, 3]) == want
+        st = StabilizerState(4)
+        bits = {}
+        for g in frag.gates:
+            st.apply_gate(g, bits)
+        st.apply_frame(frag.frame, bits)
+        assert set(bits.values()) == {0b10, 0b100}  # both outcomes random
+        assert reduced_canonical(st, [0, 3]) == canonical_tableau(ref)
 
     def test_consumes_two_pairs(self):
         assert expand_entanglement_swap(0, 1, 2).e_count == 2
