@@ -31,8 +31,7 @@ FAN_KINDS = {"fanin", "fanout"}
 class Gate:
     """One circuit operation.
 
-    kind     one of GATE_KINDS: cx, cz, bell, yhalf, xhalf, zhalf, pauli,
-             prep, meas, fanin, fanout
+    kind     a key of GATE_KINDS
     qubits   operands; for cx: (control, target); for fanin: (control, *targets);
              for fanout: (target, *controls)
     basis    Pauli axis for pauli/prep/meas, and the interaction type ("X"/"Z")
@@ -172,9 +171,9 @@ def gate_to_json(g: Gate) -> dict:
 # the Pauli on the first qubit of a phi+ pair that makes each Bell state;
 # a bell gate's empty variant is phi+
 BELL_PAULIS = {"phi+": "", "phi-": "Z", "psi+": "X", "psi-": "XZ"}
-# every gate kind, with its operand count (0: a fan gate's hub and one or
-# more spokes) and the bases it may name; "" is the default of prep and meas
-# (Z) and of fanin and fanout (X), and a pauli has no default axis
+# every gate kind, with its operand count (for a FAN_KINDS gate, the least:
+# a hub and one spoke) and the bases it may name; "" is the default of prep
+# and meas (Z) and of fanin and fanout (X), and a pauli has no default axis
 GATE_KINDS = {
     "cx": (2, ("",)),
     "cz": (2, ("",)),
@@ -185,8 +184,8 @@ GATE_KINDS = {
     "pauli": (1, ("X", "Z")),
     "prep": (1, ("", "X", "Z")),
     "meas": (1, ("", "X", "Z")),
-    "fanin": (0, ("", "X", "Z")),
-    "fanout": (0, ("", "X", "Z")),
+    "fanin": (2, ("", "X", "Z")),
+    "fanout": (2, ("", "X", "Z")),
 }
 
 
@@ -208,10 +207,11 @@ def gate_from_json(doc: dict) -> Gate:
     count, bases = GATE_KINDS[kind]
     qubits = tuple(json_int(q, f"{kind} gate qubit") for q in doc["q"])
     basis, variant = doc.get("basis", ""), doc.get("variant", "")
-    if len(qubits) != count and not (count == 0 and len(qubits) >= 2):
+    fan = kind in FAN_KINDS
+    if len(qubits) < count or (len(qubits) > count and not fan):
         raise ValueError(
             f"{kind} gate on qubits {list(qubits)} has the wrong number of operands, "
-            f"expected {count or '2 or more'}"
+            f"expected {count}{' or more' if fan else ''}"
         )
     if basis not in bases:
         expected = " or ".join(b for b in bases if b) or "none"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate
+from .circuit import FAN_KINDS, Circuit, Gate
 from .pauli import PauliFrame, XorExpr, set_bits
 
 
@@ -194,14 +194,12 @@ class FrameNormalizer:
             self.add(g.qubits[0], "X", z.get(g.qubits[0], 0))
         elif kind == "zhalf":
             self.add(g.qubits[0], "Z", x.get(g.qubits[0], 0))
-        elif kind == "fanin":
+        elif kind in FAN_KINDS:
             rule = self._cz if g.basis == "Z" else self._cx
-            for t in g.spokes:
-                rule(g.hub, t)
-        elif kind == "fanout":
-            rule = self._cz if g.basis == "Z" else self._cx
-            for c in g.spokes:
-                rule(c, g.hub)
+            hub = g.hub  # fanin: the hub drives each spoke; fanout: each spoke drives the hub
+            pairs = [(hub, s) for s in g.spokes] if kind == "fanin" else [(s, hub) for s in g.spokes]
+            for a, b in pairs:
+                rule(a, b)
         else:
             raise ValueError(f"normalize_frame cannot handle gate kind {kind!r}")
         self.gates.append(g)

@@ -112,7 +112,7 @@ class TestPushRuleTable:
         # simulator take each, JSON names no other, and only the unitary
         # kinds have a push rule
         for kind, (count, bases) in GATE_KINDS.items():
-            doc = {"kind": kind, "q": list(range(count or 3)), "basis": bases[-1]}
+            doc = {"kind": kind, "q": list(range(count)), "basis": bases[-1]}
             g = gate_from_json({**doc, "bit": 0} if kind == "meas" else doc)
             FrameNormalizer().feed(g)
             StabilizerState(3).apply_gate(g, {})
