@@ -15,26 +15,13 @@ import csv
 import hashlib
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 from .circuit import Circuit, Placement, cz, fanin, validate
 from .flow import compile_circuit_flow
 from .netmodel import GENERATORS, QuotientGraph
 from .steiner import compile_circuit_steiner, cz_to_dense_fanin
-
-CSV_HEADER = [
-    "topology",
-    "g",
-    "nodes",
-    "edges",
-    "k",
-    "backend",
-    "e_depth",
-    "e_count",
-    "wall_time_ms",
-    "seed",
-]
 
 BACKENDS = ("flow-exact", "flow-greedy", "steiner")
 
@@ -90,6 +77,8 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One CSV row; the fields, in order, are the CSV columns."""
+
     topology: str
     g: int
     nodes: int
@@ -101,19 +90,8 @@ class BenchRecord:
     wall_time_ms: float
     seed: int
 
-    def row(self) -> list:
-        return [
-            self.topology,
-            self.g,
-            self.nodes,
-            self.edges,
-            self.k,
-            self.backend,
-            self.e_depth,
-            self.e_count,
-            self.wall_time_ms,
-            self.seed,
-        ]
+
+CSV_HEADER = [f.name for f in fields(BenchRecord)]
 
 
 def instance_seed(master: int, topology: str, g: int, size: int, sample: int) -> int:
@@ -176,4 +154,4 @@ def write_csv(path: str, records: list[BenchRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for rec in records:
-            writer.writerow(rec.row())
+            writer.writerow(getattr(rec, name) for name in CSV_HEADER)

@@ -234,7 +234,8 @@ class LayerViolation:
 
 
 def validate_layers(circuit: Circuit) -> LayerViolation | None:
-    """Check per-layer qubit disjointness and global measurement-bit uniqueness.
+    """Check per-layer qubit disjointness, global measurement-bit uniqueness,
+    and that no gate is a `bell`: Bell preparations belong to the expansion.
 
     Returns None when the circuit is well formed, else the first violation.
     """
@@ -248,6 +249,8 @@ def validate_layers(circuit: Circuit) -> LayerViolation | None:
                 if not 0 <= q < circuit.num_qubits:
                     return LayerViolation(li, (g,), f"qubit {q} out of range")
                 used[q] = g
+            if g.kind == "bell":
+                return LayerViolation(li, (g,), f"bell on qubits {list(g.qubits)} is not a logical gate")
             if g.kind == "meas":
                 if g.bit in seen_bits:
                     return LayerViolation(li, (seen_bits[g.bit][1], g), f"bit {g.bit} emitted twice")
@@ -327,18 +330,17 @@ class Placement:
 
 @dataclass(frozen=True)
 class Commodity:
-    """One remote interaction demanding an entanglement path.
+    """One remote interaction demanding an entanglement path from processor
+    ``source`` (that of ``gate``'s first operand) to ``target``.
 
-    ``control_qubits``/``target_qubits`` are the data operands that the
-    telegate expander needs; for commodities cut out of a fanin/fanout they
-    are the hub qubit and the spoke qubits living on the target processor.
+    ``target_qubits`` are the gate's operands on the target processor: for
+    a commodity cut out of a fanin/fanout, the spokes living there.  The
+    interaction kind and the control qubit come from ``gate``.
     """
 
     source: int
     target: int
     layer: int
-    kind: str  # "cx" or "cz" interaction along the path
-    control_qubit: int
     target_qubits: tuple[int, ...]
     gate: Gate
 
@@ -404,7 +406,7 @@ def _gate_commodities(g: Gate, li: int, placement: Placement) -> list[Commodity]
         a, b = g.qubits
         pa, pb = placement.proc(a), placement.proc(b)
         if pa != pb:
-            out.append(Commodity(pa, pb, li, g.kind, a, (b,), g))
+            out.append(Commodity(pa, pb, li, (b,), g))
     elif g.kind in FAN_KINDS:
         hub = g.hub
         hub_proc = placement.proc(hub)
@@ -413,9 +415,8 @@ def _gate_commodities(g: Gate, li: int, placement: Placement) -> list[Commodity]
             p = placement.proc(q)
             if p != hub_proc:
                 by_proc.setdefault(p, []).append(q)
-        kind = "cz" if g.basis == "Z" else "cx"
         for p in sorted(by_proc, key=lambda p: min(by_proc[p])):
-            out.append(Commodity(hub_proc, p, li, kind, hub, tuple(sorted(by_proc[p])), g))
+            out.append(Commodity(hub_proc, p, li, tuple(sorted(by_proc[p])), g))
     return out
 
 

@@ -35,10 +35,6 @@ class FlowSchedule:
     def k(self) -> int:
         return len(self.steps)
 
-    def path_edges(self, i: int) -> list[tuple[int, int]]:
-        p = self.paths[i]
-        return [(min(u, v), max(u, v)) for u, v in zip(p, p[1:])]
-
     def to_json(self) -> dict:
         return {
             "d": self.horizon,
@@ -245,7 +241,6 @@ def quickest_flow(
     q: QuotientGraph,
     cs: CommoditySet,
     subsolver: SubSolver = solve_mcf_exact,
-    call_log: list[int] | None = None,
 ) -> FlowSchedule:
     """Binary search for the minimum horizon with a feasible schedule.
 
@@ -260,8 +255,6 @@ def quickest_flow(
     best: FlowSchedule | None = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        if call_log is not None:
-            call_log.append(mid)
         sched = subsolver(q, cs, mid)
         if sched is not None:
             best = sched
@@ -374,6 +367,6 @@ def compile_circuit_flow(
         raise AssertionError(f"scheduler produced an infeasible schedule: {bad}")
 
     routes: dict = {}
-    for idx, com in enumerate(cs.commodities):
-        routes.setdefault((com.layer, com.gate), {})[com.target] = set(sched.path_edges(idx))
+    for com, p in zip(cs.commodities, sched.paths):
+        routes.setdefault((com.layer, com.gate), []).append((tuple(zip(p, p[1:])), (com.target,)))
     return CircuitExpander(circuit, placement, q).expand(routes), sched, cs

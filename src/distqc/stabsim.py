@@ -423,7 +423,8 @@ def run_extended(extended, apply_frame: bool = True) -> StabilizerState:
 def _require_unitary(logical) -> None:
     for li, layer in enumerate(logical.layers):
         for g in layer:
-            if g.kind in ("prep", "meas") or (g.kind == "pauli" and g.cond is not None and g.cond.mask >> 1):
+            conditioned = g.kind == "pauli" and g.cond is not None and g.cond.mask >> 1
+            if g.kind in ("prep", "meas", "bell") or conditioned:
                 raise ValueError(
                     f"logical layer {li}: {g.kind} on qubits {list(g.qubits)} is not unitary; "
                     "only unitary logical circuits can be verified"

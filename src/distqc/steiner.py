@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, fanin, validate
 from .netmodel import UNREACHABLE, QuotientGraph
-from .telegate import CircuitExpander, ExtendedCircuit
+from .telegate import CircuitExpander, ExtendedCircuit, _orient
 
 Edge = tuple[int, int]
 
@@ -340,7 +340,9 @@ def compile_circuit_steiner(
             tree = _gate_tree(g, placement, graph)
             if tree:
                 layer_trees.append(tree)
-                routes[(li, g)] = {placement.proc(q): set(tree) for q in g.qubits}
+                hub_proc = placement.proc(g.hub)
+                procs = tuple(sorted({placement.proc(q) for q in g.spokes} - {hub_proc}))
+                routes[(li, g)] = [(_orient(hub_proc, tree, procs, None), procs)]
         layer_rounds = _pack_rounds(layer_trees, graph, last + 1)
         last = max(layer_rounds, default=last)
         rounds += layer_rounds

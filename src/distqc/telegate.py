@@ -13,6 +13,7 @@ slot, for any path length.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, bell, cx, cz, meas, pauli, yhalf
@@ -98,50 +99,54 @@ class InvalidPathError(ValueError):
     pass
 
 
-def _check_tree(edges, terminals: set[int], graph: QuotientGraph | None) -> None:
-    """Reject an edge list that is not one tree spanning the terminals over
-    graph edges.  A repeated edge counts twice, so the hops of a path that
-    revisits a processor are rejected too."""
-    edges = list(edges)
-    if not edges:
-        if len(terminals) > 1:
-            raise InvalidPathError("empty tree cannot span several terminals")
-        return
-    nodes: set[int] = set()
+Hop = tuple[int, int]
+Route = tuple[tuple[Hop, ...], tuple[int, ...]]
+
+
+def _orient(
+    root: int, edges: Iterable[Hop], terminals: Iterable[int], graph: QuotientGraph | None
+) -> tuple[Hop, ...]:
+    """The edges of one tree as (parent, child) hops in breadth-first order
+    from root, lower-numbered neighbours first: the order `emit_tree` takes.
+
+    Rejects an edge missing from graph, a repeated edge (in either
+    orientation), a cycle, an edge not connected to root, and a terminal
+    the tree does not reach.
+    """
+    adj: dict[int, list[int]] = {}
+    seen: set[Hop] = set()
     for u, v in edges:
-        nodes |= {u, v}
         if graph is not None and not graph.has_edge(u, v):
             raise InvalidPathError(f"tree edge ({u},{v}) missing from graph")
-    if len(edges) != len(nodes) - 1:
-        raise InvalidPathError("edge set is not a tree")
-    adj: dict[int, set[int]] = {n: set() for n in nodes}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if seen != nodes:
-        raise InvalidPathError("edge set is not connected")
-    if not terminals <= nodes:
-        raise InvalidPathError(f"tree does not span terminals {sorted(terminals - nodes)}")
+        e = (min(u, v), max(u, v))
+        if e in seen:
+            raise InvalidPathError(f"tree edge ({u},{v}) repeated")
+        seen.add(e)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    hops: list[Hop] = []
+    reached = {root}
+    queue = [root]
+    for u in queue:
+        for v in sorted(adj.get(u, ())):
+            if v not in reached:
+                reached.add(v)
+                hops.append((u, v))
+                queue.append(v)
+    if len(hops) != len(seen):
+        if reached.issuperset(adj):
+            raise InvalidPathError("edge set has a cycle")
+        raise InvalidPathError(f"edge set is not connected to processor {root}")
+    if not reached.issuperset(terminals):
+        raise InvalidPathError(f"tree does not span terminals {sorted(set(terminals) - reached)}")
+    return tuple(hops)
 
 
-def _path_hops(
-    path: list[int], source: int, target: int, graph: QuotientGraph | None
-) -> list[tuple[int, int]]:
+def _path_hops(path: list[int], source: int, target: int, graph: QuotientGraph | None) -> tuple[Hop, ...]:
     """The hops of a simple path from source to target over graph edges."""
-    hops = list(zip(path, path[1:]))
-    if not hops or (path[0], path[-1]) != (source, target):
+    if len(path) < 2 or (path[0], path[-1]) != (source, target):
         raise InvalidPathError(f"path {list(path)} must run from processor {source} to {target}")
-    _check_tree(hops, {source, target}, graph)
-    return hops
+    return _orient(source, zip(path, path[1:]), (target,), graph)
 
 
 class FragmentBuilder:
@@ -176,66 +181,47 @@ class FragmentBuilder:
     def emit_tree(
         self,
         root: int,
-        tree: set[tuple[int, int]],
+        hops: tuple[Hop, ...],
         control_qubit: int,
         targets_by_proc: dict[int, list[int]],
         kind: str,
     ) -> None:
         """Entanglement-tree protocol rooted at the control's processor.
 
-        Per tree edge (parent u, child v): a Bell pair with near qubit at u
-        and far qubit at v; the parent's proxy injects into the near qubit,
-        which is measured in Z (bit feeds an X fix on the far qubit); the far
-        qubit becomes v's proxy, interacting locally with v's data targets.
-        Finally each proxy is measured in X, kicking a Z onto the control.
-        Bits come in wire order: per edge, the Z-basis bit then the X-basis
-        bit.
+        `hops` are the tree's (parent u, child v) edges in breadth-first
+        order from root (see `_orient`); `targets_by_proc` lists, in
+        ascending order, the data targets each processor holds.  Per hop: a
+        Bell pair with near qubit at u and far qubit at v; the parent's
+        proxy injects into the near qubit, which is measured in Z (bit feeds
+        an X fix on the far qubit); the far qubit becomes v's proxy,
+        interacting locally with v's data targets.  Finally each proxy is
+        measured in X, kicking a Z onto the control.  Bits come in wire
+        order: per hop, the Z-basis bit then the X-basis bit.
         """
         interact = cx if kind == "cx" else cz
-        for tq in sorted(targets_by_proc.get(root, [])):
+        for tq in targets_by_proc.get(root, ()):
             self.emit(interact(control_qubit, tq))
-        if not tree:
-            return
-        adj: dict[int, list[int]] = {}
-        for u, v in tree:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        order: list[tuple[int, int]] = []  # oriented edges, BFS from root
-        seen = {root}
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(adj.get(u, [])):
-                if v not in seen:
-                    seen.add(v)
-                    order.append((u, v))
-                    queue.append(v)
-        if len(order) != len(tree):
-            raise InvalidPathError("route edges are not connected to the control processor")
-        near: dict[tuple[int, int], int] = {}
-        far: dict[tuple[int, int], int] = {}
-        bit_z: dict[tuple[int, int], int] = {}
-        bit_x: dict[tuple[int, int], int] = {}
-        for e in order:
-            near[e] = self.alloc_qubit()
-            far[e] = self.alloc_qubit()
-            bit_z[e] = self.alloc_bit()
-            bit_x[e] = self.alloc_bit()
-            self.emit(bell(near[e], far[e]))
+        # hop i uses qubits q0 + 2i (near) and q0 + 2i + 1 (far), and bits
+        # b0 + 2i (Z basis) and b0 + 2i + 1 (X basis)
+        q0, b0 = self.next_qubit, self.next_bit
+        self.next_qubit += 2 * len(hops)
+        self.next_bit += 2 * len(hops)
+        for i in range(len(hops)):
+            self.emit(bell(q0 + 2 * i, q0 + 2 * i + 1))
         proxy = {root: control_qubit}
-        for e in order:
-            u, v = e
-            self.emit(cx(proxy[u], near[e]))
-            self.emit(meas(near[e], "Z", bit_z[e]))
-            self.correct(far[e], "X", bit_z[e])
-            for tq in sorted(targets_by_proc.get(v, [])):
-                self.emit(interact(far[e], tq))
-            proxy[v] = far[e]
-        for e in order:
-            self.emit(meas(far[e], "X", bit_x[e]))
-            self.correct(control_qubit, "Z", bit_x[e])
+        for i, (u, v) in enumerate(hops):
+            near, far = q0 + 2 * i, q0 + 2 * i + 1
+            self.emit(cx(proxy[u], near))
+            self.emit(meas(near, "Z", b0 + 2 * i))
+            self.correct(far, "X", b0 + 2 * i)
+            for tq in targets_by_proc.get(v, ()):
+                self.emit(interact(far, tq))
+            proxy[v] = far
+        for i in range(len(hops)):
+            self.emit(meas(q0 + 2 * i + 1, "X", b0 + 2 * i + 1))
+            self.correct(control_qubit, "Z", b0 + 2 * i + 1)
 
-    def emit_mirror_layer(self, qubits: list[int]) -> None:
+    def emit_mirror_layer(self, qubits: tuple[int, ...]) -> None:
         """Basis-exchange layer: Z then Y^{1/2} per qubit acts as a Hadamard
         up to global phase; the Z constants end up in the frame."""
         for q in qubits:
@@ -252,7 +238,7 @@ def _expand_telegate(
 ) -> ExtendedCircuit:
     hops = _path_hops(path, control_proc, target_proc, graph)
     b = FragmentBuilder(num_data=2)
-    b.emit_tree(control_proc, set(hops), 0, {target_proc: [1]}, kind)
+    b.emit_tree(control_proc, hops, 0, {target_proc: [1]}, kind)
     return b.build()
 
 
@@ -284,7 +270,7 @@ def expand_telegate_cz(
 def expand_fanin_tree(
     control_proc: int,
     target_procs: set[int],
-    tree: set[tuple[int, int]],
+    tree: Iterable[Hop],
     graph: QuotientGraph | None = None,
     basis: str = "X",
 ) -> ExtendedCircuit:
@@ -293,12 +279,11 @@ def expand_fanin_tree(
     Data qubits: 0 is the control; targets follow in ascending processor
     order.  E-count equals the number of tree edges.
     """
-    tree = {(min(u, v), max(u, v)) for u, v in tree}
-    _check_tree(tree, {control_proc} | set(target_procs), graph)
+    hops = _orient(control_proc, tree, target_procs, graph)
     targets = sorted(set(target_procs))
     targets_by_proc = {p: [1 + i] for i, p in enumerate(targets)}
     b = FragmentBuilder(num_data=1 + len(targets))
-    b.emit_tree(control_proc, tree, 0, targets_by_proc, "cx" if basis == "X" else "cz")
+    b.emit_tree(control_proc, hops, 0, targets_by_proc, "cx" if basis == "X" else "cz")
     return b.build()
 
 
@@ -406,7 +391,7 @@ class CircuitExpander:
         last_bit = max((g.bit for g in circuit.all_gates() if g.kind == "meas"), default=0)
         self.builder = FragmentBuilder(circuit.num_qubits, first_bit=last_bit + 1)
 
-    def expand(self, routes: dict[tuple[int, Gate], dict[int, set[tuple[int, int]]]]) -> ExtendedCircuit:
+    def expand(self, routes: dict[tuple[int, Gate], list[Route]]) -> ExtendedCircuit:
         """Emit every layer in its gate order; the frame is normalized as it goes.
 
         `routes[(layer index, gate)]` holds the routes of a gate the backend
@@ -420,41 +405,32 @@ class CircuitExpander:
                     self.builder.emit(g)
         return self.builder.build()
 
-    def emit_remote(self, g: Gate, routes: dict[int, set[tuple[int, int]]]) -> None:
-        """Expand one gate whose commodities got the given routes.
+    def emit_remote(self, g: Gate, routes: list[Route]) -> None:
+        """Expand one two-qubit or fan gate over the given routes.
 
-        `routes` maps a target processor to the edge set (path or tree
-        segment) that reaches it; a single multi-terminal tree may be passed
-        under each target processor (identical sets are merged).
+        A route is `(hops, procs)`: the hops of a path or tree in the order
+        `emit_tree` takes (from the processor of the gate's first operand),
+        and the target processors it serves.  The operands on the first
+        operand's processor interact locally; then each route is expanded
+        once, in order of its lowest target processor.
         """
-        place = self.placement
         if g.kind in TWO_QUBIT_KINDS:
-            a, t = g.qubits
-            edges = routes[place.proc(t)]
-            self.builder.emit_tree(place.proc(a), edges, a, {place.proc(t): [t]}, g.kind)
-            return
-        if g.kind not in FAN_KINDS:
+            kind = g.kind
+        elif g.kind in FAN_KINDS:
+            kind = "cz" if g.basis == "Z" else "cx"
+        else:
             raise ValueError(f"gate kind {g.kind!r} is not a remote interaction")
         hub = g.hub
-        hub_proc = place.proc(hub)
-        kind = "cz" if g.basis == "Z" else "cx"
+        hub_proc = self.placement.proc(hub)
         mirror = g.kind == "fanout" and kind == "cx"
-        involved = [hub, *g.spokes]
         if mirror:
-            self.builder.emit_mirror_layer(involved)
+            self.builder.emit_mirror_layer(g.qubits)
         targets_by_proc: dict[int, list[int]] = {}
-        for q in g.spokes:
-            targets_by_proc.setdefault(place.proc(q), []).append(q)
-        local = targets_by_proc.pop(hub_proc, [])
-        # group target processors by the route they were assigned: one tree
-        # per distinct edge set, so a shared Steiner tree expands only once
-        groups: dict[frozenset[tuple[int, int]], list[int]] = {}
-        for p in sorted(targets_by_proc):
-            groups.setdefault(frozenset(routes[p]), []).append(p)
-        if local:
-            self.builder.emit_tree(hub_proc, set(), hub, {hub_proc: local}, kind)
-        for edge_set, procs in sorted(groups.items(), key=lambda kv: min(kv[1])):
+        for q in sorted(g.spokes):
+            targets_by_proc.setdefault(self.placement.proc(q), []).append(q)
+        self.builder.emit_tree(hub_proc, (), hub, targets_by_proc, kind)  # the local targets
+        for hops, procs in sorted(routes, key=lambda r: min(r[1])):
             sub = {p: targets_by_proc[p] for p in procs}
-            self.builder.emit_tree(hub_proc, set(edge_set), hub, sub, kind)
+            self.builder.emit_tree(hub_proc, hops, hub, sub, kind)
         if mirror:
-            self.builder.emit_mirror_layer(involved)
+            self.builder.emit_mirror_layer(g.qubits)

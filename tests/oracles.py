@@ -278,7 +278,7 @@ def random_commodity_set(
     comms = []
     for i in range(k):
         s, t = rng.sample(range(q.node_count), 2)
-        comms.append(Commodity(s, t, i, "cz", 0, (1,), cz(0, 1)))
+        comms.append(Commodity(s, t, i, (1,), cz(0, 1)))
     prec = set()
     qpar = set()
     for i in range(k):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import distqc
-from distqc.circuit import Circuit, cx, cz, meas, pauli
+from distqc.circuit import Circuit, bell, cx, cz, meas, pauli
 from distqc.cli import main
 from distqc.pauli import PauliFrame, XorExpr
 from distqc.telegate import ExtendedCircuit
@@ -212,6 +212,16 @@ class TestBadInput:
         logical.write_text(json.dumps(circ.to_json()))
         rc, err = self.verify_rc(capsys, compiled_cx, logical)
         assert rc == 2 and "logical layer 1: meas on qubits [1] is not unitary" in err
+
+    def test_logical_bell_refused(self, tmp_path, capsys, topo, compiled_cx):
+        # compiled, it would drop qubit 0's pending correction; verified, it
+        # would run as H then CX
+        circ = tmp_path / "bell.json"
+        circ.write_text(json.dumps(Circuit.from_layers(9, [[cx(0, 4)], [bell(0, 1)]]).to_json()))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and "layer 1: bell on qubits [0, 1] is not a logical gate" in err
+        rc, err = self.verify_rc(capsys, compiled_cx, circ)
+        assert rc == 2 and "layer 1: bell on qubits [0, 1] is not a logical gate" in err
 
     def test_verify_extended_gate_out_of_range(self, tmp_path, capsys, compiled_cx):
         doc = json.loads(compiled_cx.read_text())

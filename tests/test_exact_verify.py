@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from distqc.circuit import Circuit, Placement, cx, meas, pauli, prep
+from distqc.circuit import Circuit, Placement, bell, cx, meas, pauli, prep
 from distqc.flow import compile_circuit_flow
 from distqc.netmodel import gen_rect_low
 from distqc.pauli import ONE, PauliFrame, XorExpr
@@ -98,6 +98,15 @@ def test_refuses_non_unitary_logical_circuit(gate, name):
     logical = Circuit.from_layers(2, [[cx(0, 1)], [gate]])
     ext = ExtendedCircuit(2, 2, (cx(0, 1),), PauliFrame())
     with pytest.raises(ValueError, match=f"logical layer 1: {name} on qubits \\[1\\] is not unitary"):
+        exact(ext, logical)
+
+
+def test_refuses_logical_bell():
+    # a logical bell is a preparation: the simulator would otherwise run it
+    # as H then CX, while compilation drops its qubits' pending corrections
+    logical = Circuit.from_layers(9, [[cx(0, 4)], [bell(0, 1)]])
+    ext = ExtendedCircuit(9, 9, (cx(0, 4),), PauliFrame())
+    with pytest.raises(ValueError, match=r"logical layer 1: bell on qubits \[0, 1\] is not unitary"):
         exact(ext, logical)
 
 

@@ -60,7 +60,7 @@ def random_pair_circuit(n, k, cx_share, rng):
 
 
 def simple_cs(pairs, prec=(), qpar=()):
-    comms = tuple(Commodity(s, t, i, "cz", 0, (1,), cz(0, 1)) for i, (s, t) in enumerate(pairs))
+    comms = tuple(Commodity(s, t, i, (1,), cz(0, 1)) for i, (s, t) in enumerate(pairs))
     return CommoditySet(comms, frozenset(prec), frozenset(frozenset(p) for p in qpar))
 
 
@@ -160,11 +160,21 @@ class TestExactSolver:
                 assert check_feasible(sched, g, cs) is None
 
 
+def logging_subsolver(log):
+    """The exact sub-solver, recording each horizon it is asked for."""
+
+    def solve(q, cs, d):
+        log.append(d)
+        return solve_mcf_exact(q, cs, d)
+
+    return solve
+
+
 class TestQuickestFlow:
     def test_single_commodity(self):
         cs = simple_cs([(0, 1)])
         log = []
-        sched = quickest_flow(EDGE, cs, call_log=log)
+        sched = quickest_flow(EDGE, cs, logging_subsolver(log))
         assert metrics(sched).e_depth == 1
         assert log == [1]
 
@@ -183,7 +193,7 @@ class TestQuickestFlow:
     def test_call_count_logarithmic(self):
         cs = simple_cs([(0, 1)] * 8)
         log = []
-        quickest_flow(EDGE2, cs, call_log=log)
+        quickest_flow(EDGE2, cs, logging_subsolver(log))
         assert len(log) <= math.ceil(math.log2(8)) + 2
 
     def test_matches_brute_quickest(self):

@@ -120,7 +120,7 @@ def test_failed_searches_not_repeated(monkeypatch):
     # 0->2 fails (component {0}) and the second 0->2 fails with no search
     graph = QuotientGraph(3, ((0, 1, 1), (1, 2, 1)))
     comms = tuple(
-        Commodity(s, t, 0, "cz", 0, (1,), cz(0, 1)) for s, t in ((0, 2), (0, 1), (1, 2), (0, 2))
+        Commodity(s, t, 0, (1,), cz(0, 1)) for s, t in ((0, 2), (0, 1), (1, 2), (0, 2))
     )
     cs = CommoditySet(comms, frozenset(), frozenset())
     searches = []

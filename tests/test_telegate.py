@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -143,10 +144,27 @@ class TestFanInTree:
         assert channel_equivalent(frag, logical, trials=6, branches=6, rng=random.Random(3))
 
     def test_non_spanning_tree_rejected(self):
-        with pytest.raises(InvalidPathError):
-            expand_fanin_tree(0, {1, 3}, {(0, 1)})
-        with pytest.raises(InvalidPathError):
-            expand_fanin_tree(0, {1, 2}, {(0, 1), (1, 2), (2, 0)})
+        line = QuotientGraph(3, ((0, 1, 1), (0, 2, 1)))
+        faults = [
+            ({1, 3}, {(0, 1)}, None, "does not span terminals [3]"),
+            ({1, 2}, {(0, 1), (1, 2), (2, 0)}, None, "cycle"),
+            ({1, 2}, {(1, 2)}, None, "not connected to processor 0"),  # misses the control
+            ({1, 2}, {(0, 1), (1, 2), (3, 4)}, None, "not connected to processor 0"),  # a detached edge
+            ({1, 2}, [(0, 1), (1, 2), (2, 1)], None, "repeated"),
+            ({1, 2}, {(0, 1), (1, 2)}, line, "(1,2) missing from graph"),
+        ]
+        for targets, tree, graph, message in faults:
+            with pytest.raises(InvalidPathError, match=re.escape(message)):
+                expand_fanin_tree(0, targets, tree, graph=graph)
+
+    def test_tree_expands_from_control_breadth_first(self):
+        # hops leave the control first, lower-numbered neighbours first,
+        # whatever order or orientation the edges are given in
+        frag = expand_fanin_tree(2, {0, 3, 4}, [(4, 3), (0, 1), (1, 2), (3, 2)])
+        near = [g.qubits[1] for g in frag.gates if g.kind == "cx" and g.qubits[1] >= 4]
+        injected_from = [g.qubits[0] for g in frag.gates if g.kind == "cx" and g.qubits[1] in near]
+        assert near == [4, 6, 8, 10]
+        assert injected_from == [0, 0, 5, 7]  # hops (2,1), (2,3), (1,0), (3,4)
 
 
 class TestBellVariants:
@@ -307,7 +325,12 @@ class TestFanOutExpansion:
     def test_fanout_compiles_through_mirror_layers(self):
         g = gen_rect_low(3)
         circ = Circuit.from_layers(4, [[fanout(0, [1, 2, 3])]])
-        routes = {(0, circ.layers[0][0]): {1: {(0, 1)}, 2: {(0, 1), (1, 2)}, 3: {(0, 3)}}}
+        # the route to processor 2 runs through target processor 1
+        routes = {(0, circ.layers[0][0]): [
+            (((0, 1), (1, 2)), (2,)),
+            (((0, 3),), (3,)),
+            (((0, 1),), (1,)),
+        ]}
         out = CircuitExpander(circ, Placement.identity(4), g).expand(routes)
         assert channel_equivalent(out, circ, trials=8, branches=6, rng=random.Random(9))
         assert not any(g2.kind == "pauli" for g2 in out.gates)
