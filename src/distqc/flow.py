@@ -13,6 +13,7 @@ many ready commodities as possible per step, shortest paths first.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,13 +37,7 @@ class FlowSchedule:
         return len(self.steps)
 
     def to_json(self) -> dict:
-        return {
-            "d": self.horizon,
-            "assignments": [
-                {"i": i, "tau": self.steps[i], "path": [[u, v] for u, v in zip(p, p[1:])]}
-                for i, p in enumerate(self.paths)
-            ],
-        }
+        return schedule_json(self.horizon, self.steps, [zip(p, p[1:]) for p in self.paths])
 
     @staticmethod
     def from_json(doc: dict) -> "FlowSchedule":
@@ -54,6 +49,20 @@ class FlowSchedule:
             nodes = [hops[0][0]] + [v for _u, v in hops] if hops else []
             paths.append(tuple(nodes))
         return FlowSchedule(doc["d"], steps, tuple(paths))
+
+
+def schedule_json(
+    horizon: int, steps: Iterable[int], links: Iterable[Iterable[tuple[int, int]]]
+) -> dict:
+    """The schedule format both backends write: per route i its step and
+    its links, each an edge [u, v] of a path or tree."""
+    return {
+        "d": horizon,
+        "assignments": [
+            {"i": i, "tau": tau, "path": [[u, v] for u, v in edges]}
+            for i, (tau, edges) in enumerate(zip(steps, links))
+        ],
+    }
 
 
 @dataclass(frozen=True)
@@ -103,12 +112,14 @@ def check_feasible(sched: FlowSchedule, q: QuotientGraph, cs: CommoditySet) -> V
     for (e, tau), used in sorted(usage.items()):
         if used > q.cap(*e):
             return Violation("c3", edge=e, step=tau, message=f"{used} > capacity {q.cap(*e)}")
-    for j, i in sorted(cs.prec):
-        if cs.quasi_parallel(i, j):
-            if sched.steps[j] > sched.steps[i]:
+    order = cs.order
+    for j, tau in enumerate(sched.steps):
+        for i in order.strict_succs[j]:
+            if tau >= sched.steps[i]:
+                return Violation("c5", commodity=i, message=f"needs step > step of {j}")
+        for i in order.qpar_succs[j]:
+            if tau > sched.steps[i]:
                 return Violation("c6", commodity=i, message=f"needs step >= step of {j}")
-        elif sched.steps[j] >= sched.steps[i]:
-            return Violation("c5", commodity=i, message=f"needs step > step of {j}")
     return None
 
 
@@ -369,4 +380,4 @@ def compile_circuit_flow(
     routes: dict = {}
     for com, p in zip(cs.commodities, sched.paths):
         routes.setdefault((com.layer, com.gate), []).append((tuple(zip(p, p[1:])), (com.target,)))
-    return CircuitExpander(circuit, placement, q).expand(routes), sched, cs
+    return CircuitExpander(circuit, placement).expand(routes), sched, cs

@@ -5,16 +5,18 @@ destabilizers 0..n-1 then stabilizers n..2n-1, stored by column as bitsets
 as in Stim (arXiv:2103.02202).  Qubit q has one Python int `x[q]` and one
 int `z[q]`, whose bit i is row i's X and Z part on q, and bit i of the int
 `r` is row i's constant sign.  A gate is a few int operations on whole
-columns, with no loop over rows.  A row product walks the columns where its
-source row has support and keeps the phase of every target row at once in a
-bit-sliced two-bit counter.  Finding that support scans the columns, so a
-random measurement and each pivot of `reduced_canonical` take O(n) Python
-steps: below about 550 qubits that beats the per-call overhead of a numpy
-tableau, above it a numpy tableau is faster (README, Verification).
+columns, with no loop over rows.  The one row product, `_rowmul`, serves
+both kinds of measurement and `reduced_canonical`: it walks the columns
+where its source row has support and keeps the phase of every target row at
+once in a bit-sliced two-bit counter.  Finding that support scans the
+columns, so each row product takes O(n) Python steps: below about 550
+qubits that beats the per-call overhead of a numpy tableau, above it a
+numpy tableau is faster (README, Verification).
 
-A measurement in the Z or X basis returns an affine GF(2) value: a
-constant when the observable is in the stabilizer group, a fresh outcome
-symbol otherwise, so every sign is an affine function of the symbols, as in
+A measurement in the Z or X basis returns an affine GF(2) value: the
+sign of the observable, multiplied out of the stabilizers in a transient
+scratch row 2n, when it is in the stabilizer group, a fresh outcome symbol
+otherwise, so every sign is an affine function of the symbols, as in
 Stim.  Such a value is a Python int whose bit 0 is the constant and whose
 bit j >= 1 is the coefficient of symbol j, so a concrete outcome 0 or 1 is
 the same value with no symbols.  Gates touch only the constant part `r`;
@@ -135,8 +137,9 @@ class StabilizerState:
 
     def measure(self, q: int, basis: str = "Z") -> int:
         """Measure qubit q along Z or X, collapsing the tableau.  The outcome
-        is an affine value: 0 or 1 when it is deterministic, a new symbol
-        when it is random."""
+        is an affine value: a new symbol when it is random; when it is
+        deterministic, the sign of the stabilizer product that equals +-Z_q,
+        multiplied out by `_rowmul` like every other row product."""
         if basis == "X":
             self.h(q)
             out = self.measure(q, "Z")
@@ -148,7 +151,19 @@ class StabilizerState:
         x, z = self.x, self.z
         anticommuting = x[q] >> n  # stabilizers with an X part on q
         if not anticommuting:
-            return self._stabilizer_sign(x[q] & ((1 << n) - 1))
+            # the stabilizers paired with the destabilizers that have an X
+            # part on q multiply to +-Z_q: build the product in a scratch
+            # row 2n, read its sign and clear the row
+            scratch = 1 << 2 * n
+            self.sym.append(0)
+            for i in set_bits(x[q] & ((1 << n) - 1)):
+                self.r = _rowmul(x, z, self.r, self.sym, scratch, n + i, range(n))
+            for j in range(n):
+                x[j] &= ~scratch
+                z[j] &= ~scratch
+            out = self.r >> 2 * n & 1 | self.sym.pop()
+            self.r &= ~scratch
+            return out
         self.symbols += 1
         outcome = 1 << self.symbols
         # the first anticommuting stabilizer p multiplies into every other row
@@ -171,37 +186,6 @@ class StabilizerState:
         self.sym[p - n] = self.sym[p]
         self.sym[p] = outcome
         return outcome
-
-    def _stabilizer_sign(self, destabilizers: int) -> int:
-        """Sign, as an affine value, of the product of the stabilizers paired
-        with the destabilizers in the given bitmask: the outcome of a
-        deterministic measurement.
-
-        The product taken in ascending row order has phase exponent (of i)
-        sum_j [#k: x_kj z_kj = 1] + 2 #(k < l: z_kj x_lj = 1) - a_j b_j,
-        a_j and b_j the parities of the product's X and Z part on column j,
-        plus twice the constant signs.  The stabilizers commute, so the
-        order does not matter, and their product is +-Z_q, so a_j = 0."""
-        n = self.n
-        span = destabilizers.bit_length()
-        ones = 0
-        pairs = 0  # bit l: parity, over columns, of z_kj x_lj summed over k < l
-        for xj, zj in zip(self.x, self.z):
-            xs = xj >> n & destabilizers
-            zs = zj >> n & destabilizers
-            if xs and zs:
-                ones += (xs & zs).bit_count()
-                below = zs << 1  # bit l: parity of the bits of zs below l
-                shift = 1
-                while shift < span:
-                    below ^= below << shift
-                    shift <<= 1
-                pairs ^= xs & below
-        phase = ones + 2 * (pairs.bit_count() + (self.r >> n & destabilizers).bit_count())
-        symbols = 0
-        for i in set_bits(destabilizers):
-            symbols ^= self.sym[n + i]
-        return phase >> 1 & 1 | symbols
 
     def reset(self, q: int) -> None:
         """Force qubit q back to |0>."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, fanin, validate
+from .flow import schedule_json
 from .netmodel import UNREACHABLE, QuotientGraph
 from .telegate import CircuitExpander, ExtendedCircuit, _orient
 
@@ -42,8 +43,11 @@ def _norm(u: int, v: int) -> Edge:
 
 
 def steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
-    """Metric-closure approximation: MST over terminal distances, expanded to
-    shortest paths, re-spanned, and pruned of non-terminal leaves.
+    """Metric-closure approximation (Kou, Markowsky and Berman): Prim's
+    minimum spanning tree over the terminals' hop distances, each of its
+    edges expanded to a shortest path, the breadth-first tree of those
+    paths' edges from the lowest terminal, and that tree's minimal subtree
+    spanning the terminals.
 
     Weight is within 2(1 - 1/l) of optimal for l terminals; two terminals
     degenerate to a shortest path.
@@ -54,52 +58,23 @@ def steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
         return frozenset()
     # Prim over the metric closure (hops raises when a terminal is cut off)
     in_tree = {terms[0]}
-    closure_edges: list[tuple[int, int]] = []
+    usable: dict[Edge, int] = {}
     while len(in_tree) < len(terms):
-        cand = min(
+        _, u, v = min(
             (q.hops(u, v), u, v) for u in sorted(in_tree) for v in terms if v not in in_tree
         )
-        closure_edges.append((cand[1], cand[2]))
-        in_tree.add(cand[2])
-    edges: set[Edge] = set()
-    nodes: set[int] = set(terms)
-    for u, v in closure_edges:
         path = q.shortest_path(u, v)
-        nodes.update(path)
-        edges.update(_norm(a, b) for a, b in zip(path, path[1:]))
-    # spanning tree of the union subgraph, then prune non-terminal leaves
-    adj: dict[int, list[int]] = {n: [] for n in nodes}
-    for u, v in sorted(edges):
-        adj[u].append(v)
-        adj[v].append(u)
+        usable.update((_norm(a, b), 1) for a, b in zip(path, path[1:]))
+        in_tree.add(v)
+    # A parent map lists children after their parents, so one reverse pass
+    # keeps exactly the edges above a terminal.
+    parent = q.bfs(terms[0], usable)[1]
+    kept = set(terms)
     tree: set[Edge] = set()
-    seen = {terms[0]}
-    frontier = [terms[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sorted(adj[u]):
-                if v not in seen:
-                    seen.add(v)
-                    tree.add(_norm(u, v))
-                    nxt.append(v)
-        frontier = nxt
-    term_set = set(terms)
-    changed = True
-    while changed:
-        changed = False
-        degree: dict[int, int] = {}
-        for u, v in tree:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        for u, v in sorted(tree):
-            for leaf in (u, v):
-                if degree[leaf] == 1 and leaf not in term_set:
-                    tree.discard((u, v))
-                    changed = True
-                    break
-            if changed:
-                break
+    for v in reversed(parent):
+        if v in kept and v != terms[0]:
+            tree.add(_norm(parent[v], v))
+            kept.add(parent[v])
     return frozenset(tree)
 
 
@@ -208,13 +183,7 @@ class TreeSchedule:
     trees: tuple[frozenset[Edge], ...]
 
     def to_json(self) -> dict:
-        return {
-            "d": self.horizon,
-            "assignments": [
-                {"i": i, "tau": self.rounds[i], "path": [list(e) for e in sorted(self.trees[i])]}
-                for i in range(len(self.rounds))
-            ],
-        }
+        return schedule_json(self.horizon, self.rounds, [sorted(t) for t in self.trees])
 
 
 @dataclass(frozen=True)
@@ -274,15 +243,6 @@ def cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) -> FanInLaye
     return FanInLayering(circuit.num_qubits, tuple(layers))
 
 
-def _gate_tree(g: Gate, placement: Placement, graph: QuotientGraph) -> frozenset[Edge]:
-    """Steiner tree over a two-qubit or fan gate's processors; empty for a
-    local gate (any other kind, or all operands on one processor)."""
-    procs = {placement.proc(q) for q in g.qubits}
-    if g.kind not in TWO_QUBIT_KINDS | FAN_KINDS or len(procs) == 1:
-        return frozenset()
-    return steiner_tree(SteinerInstance(graph, frozenset(procs)))
-
-
 def _pack_rounds(trees: list[frozenset[Edge]], graph: QuotientGraph, first_round: int) -> list[int]:
     """Assign each tree of one layer an entanglement round, splitting the
     layer into sequential sub-rounds when edge demand exceeds capacity."""
@@ -327,7 +287,8 @@ def compile_circuit_steiner(
     path); fan gates get full Steiner trees; single-qubit gates, preparations
     and measurements pass through locally.  Each layer's trees are packed
     into rounds after the previous layer's.  Raises ValueError on a
-    malformed input (see ``circuit.validate``).
+    malformed input (see ``circuit.validate``), and InvalidPathError when a
+    tree is not a tree of lattice edges joining its gate's processors.
     """
     validate(circuit, placement, graph)
     rounds: list[int] = []
@@ -337,15 +298,18 @@ def compile_circuit_steiner(
     for li, layer in enumerate(circuit.layers):
         layer_trees = []
         for g in layer:
-            tree = _gate_tree(g, placement, graph)
-            if tree:
-                layer_trees.append(tree)
-                hub_proc = placement.proc(g.hub)
-                procs = tuple(sorted({placement.proc(q) for q in g.spokes} - {hub_proc}))
-                routes[(li, g)] = [(_orient(hub_proc, tree, procs, None), procs)]
+            if g.kind not in TWO_QUBIT_KINDS | FAN_KINDS:
+                continue
+            hub_proc = placement.proc(g.hub)
+            procs = tuple(sorted({placement.proc(q) for q in g.spokes} - {hub_proc}))
+            if not procs:
+                continue  # every operand on one processor: a local gate
+            tree = steiner_tree(SteinerInstance(graph, frozenset((hub_proc, *procs))))
+            layer_trees.append(tree)
+            routes[(li, g)] = [(_orient(hub_proc, tree, procs, graph), procs)]
         layer_rounds = _pack_rounds(layer_trees, graph, last + 1)
         last = max(layer_rounds, default=last)
         rounds += layer_rounds
         trees += layer_trees
-    extended = CircuitExpander(circuit, placement, graph).expand(routes)
+    extended = CircuitExpander(circuit, placement).expand(routes)
     return extended, TreeSchedule(last, tuple(rounds), tuple(trees))

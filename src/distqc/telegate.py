@@ -383,10 +383,9 @@ class CircuitExpander:
     moves every correction into the frame as the gates are emitted.
     """
 
-    def __init__(self, circuit: Circuit, placement, graph: QuotientGraph):
+    def __init__(self, circuit: Circuit, placement):
         self.circuit = circuit
         self.placement = placement
-        self.graph = graph
         # expansion bits follow the logical circuit's own measurement bits
         last_bit = max((g.bit for g in circuit.all_gates() if g.kind == "meas"), default=0)
         self.builder = FragmentBuilder(circuit.num_qubits, first_bit=last_bit + 1)

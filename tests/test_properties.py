@@ -1,12 +1,15 @@
 """Property tests: random connected capacitated graphs, layered cz/cx/fanin/
 yhalf circuits and placements.  Both backends must give sound schedules,
 outputs that verify against their source, and extended circuits that
-round-trip through JSON unchanged.  `XorExpr`, and the frame normalizer's
-rewrite of its masks, must agree with a plain frozenset model of an affine
-GF(2) expression."""
+round-trip through JSON unchanged.  The Steiner approximation must return
+a tree whose leaves are terminals, and the CZ densifier must keep the CZ
+multiset (in at most n - 1 layers when it has no repeated pair).
+`XorExpr`, and the frame normalizer's rewrite of its masks, must agree with
+a plain frozenset model of an affine GF(2) expression."""
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +20,7 @@ from distqc.flow import check_feasible, compile_circuit_flow
 from distqc.pauli import ONE, XorExpr
 from distqc.pushing import FrameNormalizer
 from distqc.stabsim import channel_equivalent
-from distqc.steiner import compile_circuit_steiner
+from distqc.steiner import SteinerInstance, compile_circuit_steiner, cz_to_dense_fanin, steiner_tree_approx
 from distqc.telegate import ExtendedCircuit
 from oracles import random_connected_graph
 
@@ -122,6 +125,61 @@ def test_steiner_output_has_sound_trees_and_is_equivalent(instance):
     ext, sched = compile_circuit_steiner(circ, placement, graph)
     assert tree_problems(sched, circ, placement, graph) == []
     assert_verifies_and_round_trips(ext, circ)
+
+
+# -- Steiner approximation and CZ densifier ---------------------------------------
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.data())
+def test_steiner_approx_is_a_tree_with_terminal_leaves(nodes, seed, data):
+    graph = random_connected_graph(random.Random(seed), nodes)
+    terms = data.draw(st.frozensets(st.integers(0, nodes - 1), min_size=1))
+    tree = steiner_tree_approx(SteinerInstance(graph, terms))
+    degree = {t: 0 for t in terms}
+    for u, v in tree:
+        assert graph.has_edge(u, v)
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    assert len(tree) == len(degree) - 1
+    reached = {min(terms)}
+    for _ in tree:
+        reached |= {v for e in tree if set(e) & reached for v in e}
+    assert reached == set(degree)  # connected, and spans the terminals
+    assert all(v in terms for v, d in degree.items() if d == 1)
+
+
+CZ_PAIRS = st.integers(2, 10).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])),
+    )
+)
+
+
+def one_cz_per_layer(n, pairs):
+    return Circuit.from_layers(n, [[cz(a, b)] for a, b in pairs])
+
+
+@PROPERTY_SETTINGS
+@given(CZ_PAIRS)
+def test_densifier_keeps_duplicate_free_cz_within_n_minus_1_layers(case):
+    n, pairs = case
+    edges = {(min(a, b), max(a, b)) for a, b in pairs}
+    fl = cz_to_dense_fanin(one_cz_per_layer(n, sorted(edges)))
+    assert len(fl.layers) <= n - 1
+    assert fl.cz_multiset() == dict.fromkeys(edges, 1)
+
+
+@PROPERTY_SETTINGS
+@given(CZ_PAIRS, st.booleans())
+def test_densifier_keeps_cz_multiset(case, cancel_pairs):
+    n, pairs = case
+    counts = Counter((min(a, b), max(a, b)) for a, b in pairs)
+    if cancel_pairs:
+        counts = Counter({e: c % 2 for e, c in counts.items() if c % 2})
+    fl = cz_to_dense_fanin(one_cz_per_layer(n, pairs), cancel_pairs=cancel_pairs)
+    assert fl.cz_multiset() == counts
 
 
 # -- XorExpr against a frozenset model --------------------------------------------

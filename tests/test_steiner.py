@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from distqc import steiner
 from distqc.bench import gen_hardest_fanin, gen_random_cz_circuit
 from distqc.circuit import Circuit, Placement, cz, fanin, fanout, validate_layers
 from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_high, gen_rect_low
@@ -21,6 +22,7 @@ from distqc.steiner import (
     steiner_tree_approx,
     steiner_tree_exact,
 )
+from distqc.telegate import InvalidPathError
 from oracles import (
     brute_steiner_weight,
     random_clifford_prefix,
@@ -307,3 +309,10 @@ class TestGeneralSteinerBackend:
         ext, sched = compile_circuit_steiner(circ, Placement.identity(6), g)
         assert channel_equivalent(ext, circ, trials=6, branches=5, rng=random.Random(4))
         assert sched.horizon == 3  # three layers carry remote interactions
+
+    def test_off_lattice_tree_rejected(self, monkeypatch):
+        # processors 0 and 4 of the 2 x 3 grid are diagonal, not adjacent
+        monkeypatch.setattr(steiner, "steiner_tree", lambda inst: frozenset({(0, 4)}))
+        circ = Circuit.from_layers(6, [[cz(0, 4)]])
+        with pytest.raises(InvalidPathError, match=r"\(0,4\) missing from graph"):
+            compile_circuit_steiner(circ, Placement.identity(6), gen_rect_low(2))

@@ -323,17 +323,17 @@ class TestExtendedCircuitProperties:
 
 class TestFanOutExpansion:
     def test_fanout_compiles_through_mirror_layers(self):
-        g = gen_rect_low(3)
         circ = Circuit.from_layers(4, [[fanout(0, [1, 2, 3])]])
-        # the route to processor 2 runs through target processor 1
+        # routes on the 3 x 3 grid (rect-low g = 3); the route to processor 2
+        # runs through target processor 1
         routes = {(0, circ.layers[0][0]): [
             (((0, 1), (1, 2)), (2,)),
             (((0, 3),), (3,)),
             (((0, 1),), (1,)),
         ]}
-        out = CircuitExpander(circ, Placement.identity(4), g).expand(routes)
+        out = CircuitExpander(circ, Placement.identity(4)).expand(routes)
         assert channel_equivalent(out, circ, trials=8, branches=6, rng=random.Random(9))
-        assert not any(g2.kind == "pauli" for g2 in out.gates)
+        assert not any(g.kind == "pauli" for g in out.gates)
 
 
 class TestLogicalMeasurementBits:
