@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .pauli import XorExpr, set_bits
 
@@ -27,9 +27,17 @@ TWO_QUBIT_KINDS = {"cz", "cx"}
 FAN_KINDS = {"fanin", "fanout"}
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One circuit operation.
+class _GateFields(NamedTuple):
+    kind: str
+    qubits: tuple[int, ...]
+    basis: str = ""
+    bit: int = -1
+    cond: XorExpr | None = None
+    variant: str = ""
+
+
+class Gate(_GateFields):
+    """One circuit operation: an immutable tuple, compared and hashed by value.
 
     kind     a key of GATE_KINDS
     qubits   operands; for cx: (control, target); for fanin: (control, *targets);
@@ -39,20 +47,34 @@ class Gate:
     bit      classical bit id emitted by a meas gate
     cond     XOR-of-bits condition of a pauli gate
     variant  Bell state prepared by a bell gate: phi+, phi-, psi+, psi-
+
+    Every construction, `_make` and `_replace` included, rejects a repeated
+    operand and a fan gate with fewer than two operands.  It is a tuple
+    because the expansion builds one per emitted gate, and a tuple is the
+    cheapest immutable record to construct.
     """
 
-    kind: str
-    qubits: tuple[int, ...]
-    basis: str = ""
-    bit: int = -1
-    cond: XorExpr | None = None
-    variant: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"gate operands must be distinct: {self}")
-        if self.kind in FAN_KINDS and len(self.qubits) < 2:
+    def __new__(
+        cls,
+        kind: str,
+        qubits: tuple[int, ...],
+        basis: str = "",
+        bit: int = -1,
+        cond: XorExpr | None = None,
+        variant: str = "",
+    ) -> "Gate":
+        n = len(qubits)
+        if n > 1 and len(set(qubits)) != n:
+            raise ValueError(f"{kind} gate on qubits {list(qubits)} repeats an operand")
+        if n < 2 and kind in FAN_KINDS:
             raise ValueError("fanin/fanout needs at least one remote operand")
+        return tuple.__new__(cls, (kind, qubits, basis, bit, cond, variant))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Gate":
+        return cls(*iterable)
 
     @property
     def hub(self) -> int:

@@ -94,7 +94,9 @@ def check_feasible(sched: FlowSchedule, q: QuotientGraph, cs: CommoditySet) -> V
     """Verify demand, capacity, and both precedence families; None when sound."""
     if sched.k != cs.k:
         return Violation("demand", message=f"{sched.k} assignments for {cs.k} commodities")
+    capacity = q.capacity
     usage: dict[tuple[tuple[int, int], int], int] = {}
+    over: set[tuple[tuple[int, int], int]] = set()  # overloaded (edge, step) keys
     for i, com in enumerate(cs.commodities):
         tau = sched.steps[i]
         path = sched.paths[i]
@@ -105,13 +107,18 @@ def check_feasible(sched: FlowSchedule, q: QuotientGraph, cs: CommoditySet) -> V
         if len(set(path)) != len(path):
             return Violation("simple", commodity=i, message="path revisits a node")
         for u, v in zip(path, path[1:]):
-            if not q.has_edge(u, v):
+            e = (u, v) if u < v else (v, u)
+            cap = capacity.get(e)
+            if cap is None:
                 return Violation("c1", commodity=i, edge=(u, v), message="missing edge")
-            e = (min(u, v), max(u, v))
-            usage[(e, tau)] = usage.get((e, tau), 0) + 1
-    for (e, tau), used in sorted(usage.items()):
-        if used > q.cap(*e):
-            return Violation("c3", edge=e, step=tau, message=f"{used} > capacity {q.cap(*e)}")
+            key = (e, tau)
+            used = usage.get(key, 0) + 1
+            usage[key] = used
+            if used > cap:
+                over.add(key)
+    if over:
+        e, tau = min(over)  # the first overload in (edge, step) order
+        return Violation("c3", edge=e, step=tau, message=f"{usage[e, tau]} > capacity {capacity[e]}")
     order = cs.order
     for j, tau in enumerate(sched.steps):
         for i in order.strict_succs[j]:
@@ -200,7 +207,7 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
     steps: dict[int, int] = {}
     paths: dict[int, tuple[int, ...]] = {}
     usage: dict[tuple[tuple[int, int], int], int] = {}
-
+    capacity = q.capacity
     preds = index.preds
 
     def assign(pos: int, flow: int) -> None:
@@ -226,7 +233,7 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
                 if flow + (len(path) - 1) + remaining_lb[pos + 1] >= best_f:
                     break  # paths are sorted by length
                 edges = [(min(u, v), max(u, v)) for u, v in zip(path, path[1:])]
-                if any(usage.get((e, tau), 0) + 1 > q.cap(*e) for e in edges):
+                if any(usage.get((e, tau), 0) >= capacity[e] for e in edges):
                     continue
                 for e in edges:
                     usage[(e, tau)] = usage.get((e, tau), 0) + 1

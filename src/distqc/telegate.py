@@ -199,27 +199,28 @@ class FragmentBuilder:
         order: per hop, the Z-basis bit then the X-basis bit.
         """
         interact = cx if kind == "cx" else cz
+        feed, correct = self.normalizer.feed, self.correct
         for tq in targets_by_proc.get(root, ()):
-            self.emit(interact(control_qubit, tq))
+            feed(interact(control_qubit, tq))
         # hop i uses qubits q0 + 2i (near) and q0 + 2i + 1 (far), and bits
         # b0 + 2i (Z basis) and b0 + 2i + 1 (X basis)
         q0, b0 = self.next_qubit, self.next_bit
         self.next_qubit += 2 * len(hops)
         self.next_bit += 2 * len(hops)
         for i in range(len(hops)):
-            self.emit(bell(q0 + 2 * i, q0 + 2 * i + 1))
+            feed(bell(q0 + 2 * i, q0 + 2 * i + 1))
         proxy = {root: control_qubit}
         for i, (u, v) in enumerate(hops):
             near, far = q0 + 2 * i, q0 + 2 * i + 1
-            self.emit(cx(proxy[u], near))
-            self.emit(meas(near, "Z", b0 + 2 * i))
-            self.correct(far, "X", b0 + 2 * i)
+            feed(cx(proxy[u], near))
+            feed(meas(near, "Z", b0 + 2 * i))
+            correct(far, "X", b0 + 2 * i)
             for tq in targets_by_proc.get(v, ()):
-                self.emit(interact(far, tq))
+                feed(interact(far, tq))
             proxy[v] = far
         for i in range(len(hops)):
-            self.emit(meas(q0 + 2 * i + 1, "X", b0 + 2 * i + 1))
-            self.correct(control_qubit, "Z", b0 + 2 * i + 1)
+            feed(meas(q0 + 2 * i + 1, "X", b0 + 2 * i + 1))
+            correct(control_qubit, "Z", b0 + 2 * i + 1)
 
     def emit_mirror_layer(self, qubits: tuple[int, ...]) -> None:
         """Basis-exchange layer: Z then Y^{1/2} per qubit acts as a Hadamard

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from distqc.bench import gen_random_cz_circuit
 from distqc.circuit import (
     Circuit,
+    Gate,
     Placement,
     cx,
     cz,
@@ -33,6 +34,37 @@ class TestGate:
     def test_fanin_needs_target(self):
         with pytest.raises(ValueError):
             fanin(0, [])
+
+    @pytest.mark.parametrize("kind,qubits", [("cx", (1, 1)), ("fanin", (0,)), ("fanout", (2, 3, 2))])
+    def test_direct_construction_validates(self, kind, qubits):
+        with pytest.raises(ValueError):
+            Gate(kind, qubits)
+        with pytest.raises(ValueError):
+            Gate(kind=kind, qubits=qubits, basis="Z")
+
+    def test_replace_validates(self):
+        assert cx(0, 1)._replace(qubits=(0, 2)) == cx(0, 2)
+        with pytest.raises(ValueError):
+            cx(0, 1)._replace(qubits=(1, 1))
+
+    def test_immutable(self):
+        g = cx(0, 1)
+        with pytest.raises(AttributeError):
+            g.kind = "cz"
+        with pytest.raises(AttributeError):
+            g.label = "extra"
+
+    def test_equal_gates_hash_equal_and_share_a_route(self):
+        a, b = meas(3, "X", 7), Gate(kind="meas", qubits=(3,), basis="X", bit=7)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != meas(3, "Z", 7)
+        assert pauli(0, "X", XorExpr.of(1)) == pauli(0, "X", XorExpr.of(1))
+        routes = {(2, cx(0, 1)): ["route"]}
+        assert routes[(2, Gate("cx", (0, 1)))] == ["route"]
+        assert (2, cx(1, 0)) not in routes and (1, cx(0, 1)) not in routes
+
+    def test_repr(self):
+        assert repr(cx(0, 1)) == "Gate(kind='cx', qubits=(0, 1), basis='', bit=-1, cond=None, variant='')"
 
     def test_roles(self):
         g = fanin(2, [0, 5])

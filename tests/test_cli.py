@@ -317,10 +317,12 @@ class TestBadInput:
             ({"kind": "yhalf", "q": [True]}, "yhalf gate qubit must be a non-negative integer, got true"),
             ({"kind": "cx", "q": [0, -1]}, "cx gate qubit must be a non-negative integer, got -1"),
             ({"kind": "meas", "q": [0], "bit": "3"}, 'meas gate bit must be a non-negative integer, got "3"'),
+            ({"kind": "cx", "q": [1, 1]}, "cx gate on qubits [1, 1] repeats an operand"),
+            ({"kind": "fanin", "q": [0, 2, 0]}, "fanin gate on qubits [0, 2, 0] repeats an operand"),
         ],
         ids=["yhalf-two-qubits", "pauli-two-qubits", "cx-three-operands", "cx-one-operand",
              "fanin-one-operand", "yhalf-basis", "unknown-kind", "float-qubit", "bool-qubit",
-             "negative-qubit", "string-bit"],
+             "negative-qubit", "string-bit", "cx-repeated-operand", "fanin-repeated-operand"],
     )
     def test_malformed_gate(self, tmp_path, capsys, topo, compiled_cx, gate, message):
         # compiled as a logical circuit, and verified as each of the two inputs

@@ -19,6 +19,7 @@ from distqc.circuit import (
 from distqc.flow import (
     FlowSchedule,
     InstanceTooLarge,
+    Violation,
     check_feasible,
     compile_circuit_flow,
     iterative_greedy,
@@ -81,6 +82,25 @@ class TestCheckFeasible:
         sched = FlowSchedule(1, (1, 1), ((0, 1), (0, 1)))
         v = check_feasible(sched, EDGE, cs)
         assert v is not None and v.constraint == "c3"
+
+    def test_capacity_violation_names_the_lowest_edge_and_step(self):
+        # commodity order overloads ((1, 2), 2) first, then ((0, 1), 3) and
+        # ((0, 1), 1); the lowest (edge, step) pair is reported
+        line = QuotientGraph(3, ((0, 1, 1), (1, 2, 1)))
+        cs = simple_cs([(1, 2), (1, 2), (0, 1), (0, 1), (1, 0), (1, 0), (0, 2)])
+        sched = FlowSchedule(3, (2, 2, 3, 3, 1, 1, 3), ((1, 2), (1, 2), (0, 1), (0, 1), (1, 0), (1, 0), (0, 1, 2)))
+        assert check_feasible(sched, line, cs) == Violation("c3", edge=(0, 1), step=1, message="2 > capacity 1")
+        # the report counts every use of the pair, not just the first excess one
+        one_at_1 = FlowSchedule(3, (2, 2, 3, 3, 3, 1, 3), sched.paths)
+        assert check_feasible(one_at_1, line, cs) == Violation("c3", edge=(0, 1), step=3, message="4 > capacity 1")
+
+    def test_off_lattice_link_is_c1(self):
+        line = QuotientGraph(3, ((0, 1, 1), (1, 2, 1)))
+        cs = simple_cs([(1, 2), (1, 2), (2, 0)])
+        # the off-lattice link of the last commodity outranks the overload before it
+        sched = FlowSchedule(1, (1, 1, 1), ((1, 2), (1, 2), (2, 0)))
+        v = check_feasible(sched, line, cs)
+        assert (v.constraint, v.commodity, v.edge) == ("c1", 2, (2, 0))
 
     def test_c6_violated_when_predecessor_later(self):
         cs = simple_cs([(0, 1), (0, 1)], prec=[(0, 1)], qpar=[(0, 1)])

@@ -5,7 +5,8 @@ round-trip through JSON unchanged.  The Steiner approximation must return
 a tree whose leaves are terminals, and the CZ densifier must keep the CZ
 multiset (in at most n - 1 layers when it has no repeated pair).
 `XorExpr`, and the frame normalizer's rewrite of its masks, must agree with
-a plain frozenset model of an affine GF(2) expression."""
+a plain frozenset model of an affine GF(2) expression.  Every gate kind and
+every layered circuit must read back from its JSON as an equal value."""
 
 import json
 import random
@@ -15,7 +16,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from distqc.circuit import Circuit, Placement, cx, cz, fanin, yhalf
+from distqc.circuit import (
+    BELL_PAULIS,
+    FAN_KINDS,
+    GATE_KINDS,
+    Circuit,
+    Gate,
+    Placement,
+    cx,
+    cz,
+    fanin,
+    gate_from_json,
+    gate_to_json,
+    yhalf,
+)
 from distqc.flow import check_feasible, compile_circuit_flow
 from distqc.pauli import ONE, XorExpr
 from distqc.pushing import FrameNormalizer
@@ -267,3 +281,37 @@ def test_from_tokens_rejects_bad_tokens():
     for bad in (["x3"], ["b-1"], ["b"], ["b1", "q"], [7], ["b1", None], ["b 1"]):
         with pytest.raises(ValueError):
             XorExpr.from_tokens(bad)
+
+
+# -- JSON round trips ---------------------------------------------------------------
+
+
+@st.composite
+def gates_of(draw, kind):
+    """A gate of the given kind, with every field that kind may carry."""
+    count, bases = GATE_KINDS[kind]
+    size = draw(st.integers(count, count + 3)) if kind in FAN_KINDS else count
+    qubits = draw(st.lists(st.integers(0, 70), min_size=size, max_size=size, unique=True))
+    bit = draw(st.integers(-1, 70)) if kind == "meas" else -1
+    cond = None
+    if kind == "pauli":
+        cond = draw(st.none() | MODELS.map(lambda m: XorExpr.of(*m[0], const=m[1])))
+    variant = draw(st.sampled_from(["", *BELL_PAULIS])) if kind == "bell" else ""
+    return Gate(kind, tuple(qubits), draw(st.sampled_from(bases)), bit, cond, variant)
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_KINDS))
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(data=st.data())
+def test_gate_json_round_trip(kind, data):
+    g = data.draw(gates_of(kind))
+    back = gate_from_json(json.loads(json.dumps(gate_to_json(g))))
+    assert back == g and hash(back) == hash(g) and type(back) is Gate
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(layers(n), max_size=6))))
+def test_circuit_json_round_trip(case):
+    n, gate_layers = case
+    c = Circuit.from_layers(n, gate_layers)
+    assert Circuit.from_json(json.loads(json.dumps(c.to_json()))) == c
