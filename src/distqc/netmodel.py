@@ -25,7 +25,10 @@ import numpy as np
 
 from .circuit import json_int
 
-UNREACHABLE = 1 << 40  # distance-matrix entry of a pair with no path
+# The exact Steiner program's terminal guard.  Its table entries are sums
+# of at most this many distance-matrix entries, which sizes that matrix's
+# integer type.
+EXACT_MAX_TERMINALS = 10
 
 
 @dataclass(frozen=True)
@@ -188,10 +191,16 @@ class QuotientGraph:
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """n x n int64 hop distances from ``bfs``; UNREACHABLE where no path
-        exists.  Read-only: it is shared by every caller."""
+        """n x n hop distances from ``bfs``, and n where no path exists: n
+        is longer than any path.  Read-only: it is shared by every caller.
+
+        The type is int16 whenever EXACT_MAX_TERMINALS * n fits in it (up to
+        3276 nodes), else int64: the exact Steiner program's entries, on
+        r + 1 <= EXACT_MAX_TERMINALS terminals, are at most (r + 1) * n.
+        """
         n = self.node_count
-        dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
+        wide = EXACT_MAX_TERMINALS * n > np.iinfo(np.int16).max
+        dist = np.full((n, n), n, dtype=np.int64 if wide else np.int16)
         for s in range(n):
             row = self.bfs(s)[0]
             dist[s, list(row)] = list(row.values())

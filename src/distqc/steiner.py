@@ -17,12 +17,12 @@ import numpy as np
 
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, fanin, validate
 from .flow import schedule_json
-from .netmodel import UNREACHABLE, QuotientGraph
+from .netmodel import EXACT_MAX_TERMINALS, QuotientGraph
 from .telegate import CircuitExpander, ExtendedCircuit, _orient
 
 Edge = tuple[int, int]
 
-EXACT_MAX_TERMINALS = 10
+_CHUNK_BYTES = 1 << 19  # about the size of one batched temporary in the DP
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,27 @@ def _splits(r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(table)
 
 
+@functools.cache
+def _levels(r: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per popcount p = 2..r, the masks over r terminals with p bits, in
+    ascending order, and their splits stacked as read-only (M, S) index
+    arrays (subs, others), each row in `_splits(r)` order.  Every such mask
+    has S = 2^(p - 1) - 1 splits."""
+    splits = _splits(r)
+    table = []
+    for p in range(2, r + 1):
+        masks = [m for m in range(1 << r) if m.bit_count() == p]
+        level = (
+            np.array(masks, dtype=np.intp),
+            np.stack([splits[m][0] for m in masks]),
+            np.stack([splits[m][1] for m in masks]),
+        )
+        for a in level:
+            a.flags.writeable = False
+        table.append(level)
+    return tuple(table)
+
+
 def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     """Minimum Steiner tree by the Dreyfus-Wagner subset dynamic program.
 
@@ -108,10 +129,18 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     Row f[mask] holds, per node v, the weight of a cheapest tree joining v
     to the terminals in mask.  A mask's row is the minimum over its splits
     of f[sub] + f[mask ^ sub], then grown along shortest paths: with unit
-    weights that is a min-plus product with the hop-distance matrix.
-    Raises ValueError when a terminal cannot reach the others.  An entry of
-    a node cut off from some terminal sums at most ten UNREACHABLE values,
-    far inside int64.
+    weights that is a min-plus product with the hop-distance matrix.  The
+    rows are filled one popcount level at a time, each level's merges and
+    grow steps as a few numpy passes in row chunks of about _CHUNK_BYTES.
+    Raises ValueError when a terminal cannot reach the others.
+
+    The tables take the distance matrix's type.  A leaf row is at most n
+    (the matrix's no-path entry), so a row of p terminals is at most p * n,
+    and with r terminals besides the root a grow step sums at most
+    (r + 1) * n <= EXACT_MAX_TERMINALS * n, which that type holds.  On the
+    root's component a real entry is at most n - 1 and a candidate through
+    another component at least n, so such a candidate never wins or ties,
+    and the rebuild visits only the root's component.
     """
     q = inst.graph
     terms = sorted(inst.terminals)
@@ -120,22 +149,27 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     if len(terms) == 1:
         return frozenset()
     root, rest = terms[0], terms[1:]
+    n = q.node_count
     dist = q.distance_matrix
     for t in rest:
-        if dist[root, t] == UNREACHABLE:
+        if dist[root, t] == n:
             raise ValueError(f"no path between {root} and {t}")
     full = (1 << len(rest)) - 1
     splits = _splits(len(rest))
-    f = np.empty((full + 1, q.node_count), dtype=np.int64)
+    f = np.empty((full + 1, n), dtype=dist.dtype)
     merged = np.empty_like(f)  # a row before its grow step
     for i, t in enumerate(rest):
         f[1 << i] = dist[t]
-    for mask in range(3, full + 1):
-        if mask & (mask - 1):
-            subs, others = splits[mask]
-            base = (f.take(subs, axis=0) + f.take(others, axis=0)).min(axis=0)
-            merged[mask] = base
-            f[mask] = (base[:, None] + dist).min(axis=0)
+    row_bytes = f.strides[0]
+    for masks, subs, others in _levels(len(rest)):
+        step = max(1, _CHUNK_BYTES // (subs.shape[1] * row_bytes))
+        for lo in range(0, len(masks), step):
+            part = slice(lo, lo + step)
+            merged[masks[part]] = (f[subs[part]] + f[others[part]]).min(axis=1)
+        step = max(1, _CHUNK_BYTES // (n * row_bytes))
+        for lo in range(0, len(masks), step):
+            part = masks[lo : lo + step]
+            f[part] = (merged[part, :, None] + dist).min(axis=1)
 
     # Rebuild the tree depth first, a merge's `sub` part before the rest,
     # working out each visited entry's choice again, with the tie-breaks of
@@ -245,14 +279,16 @@ def cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) -> FanInLaye
 
 def _pack_rounds(trees: list[frozenset[Edge]], graph: QuotientGraph, first_round: int) -> list[int]:
     """Assign each tree of one layer an entanglement round, splitting the
-    layer into sequential sub-rounds when edge demand exceeds capacity."""
+    layer into sequential sub-rounds when edge demand exceeds capacity.
+    Every tree edge is a graph edge (u, v), u < v, as `_orient` checked."""
+    capacity = graph.capacity
     rounds: list[int] = []
     usage: dict[int, dict[Edge, int]] = {}
     for tree in trees:
         r = first_round
         while True:
             load = usage.setdefault(r, {})
-            if all(load.get(e, 0) + 1 <= graph.cap(*e) for e in tree):
+            if all(load.get(e, 0) < capacity[e] for e in tree):
                 for e in tree:
                     load[e] = load.get(e, 0) + 1
                 rounds.append(r)

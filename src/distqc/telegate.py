@@ -113,12 +113,13 @@ def _orient(
     orientation), a cycle, an edge not connected to root, and a terminal
     the tree does not reach.
     """
+    capacity = None if graph is None else graph.capacity
     adj: dict[int, list[int]] = {}
     seen: set[Hop] = set()
     for u, v in edges:
-        if graph is not None and not graph.has_edge(u, v):
+        e = (u, v) if u < v else (v, u)
+        if capacity is not None and e not in capacity:
             raise InvalidPathError(f"tree edge ({u},{v}) missing from graph")
-        e = (min(u, v), max(u, v))
         if e in seen:
             raise InvalidPathError(f"tree edge ({u},{v}) repeated")
         seen.add(e)

@@ -3,12 +3,13 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from distqc import steiner
 from distqc.bench import gen_hardest_fanin, gen_random_cz_circuit
 from distqc.circuit import Circuit, Placement, cz, fanin, fanout, validate_layers
-from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_high, gen_rect_low
+from distqc.netmodel import EXACT_MAX_TERMINALS, QuotientGraph, gen_hex, gen_rect_high, gen_rect_low
 from distqc.stabsim import (
     StabilizerState,
     canonical_tableau,
@@ -42,6 +43,21 @@ def tree_weight(edges):
 
 def path_graph(n):
     return QuotientGraph(n, tuple((i, i + 1, 1) for i in range(n - 1)))
+
+
+def reference_cases():
+    """Random terminal sets of 2-10 on the three lattices at g = 2-11."""
+    rng = random.Random(61)
+    cases = []
+    for make in (gen_rect_low, gen_rect_high, gen_hex):
+        for g_factor in (2, 3, 5, 11):
+            g = make(g_factor)
+            for _ in range(12):
+                nt = rng.randint(2, min(8, g.node_count))
+                cases.append((g, rng.sample(range(g.node_count), nt)))
+        g = make(11)
+        cases += [(g, rng.sample(range(g.node_count), nt)) for nt in (9, 10, 10)]
+    return cases
 
 
 class TestExactSteiner:
@@ -106,19 +122,76 @@ class TestExactSteiner:
     def test_matches_reference_program(self):
         # grids have many tied optima, so equal edge sets pin the tie-breaks:
         # first split in order, then the lowest-numbered neighbour
-        rng = random.Random(61)
-        cases = []
-        for make in (gen_rect_low, gen_rect_high, gen_hex):
-            for g_factor in (2, 3, 5, 11):
-                g = make(g_factor)
-                for _ in range(12):
-                    nt = rng.randint(2, min(8, g.node_count))
-                    cases.append((g, rng.sample(range(g.node_count), nt)))
-            g = make(11)
-            cases += [(g, rng.sample(range(g.node_count), nt)) for nt in (9, 10, 10)]
-        for g, terms in cases:
+        for g, terms in reference_cases():
             inst = SteinerInstance(g, frozenset(terms))
             assert steiner_tree_exact(inst) == reference_steiner_tree_exact(inst), terms
+
+    def test_wide_distance_type_gives_the_same_trees(self, monkeypatch):
+        cases = [SteinerInstance(g, frozenset(terms)) for g, terms in reference_cases()]
+        narrow = [steiner_tree_exact(inst) for inst in cases]
+        cached = QuotientGraph.distance_matrix
+        monkeypatch.setattr(
+            QuotientGraph, "distance_matrix", property(lambda q: cached.__get__(q).astype(np.int64))
+        )
+        assert cases[0].graph.distance_matrix.dtype == np.int64
+        assert [steiner_tree_exact(inst) for inst in cases] == narrow
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_terminals_in_one_of_two_components(self, side):
+        # entries through the other component read n, more than any real one
+        grid = gen_rect_low(5)
+        n = grid.node_count
+        tail = tuple((n + i, n + i + 1, 1) for i in range(9))
+        g = QuotientGraph(n + 10, grid.edges + tail)
+        rng = random.Random(side)
+        for _ in range(10):
+            nodes = range(n) if side == 0 else range(n, n + 10)
+            inst = SteinerInstance(g, frozenset(rng.sample(nodes, rng.randint(2, 8))))
+            assert steiner_tree_exact(inst) == reference_steiner_tree_exact(inst)
+
+    def test_long_path_reaches_the_largest_entries(self):
+        g = path_graph(300)
+        terms = frozenset({0, 1, 2, 3, 150, 151, 296, 297, 298, 299})
+        inst = SteinerInstance(g, terms)
+        tree = steiner_tree_exact(inst)
+        assert tree == reference_steiner_tree_exact(inst)
+        assert len(tree) == 299
+
+    @pytest.mark.parametrize("r", range(2, 10))
+    def test_level_table_lists_each_mask_once_in_split_order(self, r):
+        splits = steiner._splits(r)
+        seen = []
+        for p, (masks, subs, others) in enumerate(steiner._levels(r), start=2):
+            assert subs.shape == others.shape == (len(masks), 2 ** (p - 1) - 1)
+            for mask, sub_row, other_row in zip(masks, subs, others):
+                assert int(mask).bit_count() == p
+                assert sub_row.tolist() == splits[mask][0].tolist()
+                assert other_row.tolist() == splits[mask][1].tolist()
+                seen.append(int(mask))
+        assert sorted(seen) == [m for m in range(1 << r) if m.bit_count() >= 2]
+        assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("make", [gen_rect_low, gen_rect_high, gen_hex])
+    def test_distance_matrix_is_int16_and_read_only(self, make):
+        dist = make(11).distance_matrix
+        assert dist.dtype == np.int16
+        with pytest.raises(ValueError):
+            dist[0, 1] = 0
+
+    def test_distance_matrix_reads_n_between_components(self):
+        g = QuotientGraph(5, ((0, 1, 1), (2, 3, 1)))
+        assert g.distance_matrix.tolist() == [
+            [0, 1, 5, 5, 5],
+            [1, 0, 5, 5, 5],
+            [5, 5, 0, 1, 5],
+            [5, 5, 1, 0, 5],
+            [5, 5, 5, 5, 0],
+        ]
+
+    def test_distance_matrix_widens_past_the_int16_bound(self):
+        n = np.iinfo(np.int16).max // EXACT_MAX_TERMINALS
+        assert QuotientGraph(n, ()).distance_matrix.dtype == np.int16
+        assert QuotientGraph(n + 1, ()).distance_matrix.dtype == np.int64
 
     def test_dense_rect_high_trees_pinned(self):
         g = gen_rect_high(11)
