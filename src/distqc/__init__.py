@@ -1,7 +1,7 @@
 """distqc: compiling layered quantum circuits onto distributed architectures.
 
-The pipeline: model the architecture as a capacitated processor graph
-(netmodel), extract remote interactions from a placed layered circuit
+The pipeline: model the architecture as its capacitated processor-level
+quotient graph (netmodel), extract remote interactions from a placed layered circuit
 (circuit), schedule them over discrete entanglement rounds (flow) or per-gate
 entanglement trees (steiner), expand every remote gate into a Bell-pair
 protocol with classically deferred corrections (telegate, pauli, pushing),
@@ -27,20 +27,9 @@ from .flow import (
     quickest_flow,
     solve_mcf_exact,
 )
-from .netmodel import (
-    DirectedFlowGraph,
-    Network,
-    Processor,
-    QuotientGraph,
-    edge_node_ratio,
-    gen_hex,
-    gen_rect_high,
-    gen_rect_low,
-    quotient,
-    to_directed,
-)
+from .netmodel import QuotientGraph, edge_node_ratio, gen_hex, gen_rect_high, gen_rect_low
 from .pauli import PauliFrame, XorExpr
-from .pushing import NormalFormCircuit, normalize_frame, push_pauli, push_through_measurement
+from .pushing import normalize_frame, push_pauli
 from .stabsim import StabilizerState, channel_equivalent
 from .steiner import (
     SteinerInstance,
@@ -50,14 +39,6 @@ from .steiner import (
     steiner_tree_approx,
     steiner_tree_exact,
 )
-from .telegate import (
-    ExtendedCircuit,
-    expand_entanglement_swap,
-    expand_fanin_tree,
-    expand_telegate_cx,
-    expand_telegate_cz,
-    expand_teleport,
-    expand_with_bell_variant,
-)
+from .telegate import ExtendedCircuit, expand_fanin_tree, expand_telegate_cx, expand_telegate_cz
 
 __version__ = "0.1.0"

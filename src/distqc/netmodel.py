@@ -1,11 +1,11 @@
-"""Architecture model: qubit-level networks and processor-level quotient graphs.
+"""Architecture model: the processor-level quotient graph and its lattices.
 
-A distributed architecture is a set of processors, each holding computation
-and communication qubits, plus local couplings inside processors and
-entanglement links between communication qubits of different processors.
-Scheduling happens on the *quotient graph*: one node per processor, parallel
-entanglement links between the same processor pair collapsed into a single
-edge whose capacity is the link count.
+A distributed architecture is a set of processors joined by entanglement
+links between their communication qubits.  Every stage of the compiler
+works on its *quotient graph*: one node per processor, parallel links
+between the same processor pair collapsed into a single edge whose capacity
+is the link count.  ``distqc compile`` reads this graph as a JSON document,
+and ``distqc gen-topology`` writes one of the three lattice families below.
 
 ``QuotientGraph`` is the single owner of graph distances: one breadth-first
 search (``bfs``, memoised per source) backs the hop counts, shortest paths
@@ -29,70 +29,6 @@ from .circuit import json_int
 # of at most this many distance-matrix entries, which sizes that matrix's
 # integer type.
 EXACT_MAX_TERMINALS = 10
-
-
-@dataclass(frozen=True)
-class Processor:
-    id: int
-    computation_qubits: tuple[int, ...]
-    communication_qubits: tuple[int, ...]
-
-    def qubits(self) -> set[int]:
-        return set(self.computation_qubits) | set(self.communication_qubits)
-
-
-@dataclass(frozen=True)
-class Network:
-    processors: tuple[Processor, ...]
-    local_couplings: frozenset[frozenset[int]]
-    entanglement_links: tuple[frozenset[int], ...]  # multiset of comm-qubit pairs
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        comm: set[int] = set()
-        owner: dict[int, int] = {}
-        for p in self.processors:
-            qs = p.qubits()
-            if set(p.computation_qubits) & set(p.communication_qubits):
-                raise ValueError(f"processor {p.id}: computation/communication overlap")
-            if qs & seen:
-                raise ValueError(f"processor {p.id}: qubit sets of processors must be disjoint")
-            seen |= qs
-            comm |= set(p.communication_qubits)
-            for q in qs:
-                owner[q] = p.id
-        if len({p.id for p in self.processors}) != len(self.processors):
-            raise ValueError("duplicate processor ids")
-        for pair in self.local_couplings:
-            a, b = sorted(pair)
-            if owner.get(a) is None or owner.get(a) != owner.get(b):
-                raise ValueError(f"local coupling {sorted(pair)} must lie within one processor")
-        for link in self.entanglement_links:
-            a, b = sorted(link)
-            if a not in comm or b not in comm:
-                raise ValueError(f"entanglement link {sorted(link)} must join communication qubits")
-            if owner[a] == owner[b]:
-                raise ValueError(f"entanglement link {sorted(link)} must cross processors")
-
-    def qubit_owner(self) -> dict[int, int]:
-        return {q: p.id for p in self.processors for q in p.qubits()}
-
-    def to_json(self) -> dict:
-        return {
-            "processors": [
-                {"id": p.id, "comp": list(p.computation_qubits), "comm": list(p.communication_qubits)}
-                for p in self.processors
-            ],
-            "links": sorted(sorted(link) for link in self.entanglement_links),
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "Network":
-        procs = tuple(
-            Processor(p["id"], tuple(p["comp"]), tuple(p["comm"])) for p in doc["processors"]
-        )
-        links = tuple(frozenset(link) for link in doc["links"])
-        return Network(procs, frozenset(), links)
 
 
 def trace_path(parent: dict[int, int], t: int) -> tuple[int, ...]:
@@ -239,67 +175,6 @@ class QuotientGraph:
         return json.dumps(self.to_json(), separators=(",", ":"))
 
 
-UNBOUNDED = None  # explicit marker for infinite arc capacity
-
-
-@dataclass(frozen=True)
-class DirectedFlowGraph:
-    """Directed gadget expansion of a quotient graph.
-
-    Every undirected edge {i, j, c} becomes two gadget nodes i', j' and five
-    arcs (i->i', inf), (j->i', inf), (i'->j', c), (j'->i, inf), (j'->j, inf):
-    directed cycles of unbounded capacity around one capacitated arc, so any
-    undirected flow maps to a directed one of equal value and back.
-    """
-
-    num_original: int
-    nodes: int
-    arcs: tuple[tuple[int, int, int | None], ...]  # (src, dst, capacity or UNBOUNDED)
-
-
-def quotient(network: Network) -> QuotientGraph:
-    """Collapse a qubit-level network into its processor-level quotient graph.
-
-    Parallel entanglement links between the same processor pair gather into
-    one edge with capacity equal to the link count.  Rejects networks whose
-    processor-level graph is disconnected.
-    """
-    ids = sorted(p.id for p in network.processors)
-    index = {pid: i for i, pid in enumerate(ids)}
-    caps: dict[tuple[int, int], int] = {}
-    owner = network.qubit_owner()
-    for link in network.entanglement_links:
-        a, b = sorted(link)
-        u, v = sorted((index[owner[a]], index[owner[b]]))
-        caps[(u, v)] = caps.get((u, v), 0) + 1
-    q = QuotientGraph(len(ids), tuple(sorted((u, v, c) for (u, v), c in caps.items())))
-    if not q.is_connected():
-        raise ValueError("processor-level graph is disconnected")
-    return q
-
-
-def network_from_quotient(q: QuotientGraph) -> Network:
-    """Rebuild a minimal network: one computation qubit per processor and one
-    communication qubit per link endpoint."""
-    next_q = 0
-    comp: dict[int, list[int]] = {}
-    comm: dict[int, list[int]] = {}
-    for p in range(q.node_count):
-        comp[p] = [next_q]
-        comm[p] = []
-        next_q += 1
-    links: list[frozenset[int]] = []
-    for u, v, c in q.edges:
-        for _ in range(c):
-            qa, qb = next_q, next_q + 1
-            next_q += 2
-            comm[u].append(qa)
-            comm[v].append(qb)
-            links.append(frozenset({qa, qb}))
-    procs = tuple(Processor(p, tuple(comp[p]), tuple(comm[p])) for p in range(q.node_count))
-    return Network(procs, frozenset(), tuple(links))
-
-
 def _grid(rows: int, cols: int) -> QuotientGraph:
     """A rows x cols grid with row-major node ids."""
     n = rows * cols
@@ -368,18 +243,3 @@ def edge_node_ratio(q: QuotientGraph) -> Fraction:
     if q.node_count <= 0:
         raise ValueError("graph must have at least one node")
     return Fraction(q.edge_count, q.node_count)
-
-
-def to_directed(q: QuotientGraph) -> DirectedFlowGraph:
-    """Expand each undirected edge into the five-arc two-node gadget."""
-    arcs: list[tuple[int, int, int | None]] = []
-    next_node = q.node_count
-    for u, v, c in q.edges:
-        a, b = next_node, next_node + 1  # a = entry gadget, b = exit gadget
-        next_node += 2
-        arcs.append((u, a, UNBOUNDED))
-        arcs.append((v, a, UNBOUNDED))
-        arcs.append((a, b, c))
-        arcs.append((b, u, UNBOUNDED))
-        arcs.append((b, v, UNBOUNDED))
-    return DirectedFlowGraph(q.node_count, next_node, tuple(arcs))

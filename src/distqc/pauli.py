@@ -99,9 +99,6 @@ class XorExpr:
     def __reduce__(self):
         return (XorExpr.from_mask, (self.mask,))
 
-    def is_zero(self) -> bool:
-        return not self.mask
-
     def evaluate(self, assignment: dict[int, int]) -> int:
         """XOR of the assigned bit values and the constant.  A value is 0 or
         1, or an affine value of a symbolic stabilizer state (an int whose

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import FAN_KINDS, Circuit, Gate
+from .circuit import FAN_KINDS, Gate
 from .pauli import PauliFrame, XorExpr, set_bits
 
 
@@ -41,70 +41,6 @@ def push_pauli(gate: Gate, p: CondPauli) -> list[CondPauli]:
     n.add(p.qubit, p.axis, 1)  # the rules are linear: every mask out is this 1
     n.feed(gate)
     return [CondPauli(q, axis, p.expr) for axis, pending in (("X", n.x), ("Z", n.z)) for q in pending]
-
-
-def push_through_measurement(p: CondPauli, measurement: Gate) -> XorExpr:
-    """Fold a conditioned Pauli into the measurement's emitted bit.
-
-    Returns the flip expression for the bit: nonzero when the Pauli
-    anticommutes with the measured observable (X before <Z>, Z before <X>);
-    commuting Paulis drop without a trace.
-    """
-    if measurement.kind != "meas" or p.qubit != measurement.qubits[0]:
-        raise ValueError("pauli and measurement must share a qubit")
-    n = FrameNormalizer()
-    n.add(p.qubit, p.axis, p.expr.mask)
-    n.feed(measurement)
-    return XorExpr.from_mask(n.flips.get(measurement.bit, 0))
-
-
-@dataclass(frozen=True)
-class NormalFormCircuit:
-    """Clifford normal form: preps, CZ block, CX block, Y^{1/2} layer, CZ block, meas.
-
-    Built by generators and tests; the compiler backends consume the blocks
-    separately (the CZ blocks need no order relation, the CX block does).
-    """
-
-    num_qubits: int
-    prep_layer: tuple[Gate, ...]
-    cz_block_1: tuple[tuple[Gate, ...], ...]
-    cx_block: tuple[tuple[Gate, ...], ...]
-    yhalf_layer: tuple[Gate, ...]
-    cz_block_2: tuple[tuple[Gate, ...], ...]
-    meas_layer: tuple[Gate, ...]
-
-    def __post_init__(self) -> None:
-        for g in self.prep_layer:
-            if g.kind != "prep":
-                raise ValueError("prep layer may contain only prep gates")
-        for layer in self.cz_block_1 + self.cz_block_2:
-            for g in layer:
-                if not (g.kind == "cz" or (g.kind in ("fanin", "fanout") and g.basis == "Z")):
-                    raise ValueError("cz blocks may contain only diagonal gates")
-        for layer in self.cx_block:
-            for g in layer:
-                if not (g.kind == "cx" or (g.kind in ("fanin", "fanout") and g.basis == "X")):
-                    raise ValueError("cx block may contain only cx-type gates")
-        for g in self.yhalf_layer:
-            if g.kind != "yhalf":
-                raise ValueError("yhalf layer may contain only yhalf gates")
-        for g in self.meas_layer:
-            if g.kind != "meas":
-                raise ValueError("meas layer may contain only meas gates")
-
-    def to_circuit(self) -> Circuit:
-        layers: list[tuple[Gate, ...]] = []
-        if self.prep_layer:
-            layers.append(self.prep_layer)
-        layers.extend(self.cz_block_1)
-        layers.extend(self.cx_block)
-        if self.yhalf_layer:
-            layers.append(self.yhalf_layer)
-        layers.extend(self.cz_block_2)
-        if self.meas_layer:
-            layers.append(self.meas_layer)
-        return Circuit.from_layers(self.num_qubits, layers)
 
 
 class FrameNormalizer:

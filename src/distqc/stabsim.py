@@ -88,9 +88,6 @@ class StabilizerState:
     def pauli_z(self, q: int) -> None:
         self.r ^= self.x[q]
 
-    def pauli_y(self, q: int) -> None:
-        self.r ^= self.x[q] ^ self.z[q]
-
     def flip(self, q: int, axis: str, value: int) -> None:
         """Apply X or Z on q raised to an affine outcome value: the value is
         added to the sign of every row that anticommutes with the Pauli."""

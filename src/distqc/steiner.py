@@ -66,8 +66,9 @@ def steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
         path = q.shortest_path(u, v)
         usable.update((_norm(a, b), 1) for a, b in zip(path, path[1:]))
         in_tree.add(v)
-    # A parent map lists children after their parents, so one reverse pass
-    # keeps exactly the edges above a terminal.
+    # The tree can end in a non-terminal leaf where two paths cross a cycle
+    # in opposite directions.  A parent map lists children after their
+    # parents, so one reverse pass keeps exactly the edges above a terminal.
     parent = q.bfs(terms[0], usable)[1]
     kept = set(terms)
     tree: set[Edge] = set()

@@ -16,11 +16,11 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, bell, cx, cz, meas, pauli, yhalf
-from .circuit import BELL_PAULIS, check_reads, gate_from_json, gate_to_json, json_int, unemitted_bit
+from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, bell, cx, cz, meas, yhalf
+from .circuit import check_reads, gate_from_json, gate_to_json, json_int, unemitted_bit
 from .netmodel import QuotientGraph
-from .pauli import ONE, PauliFrame
-from .pushing import FrameNormalizer, normalize_frame
+from .pauli import PauliFrame
+from .pushing import FrameNormalizer
 
 
 @dataclass(frozen=True)
@@ -160,16 +160,6 @@ class FragmentBuilder:
         self.next_bit = first_bit
         self.normalizer = FrameNormalizer()
 
-    def alloc_qubit(self) -> int:
-        q = self.next_qubit
-        self.next_qubit += 1
-        return q
-
-    def alloc_bit(self) -> int:
-        b = self.next_bit
-        self.next_bit += 1
-        return b
-
     def emit(self, g: Gate) -> None:
         self.normalizer.feed(g)
 
@@ -287,93 +277,6 @@ def expand_fanin_tree(
     b = FragmentBuilder(num_data=1 + len(targets))
     b.emit_tree(control_proc, hops, 0, targets_by_proc, "cx" if basis == "X" else "cz")
     return b.build()
-
-
-def expand_teleport(src_proc: int, dst_proc: int, path: list[int] | None = None) -> tuple[ExtendedCircuit, int]:
-    """Move a data qubit to the destination processor.
-
-    Returns the fragment and the receiving qubit id.  The payload is data
-    qubit 0; after the protocol it lives on the returned communication qubit
-    with corrections Z^(b1) and X^(b2) recorded in the frame.
-    """
-    if path is None:
-        path = [src_proc, dst_proc]
-    hops = _path_hops(path, src_proc, dst_proc, None)
-    b = FragmentBuilder(num_data=1)
-    carrier = 0
-    for _u, _v in hops:
-        a = b.alloc_qubit()
-        f = b.alloc_qubit()
-        b1 = b.alloc_bit()
-        b2 = b.alloc_bit()
-        b.emit(bell(a, f))
-        b.emit(cx(carrier, a))
-        b.emit(meas(carrier, "X", b1))
-        b.emit(meas(a, "Z", b2))
-        b.correct(f, "Z", b1)
-        b.correct(f, "X", b2)
-        carrier = f
-    return b.build(), carrier
-
-
-def expand_entanglement_swap(left_proc: int, mid_proc: int, right_proc: int) -> ExtendedCircuit:
-    """Fuse two Bell pairs at the middle processor into one end-to-end pair.
-
-    Qubits: 0 at the left end, 1 and 2 at the middle, 3 at the right end.
-    Bit 1 is the X-basis outcome, bit 2 the Z-basis outcome.  The frame holds
-    Z^(b1) on the left qubit and X^(b2) on the right one, which provably
-    leaves the ends in the standard Bell state on every branch (the Z fix
-    fires on the X-basis outcome, as in the teleportation and telegate
-    protocols).
-    """
-    if len({left_proc, mid_proc, right_proc}) != 3:
-        raise InvalidPathError("swap needs three distinct processors")
-    b = FragmentBuilder(num_data=0)
-    q_left, q_mid1, q_mid2, q_right = (b.alloc_qubit() for _ in range(4))
-    b1 = b.alloc_bit()
-    b2 = b.alloc_bit()
-    b.emit(bell(q_left, q_mid1))
-    b.emit(bell(q_mid2, q_right))
-    b.emit(cx(q_mid1, q_mid2))
-    b.emit(meas(q_mid1, "X", b1))
-    b.emit(meas(q_mid2, "Z", b2))
-    b.correct(q_left, "Z", b1)
-    b.correct(q_right, "X", b2)
-    return b.build()
-
-
-def expand_with_bell_variant(fragment: ExtendedCircuit, variants) -> ExtendedCircuit:
-    """Swap Bell preparations for heralded variants, folding the compensation
-    into the classical corrections.
-
-    `variants` is a single variant name applied to every Bell preparation, or
-    a sequence/mapping indexed by preparation occurrence.  No quantum gate is
-    added: the Paulis that would restore the standard pair become constant
-    terms in the correction expressions.
-    """
-    if isinstance(variants, str):
-        lookup = lambda k: variants  # noqa: E731
-    elif isinstance(variants, dict):
-        lookup = lambda k: variants.get(k, "phi+")  # noqa: E731
-    else:
-        seq = list(variants)
-        lookup = lambda k: seq[k]  # noqa: E731
-    gates: list[Gate] = []
-    count = 0
-    for g in fragment.gates:
-        if g.kind != "bell":
-            gates.append(g)
-            continue
-        v = lookup(count)
-        count += 1
-        if v not in BELL_PAULIS:
-            raise ValueError(f"unknown Bell variant {v!r}")
-        gates.append(bell(g.qubits[0], g.qubits[1], v))
-        for axis in BELL_PAULIS[v]:
-            gates.append(pauli(g.qubits[0], axis, ONE))
-    return normalize_frame(
-        ExtendedCircuit(fragment.num_data, fragment.num_qubits, tuple(gates), fragment.frame.copy())
-    )
 
 
 class CircuitExpander:

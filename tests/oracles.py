@@ -1,18 +1,17 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 These deliberately avoid the library's solver code paths: plain recursive
-enumeration for schedules, subset enumeration for Steiner trees,
-networkx max-flow for the directed-gadget checks, and networkx's lattice
-generators for the three topology families.  The reference commodity
-extraction and greedy scheduler are the plain quadratic versions that the
-indexed library code must match output for output, and the scalar
-Dreyfus-Wagner program (dict rows, a heap Dijkstra grow step and a recorded
-choice per entry) is the reference the vectorized one must match tree for
-tree.  The sampled channel
-check runs concrete inputs and measurement branches, where the library's
-check runs one symbolic Choi state, and it runs them on the numpy tableau
-(`ReferenceStabilizerState`) that the library's bit-packed tableau must
-match outcome for outcome and byte for byte.
+enumeration for schedules, subset enumeration for Steiner trees, and
+networkx's lattice generators for the three topology families.  The
+reference commodity extraction and greedy scheduler are the plain quadratic
+versions that the indexed library code must match output for output, and
+the scalar Dreyfus-Wagner program (dict rows, a heap Dijkstra grow step and
+a recorded choice per entry) is the reference the vectorized one must match
+tree for tree.  The sampled channel check runs concrete inputs and
+measurement branches, where the library's check runs one symbolic Choi
+state, and it runs them on the numpy tableau (`ReferenceStabilizerState`)
+that the library's bit-packed tableau must match outcome for outcome and
+byte for byte.
 """
 
 from __future__ import annotations
@@ -231,26 +230,6 @@ def reference_steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     if len(edges) != weight:
         raise AssertionError("Steiner reconstruction produced a non-tree edge multiset")
     return frozenset(edges)
-
-
-def undirected_max_flow(q: QuotientGraph, s: int, t: int) -> int:
-    """Max flow in the undirected graph via antiparallel arcs."""
-    g = nx.DiGraph()
-    g.add_nodes_from(range(q.node_count))
-    for u, v, c in q.edges:
-        g.add_edge(u, v, capacity=c)
-        g.add_edge(v, u, capacity=c)
-    return int(nx.maximum_flow_value(g, s, t))
-
-
-def gadget_max_flow(dfg, s: int, t: int) -> int:
-    """Max flow on the directed gadget expansion (unbounded arcs made huge)."""
-    g = nx.DiGraph()
-    g.add_nodes_from(range(dfg.nodes))
-    big = 10**9
-    for u, v, c in dfg.arcs:
-        g.add_edge(u, v, capacity=big if c is None else c)
-    return int(nx.maximum_flow_value(g, s, t))
 
 
 def random_connected_graph(rng: random.Random, n: int, max_cap: int = 2) -> QuotientGraph:
@@ -486,9 +465,6 @@ class ReferenceStabilizerState:
 
     def pauli_z(self, q: int) -> None:
         self.r ^= self.x[:, q]
-
-    def pauli_y(self, q: int) -> None:
-        self.r ^= self.x[:, q] ^ self.z[:, q]
 
     def flip(self, q: int, axis: str, value: int) -> None:
         """Apply X or Z on q raised to an affine outcome value: the value is

@@ -10,70 +10,14 @@ from distqc.circuit import Placement, extract_commodities
 from distqc.flow import iterative_greedy
 from distqc.netmodel import (
     GENERATORS,
-    Network,
-    Processor,
     QuotientGraph,
     edge_node_ratio,
     gen_hex,
     gen_rect_high,
     gen_rect_low,
-    network_from_quotient,
-    quotient,
-    to_directed,
 )
 from distqc.steiner import compile_circuit_steiner, cz_to_dense_fanin
-from oracles import (
-    NX_LATTICES,
-    gadget_max_flow,
-    random_connected_graph,
-    to_nx,
-    undirected_max_flow,
-)
-
-
-def toy_network():
-    """Three processors, two parallel links P1-P2 and one link P2-P3."""
-    p1 = Processor(0, (0, 1), (2, 3))
-    p2 = Processor(1, (4, 5), (6, 7, 8))
-    p3 = Processor(2, (9,), (10,))
-    links = (frozenset({2, 6}), frozenset({3, 7}), frozenset({8, 10}))
-    return Network((p1, p2, p3), frozenset(), links)
-
-
-class TestQuotient:
-    def test_toy_architecture(self):
-        q = quotient(toy_network())
-        assert q.node_count == 3
-        assert q.edges == ((0, 1, 2), (1, 2, 1))
-
-    def test_single_processor(self):
-        net = Network((Processor(0, (0,), ()),), frozenset(), ())
-        q = quotient(net)
-        assert q.node_count == 1 and q.edges == ()
-
-    def test_parallel_links_collapse(self):
-        p1 = Processor(0, (0,), (1, 2, 3))
-        p2 = Processor(1, (4,), (5, 6, 7))
-        links = (frozenset({1, 5}), frozenset({2, 6}), frozenset({3, 7}))
-        q = quotient(Network((p1, p2), frozenset(), links))
-        assert q.node_count == 2 and q.edges == ((0, 1, 3),)
-
-    def test_disconnected_rejected(self):
-        p1 = Processor(0, (0,), (1,))
-        p2 = Processor(1, (2,), (3,))
-        with pytest.raises(ValueError, match="disconnected"):
-            quotient(Network((p1, p2), frozenset(), ()))
-
-    def test_link_must_cross_processors(self):
-        p1 = Processor(0, (0,), (1, 2))
-        with pytest.raises(ValueError, match="cross"):
-            Network((p1,), frozenset(), (frozenset({1, 2}),))
-
-    def test_quotient_idempotent_via_rebuild(self):
-        rng = random.Random(4)
-        for _ in range(20):
-            q = random_connected_graph(rng, rng.randint(2, 7), max_cap=3)
-            assert quotient(network_from_quotient(q)) == q
+from oracles import NX_LATTICES, to_nx
 
 
 class TestGenerators:
@@ -149,39 +93,6 @@ class TestRatio:
         assert edge_node_ratio(q) == Fraction(2, 3)
 
 
-class TestDirectedGadget:
-    def test_single_edge_gadget(self):
-        q = QuotientGraph(2, ((0, 1, 5),))
-        d = to_directed(q)
-        assert d.nodes == 2 + 2
-        assert len(d.arcs) == 5
-        capacitated = [a for a in d.arcs if a[2] is not None]
-        assert capacitated == [(2, 3, 5)]
-
-    def test_no_edges(self):
-        q = QuotientGraph(3, ())
-        d = to_directed(q)
-        assert d.nodes == 3 and d.arcs == ()
-
-    def test_node_overhead_is_2e(self):
-        q = gen_rect_low(4)
-        d = to_directed(q)
-        assert d.nodes == q.node_count + 2 * q.edge_count
-
-    def test_path_graph_max_flow(self):
-        q = QuotientGraph(3, ((0, 1, 3), (1, 2, 2)))
-        d = to_directed(q)
-        assert gadget_max_flow(d, 0, 2) == 2 == undirected_max_flow(q, 0, 2)
-
-    def test_max_flow_preserved_random(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            q = random_connected_graph(rng, rng.randint(2, 8), max_cap=3)
-            d = to_directed(q)
-            s, t = rng.sample(range(q.node_count), 2)
-            assert gadget_max_flow(d, s, t) == undirected_max_flow(q, s, t)
-
-
 class TestSerialization:
     def test_quotient_roundtrip(self):
         q = gen_hex(3)
@@ -191,17 +102,6 @@ class TestSerialization:
     def test_disconnected_quotient_rejected(self):
         with pytest.raises(ValueError, match="disconnected"):
             QuotientGraph.from_json({"nodes": 4, "edges": [[0, 1, 1], [2, 3, 1]]})
-
-    def test_network_roundtrip(self):
-        net = toy_network()
-        doc = json.loads(json.dumps(net.to_json()))
-        back = Network.from_json(doc)
-        assert quotient(back) == quotient(net)
-
-    def test_network_json_shape(self):
-        doc = toy_network().to_json()
-        assert doc["processors"][0] == {"id": 0, "comp": [0, 1], "comm": [2, 3]}
-        assert [2, 6] in doc["links"]
 
 
 class TestDistanceService:

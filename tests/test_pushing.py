@@ -2,16 +2,9 @@ import random
 
 import pytest
 
-from distqc.circuit import GATE_KINDS, Gate, cx, cz, fanin, fanout, gate_from_json, meas, pauli, prep, yhalf
+from distqc.circuit import GATE_KINDS, Gate, cx, cz, fanin, fanout, gate_from_json, meas, pauli, yhalf
 from distqc.pauli import ONE, XorExpr
-from distqc.pushing import (
-    CondPauli,
-    FrameNormalizer,
-    NormalFormCircuit,
-    push_pauli,
-    push_through_measurement,
-    normalize_frame,
-)
+from distqc.pushing import CondPauli, FrameNormalizer, normalize_frame, push_pauli
 from distqc.stabsim import StabilizerState, canonical_tableau
 from distqc.telegate import ExtendedCircuit, expand_telegate_cx
 from oracles import random_clifford_prefix
@@ -126,20 +119,25 @@ class TestPushRuleTable:
 
 
 class TestPushThroughMeasurement:
+    @staticmethod
+    def flips(axis, basis):
+        """The flips after a pending ``axis^B`` on qubit 0 meets a
+        ``basis`` measurement of it that emits bit 9."""
+        n = FrameNormalizer()
+        n.add(0, axis, B.mask)
+        n.feed(meas(0, basis, 9))
+        assert not n.x and not n.z  # the measurement consumes the Pauli
+        return n.flips
+
     def test_anticommuting_flips_bit(self):
-        flip = push_through_measurement(CondPauli(0, "X", B), meas(0, "Z", 9))
-        assert flip == B
+        assert self.flips("X", "Z") == {9: B.mask}
 
     def test_commuting_drops(self):
-        assert push_through_measurement(CondPauli(0, "Z", B), meas(0, "Z", 9)).is_zero()
-        assert push_through_measurement(CondPauli(0, "X", B), meas(0, "X", 9)).is_zero()
+        assert self.flips("Z", "Z") == {}
+        assert self.flips("X", "X") == {}
 
     def test_z_before_x_measure_flips(self):
-        assert push_through_measurement(CondPauli(0, "Z", B), meas(0, "X", 9)) == B
-
-    def test_mismatched_qubit(self):
-        with pytest.raises(ValueError):
-            push_through_measurement(CondPauli(0, "X", B), meas(1, "Z", 9))
+        assert self.flips("Z", "X") == {9: B.mask}
 
 
 def _frameless(num_data, num_qubits, gates):
@@ -230,22 +228,3 @@ class TestNormalizeFrame:
                     s2.apply_gate(g, {})
                 s2.apply_frame(out.frame, {})
                 assert canonical_tableau(s1) == canonical_tableau(s2)
-
-
-class TestNormalForm:
-    def test_structure_enforced(self):
-        with pytest.raises(ValueError, match="cz blocks"):
-            NormalFormCircuit(2, (), ((cx(0, 1),),), (), (), (), ())
-
-    def test_to_circuit_order(self):
-        nf = NormalFormCircuit(
-            2,
-            (prep(0), prep(1)),
-            ((cz(0, 1),),),
-            ((cx(0, 1),),),
-            (yhalf(0), yhalf(1)),
-            ((cz(1, 0),),),
-            (meas(0, "Z", 0), meas(1, "Z", 1)),
-        )
-        kinds = [g.kind for layer in nf.to_circuit().layers for g in layer]
-        assert kinds == ["prep", "prep", "cz", "cx", "yhalf", "yhalf", "cz", "meas", "meas"]

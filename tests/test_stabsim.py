@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from distqc.circuit import Circuit, Gate, Placement, cx, cz, fanin, pauli, prep, yhalf
+from distqc.circuit import BELL_PAULIS, Circuit, Gate, Placement, cx, cz, fanin, pauli, prep, yhalf
 from distqc.flow import compile_circuit_flow
 from distqc.netmodel import gen_rect_low
 from distqc.pauli import ONE, PauliFrame
@@ -79,7 +79,8 @@ class TestGates:
         t = scrambled(2, 4)
         s.yhalf(0)
         s.yhalf(0)
-        t.pauli_y(0)
+        t.pauli_x(0)
+        t.pauli_z(0)
         assert canonical_tableau(s) == canonical_tableau(t)
 
     def test_bell_pair_stabilizers(self):
@@ -280,12 +281,13 @@ class TestChannelEquivalent:
             channel_equivalent(ext, logical, trials=trials, branches=branches, rng=random.Random(15))
 
 
-SINGLE_QUBIT_OPS = ("h", "s", "xhalf", "yhalf", "zhalf", "pauli_x", "pauli_y", "pauli_z")
+SINGLE_QUBIT_OPS = ("h", "s", "xhalf", "yhalf", "zhalf", "pauli_x", "pauli_z")
 
 
 class TestAgainstReference:
     """The bit-packed tableau against the numpy tableau in the oracles, on
-    seeded random programs of gates, measurements, resets and flips."""
+    seeded random programs of gates, Bell preparations in every variant,
+    measurements, resets and flips."""
 
     @staticmethod
     def result(fn, *args):
@@ -299,8 +301,9 @@ class TestAgainstReference:
             rng = random.Random(seed)
             n = 1 + seed % 12
             state, ref = StabilizerState(n), ReferenceStabilizerState(n, symbolic=True)
+            ops = ("gate", "gate", "single", "measure", "reset", "flip") + (("bell",) if n >= 2 else ())
             for _ in range(5 * n + 6):
-                op = rng.choice(("gate", "gate", "single", "measure", "reset", "flip"))
+                op = rng.choice(ops)
                 q = rng.randrange(n)
                 if op == "gate":
                     (g,) = random_clifford_prefix(n, rng, 1)
@@ -316,6 +319,11 @@ class TestAgainstReference:
                 elif op == "reset":
                     state.reset(q)
                     ref.reset(q)
+                elif op == "bell":
+                    a, b = rng.sample(range(n), 2)
+                    variant = rng.choice(sorted(BELL_PAULIS))
+                    state.bell(a, b, variant)
+                    ref.bell(a, b, variant)
                 else:  # an affine value: a constant and any of the open symbols
                     axis = rng.choice("XZ")
                     value = rng.getrandbits(1) | rng.getrandbits(state.symbols) << 1

@@ -223,6 +223,18 @@ class TestApproxSteiner:
         t = steiner_tree_approx(SteinerInstance(g, frozenset(range(5))))
         assert tree_weight(t) == 4
 
+    def test_prune_drops_a_non_terminal_leaf(self):
+        # Prim's paths 0-10 and 10-14 cross the cycle 5-6-9-10-8-7 in
+        # opposite directions, and ties break differently from each end:
+        # the breadth-first tree of their union from 0 keeps (5,7) and (7,8),
+        # leaving node 8 a non-terminal leaf that the prune pass drops
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 9), (9, 10),
+                 (5, 7), (7, 8), (8, 10), (10, 11), (5, 12), (12, 13), (13, 14)]
+        g = QuotientGraph(15, tuple(sorted((u, v, 1) for u, v in edges)))
+        t = steiner_tree_approx(SteinerInstance(g, frozenset({0, 10, 11, 14})))
+        assert sorted(t) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 12),
+                             (6, 9), (9, 10), (10, 11), (12, 13), (13, 14)]
+
     def test_within_factor_two_of_exact(self):
         rng = random.Random(47)
         graphs = [gen_rect_low(4), gen_hex(3), gen_rect_high(3), gen_rect_low(5)]

@@ -9,25 +9,16 @@ from distqc.circuit import Circuit, Placement, cx, cz, fanin, fanout, gate_to_js
 from distqc.flow import compile_circuit_flow
 from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_high, gen_rect_low
 from distqc.pauli import PauliFrame, XorExpr
-from distqc.stabsim import (
-    StabilizerState,
-    canonical_tableau,
-    channel_equivalent,
-    reduced_canonical,
-)
+from distqc.stabsim import channel_equivalent
 from distqc.steiner import compile_circuit_steiner
 from distqc.telegate import (
     CircuitExpander,
     ExtendedCircuit,
     InvalidPathError,
-    expand_entanglement_swap,
     expand_fanin_tree,
     expand_telegate_cx,
     expand_telegate_cz,
-    expand_teleport,
-    expand_with_bell_variant,
 )
-from oracles import random_clifford_prefix
 
 CX2 = Circuit.from_layers(2, [[cx(0, 1)]])
 CZ2 = Circuit.from_layers(2, [[cz(0, 1)]])
@@ -99,7 +90,7 @@ class TestTelegateCz:
         frag = expand_telegate_cz(0, 1, [0, 1])
         assert frag.frame.z_of(0) == XorExpr.of(2)
         assert frag.frame.z_of(1) == XorExpr.of(1)
-        assert frag.frame.x_of(1).is_zero()
+        assert not frag.frame.x_of(1)
 
     def test_symmetric_channel(self):
         a = expand_telegate_cz(0, 1, [0, 1])
@@ -165,132 +156,6 @@ class TestFanInTree:
         injected_from = [g.qubits[0] for g in frag.gates if g.kind == "cx" and g.qubits[1] in near]
         assert near == [4, 6, 8, 10]
         assert injected_from == [0, 0, 5, 7]  # hops (2,1), (2,3), (1,0), (3,4)
-
-
-class TestBellVariants:
-    def test_psi_minus_negates_both(self):
-        tele = expand_telegate_cx(0, 1, [0, 1])
-        v = expand_with_bell_variant(tele, "psi-")
-        assert v.frame.z_of(0) == XorExpr.of(2, const=True)
-        assert v.frame.x_of(1) == XorExpr.of(1, const=True)
-        assert channel_equivalent(v, CX2, trials=8, branches=6, rng=random.Random(4))
-
-    def test_phi_plus_identity(self):
-        tele = expand_telegate_cx(0, 1, [0, 1])
-        v = expand_with_bell_variant(tele, "phi+")
-        assert v.frame.to_json() == tele.frame.to_json()
-        assert [g.kind for g in v.gates] == [g.kind for g in tele.gates]
-
-    def test_phi_minus_control_only(self):
-        tele = expand_telegate_cx(0, 1, [0, 1])
-        v = expand_with_bell_variant(tele, "phi-")
-        assert v.frame.z_of(0) == XorExpr.of(2, const=True)
-        assert v.frame.x_of(1) == XorExpr.of(1)
-        assert channel_equivalent(v, CX2, trials=8, branches=6, rng=random.Random(5))
-
-    def test_mixed_variants_on_path(self):
-        tele = expand_telegate_cx(0, 2, [0, 1, 2])
-        v = expand_with_bell_variant(tele, ["psi+", "phi-"])
-        assert sum(1 for g in v.gates if g.kind == "pauli") == 0
-        assert channel_equivalent(v, CX2, trials=8, branches=6, rng=random.Random(6))
-
-    def test_no_extra_quantum_gates(self):
-        tele = expand_telegate_cx(0, 1, [0, 1])
-        v = expand_with_bell_variant(tele, "psi-")
-        assert len(v.gates) == len(tele.gates)
-
-
-class TestTeleport:
-    def test_frame_matches_protocol(self):
-        frag, recv = expand_teleport(0, 1)
-        assert frag.frame.z_of(recv) == XorExpr.of(1)
-        assert frag.frame.x_of(recv) == XorExpr.of(2)
-
-    def test_teleport_then_measure_matches_direct(self):
-        # on every branch the received state is the sent one, so a Z
-        # measurement of it is the same constant, or random in both
-        frag, recv = expand_teleport(0, 1)
-        for seed in range(100):
-            prefix = random_clifford_prefix(1, random.Random(seed))
-            direct = StabilizerState(1)
-            st = StabilizerState(frag.num_qubits)
-            for g in prefix:
-                direct.apply_gate(g)
-                st.apply_gate(g)
-            bits = {}
-            for g in frag.gates:
-                st.apply_gate(g, bits)
-            st.apply_frame(frag.frame, bits)
-            assert reduced_canonical(st, [recv]) == canonical_tableau(direct)
-            want, got = direct.measure(0, "Z"), st.measure(recv, "Z")
-            assert got == want if want in (0, 1) else got not in (0, 1)
-
-    def test_teleport_zero_state(self):
-        frag, recv = expand_teleport(0, 1)
-        st = StabilizerState(frag.num_qubits)
-        bits = {}
-        for g in frag.gates:
-            st.apply_gate(g, bits)
-        st.apply_frame(frag.frame, bits)
-        assert st.measure(recv, "Z") == 0
-
-    @pytest.mark.parametrize("route", [[0], [0, 1, 0, 2], [0, 1]])
-    def test_teleport_path_faults_rejected(self, route):
-        with pytest.raises(InvalidPathError):
-            expand_teleport(0, 2, route)
-
-    def test_chained_teleports_state_preserved(self):
-        frag, recv = expand_teleport(0, 2, [0, 1, 2])
-        assert frag.e_count == 2
-        for seed in range(25):
-            rng = random.Random(seed)
-            prefix = random_clifford_prefix(1, rng)
-            st = StabilizerState(frag.num_qubits)
-            for g in prefix:
-                st.apply_gate(g)
-            bits = {}
-            for g in frag.gates:
-                st.apply_gate(g, bits)
-            st.apply_frame(frag.frame, bits)
-            ref = StabilizerState(1)
-            for g in prefix:
-                ref.apply_gate(g)
-            assert reduced_canonical(st, [recv]) == canonical_tableau(ref)
-
-    def test_chained_corrections_compose_by_xor(self):
-        frag, recv = expand_teleport(0, 2, [0, 1, 2])
-        # the final carrier collects XORs of the per-hop bits
-        zs = frag.frame.z_of(recv).bits
-        xs = frag.frame.x_of(recv).bits
-        assert len(zs) == 2 and len(xs) == 2
-
-
-class TestEntanglementSwap:
-    def test_bit_bases_as_labeled(self):
-        frag = expand_entanglement_swap(0, 1, 2)
-        bases = {g.bit: g.basis for g in frag.gates if g.kind == "meas"}
-        assert bases == {1: "X", 2: "Z"}
-
-    def test_ends_share_bell_pair_every_branch(self):
-        frag = expand_entanglement_swap(0, 1, 2)
-        ref = StabilizerState(2)
-        ref.bell(0, 1)
-        st = StabilizerState(4)
-        bits = {}
-        for g in frag.gates:
-            st.apply_gate(g, bits)
-        st.apply_frame(frag.frame, bits)
-        assert set(bits.values()) == {0b10, 0b100}  # both outcomes random
-        assert reduced_canonical(st, [0, 3]) == canonical_tableau(ref)
-
-    def test_consumes_two_pairs(self):
-        assert expand_entanglement_swap(0, 1, 2).e_count == 2
-
-    def test_swap_then_telegate_equals_two_hop_telegate(self):
-        # routing through the middle with an explicit path equals the
-        # combined protocol by channel equivalence
-        frag = expand_telegate_cx(0, 2, [0, 1, 2])
-        assert channel_equivalent(frag, CX2, trials=8, branches=8, rng=random.Random(7))
 
 
 class TestExtendedCircuitProperties:
@@ -449,7 +314,9 @@ def classical_logical_circuit():
 # the expansion emits its gates
 HALF_CX_FLOW_SHA256 = "5863b9cdb3d3ff93c8297cec93c44fe8dfc187ceda98838b9d77c3d06dae0637"
 CLASSICAL_LOGICAL_SHA256 = "df514c3ad6e2cc186c5033b109d298c9441807858bd83715ccd681b63a790846"
-FRAGMENTS_SHA256 = "c36b6942f20e9c22a3ec301c443ab7ab55b864fce8024682cfb640dc060582ab"
+# sha256 of the fragments below, taken before the teleport, entanglement-swap
+# and Bell-variant fragment builders were deleted
+FRAGMENTS_SHA256 = "f1f164f1870460abe77488c9137f80fad90a33438c24963cb409bf32cb275da8"
 
 
 class TestPinnedLargerOutputs:
@@ -474,12 +341,8 @@ class TestPinnedLargerOutputs:
 
     def test_fragments_pinned(self):
         frags = [
-            expand_teleport(0, 3, [0, 1, 2, 3])[0],
-            expand_teleport(2, 1)[0],
-            expand_entanglement_swap(0, 1, 2),
-            expand_with_bell_variant(expand_telegate_cx(0, 3, path(3)), ["psi-", "phi-", "psi+"]),
-            expand_with_bell_variant(expand_fanin_tree(0, {2, 3, 4}, {(0, 1), (1, 2), (1, 3), (0, 4)}), "psi-"),
-            expand_with_bell_variant(expand_teleport(0, 2, [0, 1, 2])[0], {1: "phi-"}),
-            expand_with_bell_variant(expand_entanglement_swap(0, 1, 2), "psi+"),
+            expand_telegate_cx(0, 3, path(3)),
+            expand_telegate_cz(0, 2, path(2)),
+            expand_fanin_tree(0, {2, 3, 4}, {(0, 1), (1, 2), (1, 3), (0, 4)}),
         ]
         assert _sha_json([f.to_json() for f in frags]) == FRAGMENTS_SHA256
