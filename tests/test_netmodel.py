@@ -77,6 +77,19 @@ class TestGenerators:
         assert all(abs(s) <= 4 for s in slack)
 
 
+class TestQuotient:
+    def test_single_processor(self):
+        q = QuotientGraph.from_json({"nodes": 1, "edges": []})
+        assert q.node_count == 1 and q.edges == () and q.is_connected()
+
+    def test_disconnected_rejected(self):
+        # an isolated processor, unlike two linked components, has no edge
+        # at all to give the split away
+        assert not QuotientGraph(3, ((0, 1, 1),)).is_connected()
+        with pytest.raises(ValueError, match="disconnected"):
+            QuotientGraph.from_json({"nodes": 3, "edges": [[0, 1, 1]]})
+
+
 class TestRatio:
     def test_rect_limit(self):
         assert abs(edge_node_ratio(gen_rect_high(50)) - 2) < Fraction(1, 10)

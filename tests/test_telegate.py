@@ -85,6 +85,22 @@ class TestTelegateCx:
                     expand(control, target, route)
 
 
+class TestTeleport:
+    @pytest.mark.parametrize("route", [[0], [0, 1, 0, 2], [0, 1]])
+    def test_teleport_path_faults_rejected(self, route):
+        for expand in (expand_telegate_cx, expand_telegate_cz):
+            with pytest.raises(InvalidPathError):
+                expand(0, 2, route)
+
+
+class TestEntanglementSwap:
+    def test_swap_then_telegate_equals_two_hop_telegate(self):
+        # routing through the middle with an explicit path equals the
+        # combined protocol by channel equivalence
+        frag = expand_telegate_cx(0, 2, [0, 1, 2])
+        assert channel_equivalent(frag, CX2, trials=8, branches=8, rng=random.Random(7))
+
+
 class TestTelegateCz:
     def test_adjacent_corrections(self):
         frag = expand_telegate_cz(0, 1, [0, 1])
