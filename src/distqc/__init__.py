@@ -34,7 +34,6 @@ from .stabsim import StabilizerState, channel_equivalent
 from .steiner import (
     SteinerInstance,
     compile_circuit_steiner,
-    compile_fanin_circuit,
     cz_to_dense_fanin,
     steiner_tree_approx,
     steiner_tree_exact,

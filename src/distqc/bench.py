@@ -1,12 +1,13 @@
-"""Random instance generation and the benchmark harness.
+"""Instance generators, the one compile entry, and the benchmark harness.
 
-Reproduces the lattice comparison regime: one computation qubit per
-processor (identity placement), random commuting circuits of a configured
-gate count, and per-instance compile metrics exported as CSV.  Fully
-deterministic under a fixed seed: instance seeds are derived by hashing the
-master seed with the instance coordinates, and rows are written in
-configuration order.  `compile_backend` is the one backend dispatch, shared
-with the command line.
+`gen_random_cz_circuit` and `gen_hardest_fanin` build the benchmark
+circuits.  `compile_backend` is the one backend dispatch, shared with the
+command line.  `run_bench` reproduces the lattice comparison regime: one
+computation qubit per processor (identity placement), random CZ circuits
+of a configured gate count, and per-instance compile metrics exported as
+CSV.  Fully deterministic under a fixed seed: instance seeds are derived by
+hashing the master seed with the instance coordinates, and rows are
+written in configuration order.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def compile_backend(
     graph: QuotientGraph,
     cancel_pairs: bool = False,
 ):
-    """Run one backend (it validates the input); returns (extended, schedule, e_depth, e_count).
+    """Run one backend (it validates the input); returns (extended, schedule),
+    whose E-count is `extended.e_count` and E-depth `schedule.horizon`.
 
     Steiner first densifies a non-empty CZ-only circuit into fan-in layers
     (`cancel_pairs` drops repeated pairs modulo 2); no other input is densified.
@@ -121,7 +123,7 @@ def compile_backend(
         ext, sched = compile_circuit_steiner(source, placement, graph)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return ext, sched, sched.horizon, ext.e_count
+    return ext, sched
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
@@ -135,13 +137,13 @@ def run_bench(cfg: BenchConfig) -> list[BenchRecord]:
                 seed = instance_seed(cfg.seed, topology, g, size, sample)
                 circuit = gen_random_cz_circuit(graph.node_count, size, random.Random(seed))
                 start = time.perf_counter()
-                _ext, _sched, e_depth, e_count = compile_backend(backend, circuit, placement, graph)
+                ext, sched = compile_backend(backend, circuit, placement, graph)
                 elapsed_ms = (time.perf_counter() - start) * 1e3
                 wall_ms = round(elapsed_ms, 3) if cfg.timing else 0.0
                 records.append(
                     BenchRecord(
                         topology, g, graph.node_count, graph.edge_count, size, backend,
-                        e_depth, e_count, wall_ms, seed,
+                        sched.horizon, ext.e_count, wall_ms, seed,
                     )
                 )
     if cfg.out:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .pauli import XorExpr, set_bits
 
@@ -248,36 +248,28 @@ def gate_from_json(doc: dict) -> Gate:
     return Gate(kind=kind, qubits=qubits, basis=basis, bit=bit, cond=cond, variant=variant)
 
 
-@dataclass(frozen=True)
-class LayerViolation:
-    layer: int
-    gates: tuple[Gate, ...]
-    reason: str
-
-
-def validate_layers(circuit: Circuit) -> LayerViolation | None:
+def validate_layers(circuit: Circuit) -> None:
     """Check per-layer qubit disjointness, global measurement-bit uniqueness,
     and that no gate is a `bell`: Bell preparations belong to the expansion.
 
-    Returns None when the circuit is well formed, else the first violation.
+    Raises ValueError("layer {i}: {reason}") at the first violation.
     """
-    seen_bits: dict[int, tuple[int, Gate]] = {}
+    seen_bits: set[int] = set()
     for li, layer in enumerate(circuit.layers):
-        used: dict[int, Gate] = {}
+        used: set[int] = set()
         for g in layer:
             for q in g.qubits:
                 if q in used:
-                    return LayerViolation(li, (used[q], g), f"qubit {q} used twice in layer")
+                    raise ValueError(f"layer {li}: qubit {q} used twice in layer")
                 if not 0 <= q < circuit.num_qubits:
-                    return LayerViolation(li, (g,), f"qubit {q} out of range")
-                used[q] = g
+                    raise ValueError(f"layer {li}: qubit {q} out of range")
+                used.add(q)
             if g.kind == "bell":
-                return LayerViolation(li, (g,), f"bell on qubits {list(g.qubits)} is not a logical gate")
+                raise ValueError(f"layer {li}: bell on qubits {list(g.qubits)} is not a logical gate")
             if g.kind == "meas":
                 if g.bit in seen_bits:
-                    return LayerViolation(li, (seen_bits[g.bit][1], g), f"bit {g.bit} emitted twice")
-                seen_bits[g.bit] = (li, g)
-    return None
+                    raise ValueError(f"layer {li}: bit {g.bit} emitted twice")
+                seen_bits.add(g.bit)
 
 
 def unemitted_bit(expr: XorExpr, emitted: int) -> int | None:
@@ -313,9 +305,7 @@ def validate(circuit: Circuit, placement: Placement, graph: QuotientGraph) -> No
     a layer violation, a condition reading a bit that no meas of an earlier
     layer emits, a placement missing a qubit, or a processor outside the
     graph."""
-    bad = validate_layers(circuit)
-    if bad is not None:
-        raise ValueError(f"layer {bad.layer}: {bad.reason}")
+    validate_layers(circuit)
     check_reads(circuit.layers)
     procs = placement.qubit_to_processor
     if len(procs) < circuit.num_qubits:
@@ -406,9 +396,6 @@ class CommoditySet:
         return frozenset({i, j}) in self.qpar
 
 
-QparPredicate = Callable[[Gate, Gate, int], bool]
-
-
 def default_qpar(earlier: Gate, later: Gate, shared_qubit: int) -> bool:
     """Quasi-parallelism for one ordered pair sharing exactly one qubit.
 
@@ -422,31 +409,28 @@ def default_qpar(earlier: Gate, later: Gate, shared_qubit: int) -> bool:
     return shared_qubit in earlier.targets() and shared_qubit in later.controls()
 
 
-def _gate_commodities(g: Gate, li: int, placement: Placement) -> list[Commodity]:
-    out: list[Commodity] = []
-    if g.kind in TWO_QUBIT_KINDS:
-        a, b = g.qubits
-        pa, pb = placement.proc(a), placement.proc(b)
-        if pa != pb:
-            out.append(Commodity(pa, pb, li, (b,), g))
-    elif g.kind in FAN_KINDS:
-        hub = g.hub
-        hub_proc = placement.proc(hub)
-        by_proc: dict[int, list[int]] = {}
-        for q in g.spokes:
-            p = placement.proc(q)
-            if p != hub_proc:
-                by_proc.setdefault(p, []).append(q)
-        for p in sorted(by_proc, key=lambda p: min(by_proc[p])):
-            out.append(Commodity(hub_proc, p, li, tuple(sorted(by_proc[p])), g))
+def spokes_by_proc(g: Gate, placement: Placement) -> dict[int, list[int]]:
+    """The spokes of a two-qubit or fan gate grouped by processor: qubits
+    ascending, processors in order of their lowest spoke.  A cx or cz is a
+    fan with one spoke."""
+    out: dict[int, list[int]] = {}
+    for q in sorted(g.spokes):
+        out.setdefault(placement.proc(q), []).append(q)
     return out
 
 
-def extract_commodities(
-    circuit: Circuit,
-    placement: Placement,
-    qpar_predicate: QparPredicate = default_qpar,
-) -> CommoditySet:
+def _gate_commodities(g: Gate, li: int, placement: Placement) -> list[Commodity]:
+    if g.kind not in TWO_QUBIT_KINDS | FAN_KINDS:
+        return []
+    hub_proc = placement.proc(g.hub)
+    return [
+        Commodity(hub_proc, p, li, tuple(qs), g)
+        for p, qs in spokes_by_proc(g, placement).items()
+        if p != hub_proc
+    ]
+
+
+def extract_commodities(circuit: Circuit, placement: Placement) -> CommoditySet:
     """Enumerate remote interactions and build the prec / qpar relations.
 
     Commodity order is deterministic: lexicographic by (layer index, smallest
@@ -481,7 +465,7 @@ def extract_commodities(
                 continue
             prec.add((j, i))
             shared = set(cj.gate.qubits).intersection(qi)
-            if len(shared) == 1 and qpar_predicate(cj.gate, ci.gate, next(iter(shared))):
+            if len(shared) == 1 and default_qpar(cj.gate, ci.gate, next(iter(shared))):
                 qpar.add(frozenset({j, i}))
         for q in qi:
             history[q].append(i)

@@ -66,23 +66,24 @@ def cmd_compile(args) -> int:
         placement = _load(args.placement, Placement.from_json)
     else:
         placement = Placement.round_robin(circuit.num_qubits, graph.node_count)
-    extended, sched, e_depth, e_count = compile_backend(
+    extended, sched = compile_backend(
         args.backend, circuit, placement, graph, cancel_pairs=args.cancel_pairs
     )
     if args.out:
         _write_json(args.out, sched.to_json())
     if args.extended_out:
         _write_json(args.extended_out, extended.to_json())
-    print(f"backend={args.backend} e_depth={e_depth} e_count={e_count}")
+    print(f"backend={args.backend} e_depth={sched.horizon} e_count={extended.e_count}")
     return 0
 
 
 def cmd_verify(args) -> int:
     extended = _load(args.extended, ExtendedCircuit.from_json)
     logical = _load(args.logical, Circuit.from_json)
-    bad = validate_layers(logical)
-    if bad is not None:
-        raise ValueError(f"{args.logical}: layer {bad.layer}: {bad.reason}")
+    try:
+        validate_layers(logical)
+    except ValueError as exc:
+        raise ValueError(f"{args.logical}: {exc}") from None
     rng = random.Random(args.seed)
     try:
         ok = channel_equivalent(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, fanin, validate
+from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, fanin, spokes_by_proc, validate
 from .flow import schedule_json
 from .netmodel import EXACT_MAX_TERMINALS, QuotientGraph
 from .telegate import CircuitExpander, ExtendedCircuit, _orient
@@ -298,31 +298,15 @@ def _pack_rounds(trees: list[frozenset[Edge]], graph: QuotientGraph, first_round
     return rounds
 
 
-def compile_fanin_circuit(
-    circuit: Circuit, placement: Placement, graph: QuotientGraph
-) -> tuple[ExtendedCircuit, TreeSchedule]:
-    """Compile a circuit of fan-in/fan-out layers via entanglement trees.
-
-    One entanglement round per layer (split into sub-rounds only when edge
-    capacities force it); per gate a Steiner tree over the involved
-    processors is expanded, so the total link count is the sum of the tree
-    weights.  Fan-outs run as basis-exchanged fan-ins.
-    """
-    for li, layer in enumerate(circuit.layers):
-        for g in layer:
-            if g.kind not in FAN_KINDS:
-                raise ValueError(f"layer {li} holds non-fan gate {g.kind!r}")
-    return compile_circuit_steiner(circuit, placement, graph)
-
-
 def compile_circuit_steiner(
     circuit: Circuit, placement: Placement, graph: QuotientGraph
 ) -> tuple[ExtendedCircuit, TreeSchedule]:
     """Tree-based backend for general circuits.
 
     Two-qubit gates are single-target fan-ins (their tree is a shortest
-    path); fan gates get full Steiner trees; single-qubit gates, preparations
-    and measurements pass through locally.  Each layer's trees are packed
+    path); fan gates get full Steiner trees, and fan-outs run as
+    basis-exchanged fan-ins; single-qubit gates, preparations and
+    measurements pass through locally.  Each layer's trees are packed
     into rounds after the previous layer's.  Raises ValueError on a
     malformed input (see ``circuit.validate``), and InvalidPathError when a
     tree is not a tree of lattice edges joining its gate's processors.
@@ -338,7 +322,7 @@ def compile_circuit_steiner(
             if g.kind not in TWO_QUBIT_KINDS | FAN_KINDS:
                 continue
             hub_proc = placement.proc(g.hub)
-            procs = tuple(sorted({placement.proc(q) for q in g.spokes} - {hub_proc}))
+            procs = tuple(sorted(spokes_by_proc(g, placement).keys() - {hub_proc}))
             if not procs:
                 continue  # every operand on one processor: a local gate
             tree = steiner_tree(SteinerInstance(graph, frozenset((hub_proc, *procs))))

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, bell, cx, cz, meas, yhalf
-from .circuit import check_reads, gate_from_json, gate_to_json, json_int, unemitted_bit
+from .circuit import check_reads, gate_from_json, gate_to_json, json_int, spokes_by_proc, unemitted_bit
 from .netmodel import QuotientGraph
 from .pauli import PauliFrame
 from .pushing import FrameNormalizer
@@ -329,9 +329,7 @@ class CircuitExpander:
         mirror = g.kind == "fanout" and kind == "cx"
         if mirror:
             self.builder.emit_mirror_layer(g.qubits)
-        targets_by_proc: dict[int, list[int]] = {}
-        for q in sorted(g.spokes):
-            targets_by_proc.setdefault(self.placement.proc(q), []).append(q)
+        targets_by_proc = spokes_by_proc(g, self.placement)
         self.builder.emit_tree(hub_proc, (), hub, targets_by_proc, kind)  # the local targets
         for hops, procs in sorted(routes, key=lambda r: min(r[1])):
             sub = {p: targets_by_proc[p] for p in procs}

@@ -29,7 +29,6 @@ from distqc.circuit import (
     CommoditySet,
     Gate,
     Placement,
-    QparPredicate,
     _gate_commodities,
     cx,
     cz,
@@ -269,9 +268,7 @@ def random_commodity_set(
     return CommoditySet(tuple(comms), frozenset(prec), frozenset(qpar))
 
 
-def reference_extract_commodities(
-    circuit: Circuit, placement: Placement, qpar_predicate: QparPredicate = default_qpar
-) -> CommoditySet:
+def reference_extract_commodities(circuit: Circuit, placement: Placement) -> CommoditySet:
     """Commodity extraction comparing every pair of commodities, O(k^2)."""
     commodities: list[Commodity] = []
     for li, layer in enumerate(circuit.layers):
@@ -294,7 +291,7 @@ def reference_extract_commodities(
             if cj.gate.is_diagonal() and ci.gate.is_diagonal():
                 continue
             prec.add((j, i))
-            if len(shared) == 1 and qpar_predicate(cj.gate, ci.gate, next(iter(shared))):
+            if len(shared) == 1 and default_qpar(cj.gate, ci.gate, next(iter(shared))):
                 qpar.add(frozenset({j, i}))
     return CommoditySet(tuple(commodities), frozenset(prec), frozenset(qpar))
 

@@ -49,7 +49,6 @@ from distqc.stabsim import (
 from distqc.steiner import (
     SteinerInstance,
     compile_circuit_steiner,
-    compile_fanin_circuit,
     cz_to_dense_fanin,
     steiner_tree_approx,
     steiner_tree_exact,
@@ -132,7 +131,7 @@ def test_criterion_04_hardest_fanin_optimality():
     for n in range(3, 9):
         graph = QuotientGraph(n, tuple((i, i + 1, 1) for i in range(n - 1)))
         circ = gen_hardest_fanin(n)
-        ext, sched = compile_fanin_circuit(circ, Placement.identity(n), graph)
+        ext, sched = compile_circuit_steiner(circ, Placement.identity(n), graph)
         assert ext.e_count == n * (n - 1) // 2
         assert sched.horizon == n - 1
 

@@ -221,7 +221,7 @@ class TestBadInput:
         rc, err = self.compile_rc(capsys, circ, topo)
         assert rc == 2 and "layer 1: bell on qubits [0, 1] is not a logical gate" in err
         rc, err = self.verify_rc(capsys, compiled_cx, circ)
-        assert rc == 2 and "layer 1: bell on qubits [0, 1] is not a logical gate" in err
+        assert rc == 2 and f"{circ}: layer 1: bell on qubits [0, 1] is not a logical gate" in err
 
     def test_verify_extended_gate_out_of_range(self, tmp_path, capsys, compiled_cx):
         doc = json.loads(compiled_cx.read_text())

@@ -320,7 +320,7 @@ class TestMetrics:
     def test_hardest_fanin_lower_bound_via_flow(self):
         # pairwise interaction count is a lower bound on links consumed;
         # the tree backend attains it while the flow backend can only match
-        from distqc.steiner import compile_fanin_circuit
+        from distqc.steiner import compile_circuit_steiner
 
         n = 5
         g = QuotientGraph(n, tuple((i, i + 1, 1) for i in range(n - 1)))
@@ -329,7 +329,7 @@ class TestMetrics:
         assert cs.k == 10
         sched = iterative_greedy(g, cs)
         assert metrics(sched).e_count >= 10
-        ext, _ = compile_fanin_circuit(circ, Placement.identity(n), g)
+        ext, _ = compile_circuit_steiner(circ, Placement.identity(n), g)
         assert ext.e_count == 10 <= metrics(sched).e_count
 
 

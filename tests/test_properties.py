@@ -1,7 +1,8 @@
 """Property tests: random connected capacitated graphs, layered cz/cx/fanin/
 yhalf circuits and placements.  Both backends must give sound schedules,
 outputs that verify against their source, and extended circuits that
-round-trip through JSON unchanged.  The Steiner approximation must return
+round-trip through JSON unchanged; listing a fan gate's spokes in another
+order must not change a compile.  The Steiner approximation must return
 a tree whose leaves are terminals, and the CZ densifier must keep the CZ
 multiset (in at most n - 1 layers when it has no repeated pair).
 `XorExpr`, and the frame normalizer's rewrite of its masks, must agree with
@@ -25,7 +26,9 @@ from distqc.circuit import (
     Placement,
     cx,
     cz,
+    extract_commodities,
     fanin,
+    fanout,
     gate_from_json,
     gate_to_json,
     yhalf,
@@ -139,6 +142,50 @@ def test_steiner_output_has_sound_trees_and_is_equivalent(instance):
     ext, sched = compile_circuit_steiner(circ, placement, graph)
     assert tree_problems(sched, circ, placement, graph) == []
     assert_verifies_and_round_trips(ext, circ)
+
+
+@st.composite
+def fan_instances(draw):
+    """A graph, a placement, and a fanin or fanout in either basis with a
+    spoke off its hub's processor, between two layers on the same register;
+    returns the circuit built with the fan gate's spokes in one order and
+    the circuit built with them reversed."""
+    nodes = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    graph = random_connected_graph(random.Random(seed), nodes, max_cap=draw(st.integers(1, 2)))
+    n = draw(st.integers(3, 7))
+    procs = draw(st.lists(st.integers(0, nodes - 1), min_size=n, max_size=n))
+    hub, *spokes = draw(st.permutations(range(n)))[: draw(st.integers(3, n))]
+    if all(procs[q] == procs[hub] for q in spokes):
+        procs[spokes[0]] = (procs[hub] + 1) % nodes
+    make = fanin if draw(st.sampled_from(sorted(FAN_KINDS))) == "fanin" else fanout
+    basis = draw(st.sampled_from("XZ"))
+    before, after = draw(layers(n)), draw(layers(n))
+    circuits = [
+        Circuit.from_layers(n, [before, [make(hub, order, basis=basis)], after])
+        for order in (spokes, spokes[::-1])
+    ]
+    return graph, Placement(tuple(procs)), circuits
+
+
+def compile_outputs(circ, placement, graph):
+    """Everything a compile derives from a gate's processor split; the
+    extended gates as a multiset, since a fanout's basis-exchange layer
+    follows the listed operand order."""
+    cs = extract_commodities(circ, placement)
+    out = [[(c.source, c.target, c.target_qubits) for c in cs.commodities], cs.prec, cs.qpar]
+    flow_ext, flow_sched, _ = compile_circuit_flow(circ, placement, graph, "greedy")
+    tree_ext, tree_sched = compile_circuit_steiner(circ, placement, graph)
+    for ext, sched in ((flow_ext, flow_sched), (tree_ext, tree_sched)):
+        out += [sched.to_json(), ext.frame, Counter(ext.gates)]
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(fan_instances())
+def test_spoke_order_does_not_change_a_compile(instance):
+    graph, placement, (listed, reversed_) = instance
+    assert compile_outputs(listed, placement, graph) == compile_outputs(reversed_, placement, graph)
 
 
 # -- Steiner approximation and CZ densifier ---------------------------------------

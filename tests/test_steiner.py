@@ -18,7 +18,6 @@ from distqc.stabsim import (
 from distqc.steiner import (
     SteinerInstance,
     compile_circuit_steiner,
-    compile_fanin_circuit,
     cz_to_dense_fanin,
     steiner_tree_approx,
     steiner_tree_exact,
@@ -251,44 +250,39 @@ class TestHardestFanIn:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_optimal_on_path(self, n):
         circ = gen_hardest_fanin(n)
-        ext, sched = compile_fanin_circuit(circ, Placement.identity(n), path_graph(n))
+        ext, sched = compile_circuit_steiner(circ, Placement.identity(n), path_graph(n))
         assert ext.e_count == n * (n - 1) // 2
         assert sched.horizon == n - 1
 
     def test_n5_channel_equivalence(self):
         n = 5
         circ = gen_hardest_fanin(n)
-        ext, _ = compile_fanin_circuit(circ, Placement.identity(n), path_graph(n))
+        ext, _ = compile_circuit_steiner(circ, Placement.identity(n), path_graph(n))
         assert channel_equivalent(ext, circ, trials=5, branches=5, rng=random.Random(0))
 
     def test_n4_on_star_graph(self):
         # hub at the last node: layer trees weigh 3, 2, 1
         star = QuotientGraph(4, ((0, 3, 1), (1, 3, 1), (2, 3, 1)))
         circ = gen_hardest_fanin(4)
-        ext, sched = compile_fanin_circuit(circ, Placement.identity(4), star)
+        ext, sched = compile_circuit_steiner(circ, Placement.identity(4), star)
         assert ext.e_count == 6
 
     def test_single_adjacent_fanin(self):
         circ = Circuit.from_layers(2, [[fanin(0, [1])]])
-        ext, sched = compile_fanin_circuit(circ, Placement.identity(2), path_graph(2))
+        ext, sched = compile_circuit_steiner(circ, Placement.identity(2), path_graph(2))
         assert ext.e_count == 1 and sched.horizon == 1
 
     def test_colocated_operands_merge_into_one_terminal(self):
         circ = Circuit.from_layers(3, [[fanin(0, [1, 2])]])
         place = Placement((0, 1, 1))
-        ext, sched = compile_fanin_circuit(circ, place, path_graph(2))
+        ext, sched = compile_circuit_steiner(circ, place, path_graph(2))
         assert ext.e_count == 1
         assert channel_equivalent(ext, circ, trials=5, branches=5, rng=random.Random(1))
-
-    def test_rejects_non_fan_layers(self):
-        circ = Circuit.from_layers(2, [[cz(0, 1)]])
-        with pytest.raises(ValueError, match="non-fan"):
-            compile_fanin_circuit(circ, Placement.identity(2), path_graph(2))
 
     def test_single_gate_spanning_path_is_one_round(self):
         g = path_graph(4)
         circ = Circuit.from_layers(4, [[fanin(0, [3])]])
-        ext, sched = compile_fanin_circuit(circ, Placement.identity(4), g)
+        ext, sched = compile_circuit_steiner(circ, Placement.identity(4), g)
         assert sched.horizon == 1 and ext.e_count == 3
 
     def test_capacity_splits_layer_into_subrounds(self):
@@ -296,7 +290,7 @@ class TestHardestFanIn:
         g = path_graph(4)
         circ = Circuit.from_layers(4, [[fanin(0, [2]), fanin(1, [3])]])
         assert validate_layers(circ) is None
-        ext, sched = compile_fanin_circuit(circ, Placement.identity(4), g)
+        ext, sched = compile_circuit_steiner(circ, Placement.identity(4), g)
         assert sched.horizon == 2
         assert sorted(sched.rounds) == [1, 2]
         assert channel_equivalent(ext, circ, trials=5, branches=5, rng=random.Random(5))
@@ -306,14 +300,14 @@ class TestFanOutCompile:
     def test_fanout_equals_mirrored_fanin(self):
         g = path_graph(3)
         circ = Circuit.from_layers(3, [[fanout(0, [1, 2])]])
-        ext, sched = compile_fanin_circuit(circ, Placement.identity(3), g)
+        ext, sched = compile_circuit_steiner(circ, Placement.identity(3), g)
         assert ext.e_count == 2
         assert channel_equivalent(ext, circ, trials=6, branches=6, rng=random.Random(2))
 
     def test_z_basis_fanout_needs_no_mirror(self):
         g = path_graph(3)
         circ = Circuit.from_layers(3, [[fanout(0, [1, 2], basis="Z")]])
-        ext, _ = compile_fanin_circuit(circ, Placement.identity(3), g)
+        ext, _ = compile_circuit_steiner(circ, Placement.identity(3), g)
         assert not any(gate.kind == "yhalf" for gate in ext.gates)
         assert channel_equivalent(ext, circ, trials=6, branches=6, rng=random.Random(3))
 
