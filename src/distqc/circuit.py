@@ -13,10 +13,11 @@ classical correction layer).
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from functools import cached_property, wraps
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
 from .pauli import XorExpr, set_bits
 
@@ -107,6 +108,33 @@ class Gate(_GateFields):
 
     def is_diagonal(self) -> bool:
         return self.kind == "cz" or (self.kind in FAN_KINDS and self.basis == "Z")
+
+
+_F = TypeVar("_F", bound=Callable)
+
+
+def gc_paused(fn: _F) -> _F:
+    """Run `fn` with the cyclic garbage collector disabled, then restore the
+    caller's state: enabled again only if it was enabled before.
+
+    A compile builds tens of thousands of `Gate` tuples, and CPython never
+    untracks a tuple subclass, so each collection during a compile rescans
+    them all.  No compile leaves a reference cycle, so the pause frees
+    nothing later than a running collector would.  The state is
+    process-global: another thread sees the collector paused as well.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused  # type: ignore[return-value]
 
 
 def cz(a: int, b: int) -> Gate:

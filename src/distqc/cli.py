@@ -29,10 +29,16 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _load(path: str, parse):
-    """Parse one input file; a missing key, a value of the wrong type or a
-    malformed value becomes a ValueError that names the file."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Parse one input file; an unreadable file, malformed JSON, a missing
+    key, a value of the wrong type or a malformed value becomes a ValueError
+    that names the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON: {exc}") from None
     try:
         return parse(doc)
     except KeyError as exc:

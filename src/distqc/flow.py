@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable
 
-from .circuit import CommoditySet, extract_commodities, validate
+from .circuit import CommoditySet, extract_commodities, gc_paused, validate
 from .netmodel import QuotientGraph, trace_path
 from .telegate import CircuitExpander
 
@@ -302,7 +302,13 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     whole residual component R of its source, and R contains the source's
     component for the rest of the step: a later commodity with its source in
     R and its target outside R fails without a search.  Both rules skip only
-    searches that would fail, so the schedule is unchanged.  Always
+    searches that would fail, so the schedule is unchanged.  A third rule,
+    checked after them, skips searches that would succeed: when every link
+    of the memoised unfiltered shortest path still has residual capacity,
+    that path is routed.  The residual search returns the lexicographically
+    least shortest path (see ``QuotientGraph.bfs``), and lowering capacities
+    only removes paths, so the surviving unfiltered path is still the
+    shortest and the least, the very path the search would return.  Always
     terminates on an acyclic order relation: a fresh step offers full
     capacities and a connected graph, so some ready commodity routes.
     """
@@ -329,15 +335,19 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
                 if seen is not None and c.target not in seen:
                     deferred.append(i)
                     continue
-                dist, parent = q.bfs(c.source, residual, stop=c.target)
-                if c.target not in parent:
-                    for v in dist:
-                        component[v] = dist
-                    deferred.append(i)
-                    continue
-                path = trace_path(parent, c.target)
-                for u, v in zip(path, path[1:]):
-                    residual[(min(u, v), max(u, v))] -= 1
+                path = q.shortest_path(c.source, c.target)
+                links = [(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])]
+                if not all(residual[e] for e in links):  # counts never drop below 0
+                    dist, parent = q.bfs(c.source, residual, stop=c.target)
+                    if c.target not in parent:
+                        for v in dist:
+                            component[v] = dist
+                        deferred.append(i)
+                        continue
+                    path = trace_path(parent, c.target)
+                    links = [(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])]
+                for e in links:
+                    residual[e] -= 1
                 steps[i] = tau
                 paths[i] = path
                 landed.append(i)
@@ -358,6 +368,7 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     return FlowSchedule(max(steps, default=0), tuple(steps), tuple(paths))
 
 
+@gc_paused
 def compile_circuit_flow(
     circuit,
     placement,
@@ -369,7 +380,9 @@ def compile_circuit_flow(
     mode "greedy" runs the iterative compiler; "exact" runs the quickest-flow
     binary search over the exact sub-solver (small instances only).  Raises
     ValueError on a malformed input (see ``circuit.validate``).  Returns
-    (extended circuit, schedule, commodity set).
+    (extended circuit, schedule, commodity set).  The cyclic collector is
+    paused for the whole compile (``circuit.gc_paused``); that state is
+    process-global, so another thread sees it paused too.
     """
     validate(circuit, placement, q)
     cs = extract_commodities(circuit, placement)

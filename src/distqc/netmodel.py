@@ -92,10 +92,12 @@ class QuotientGraph:
         """Hop distances and parents (the source's parent is -1) from `s`.
 
         Neighbours are visited in ascending order and every node keeps its
-        first-discovered parent.  With `usable`, an edge (u, v), u < v, is
-        crossed only if its entry is at least 1.  The search returns as soon
-        as it discovers `stop`.  Unfiltered searches run in full once per
-        source and are memoised; callers must not mutate the returned dicts.
+        first-discovered parent, so the parents trace, to every node, the
+        lexicographically least of its shortest paths, compared node by node
+        from `s`.  With `usable`, an edge (u, v), u < v, is crossed only if
+        its entry is at least 1.  The search returns as soon as it discovers
+        `stop`.  Unfiltered searches run in full once per source and are
+        memoised; callers must not mutate the returned dicts.
         """
         if s not in self.adjacency:
             raise ValueError(f"node {s} not in graph of {self.node_count} nodes")

@@ -15,7 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, fanin, spokes_by_proc, validate
+from .circuit import (
+    FAN_KINDS,
+    TWO_QUBIT_KINDS,
+    Circuit,
+    Gate,
+    Placement,
+    fanin,
+    gc_paused,
+    spokes_by_proc,
+    validate,
+)
 from .flow import schedule_json
 from .netmodel import EXACT_MAX_TERMINALS, QuotientGraph
 from .telegate import CircuitExpander, ExtendedCircuit, _orient
@@ -298,6 +308,7 @@ def _pack_rounds(trees: list[frozenset[Edge]], graph: QuotientGraph, first_round
     return rounds
 
 
+@gc_paused
 def compile_circuit_steiner(
     circuit: Circuit, placement: Placement, graph: QuotientGraph
 ) -> tuple[ExtendedCircuit, TreeSchedule]:
@@ -309,7 +320,9 @@ def compile_circuit_steiner(
     measurements pass through locally.  Each layer's trees are packed
     into rounds after the previous layer's.  Raises ValueError on a
     malformed input (see ``circuit.validate``), and InvalidPathError when a
-    tree is not a tree of lattice edges joining its gate's processors.
+    tree is not a tree of lattice edges joining its gate's processors.  The
+    cyclic collector is paused for the whole compile (``circuit.gc_paused``);
+    that state is process-global, so another thread sees it paused too.
     """
     validate(circuit, placement, graph)
     rounds: list[int] = []

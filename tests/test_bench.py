@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -11,8 +12,9 @@ from distqc.bench import (
     run_bench,
 )
 from distqc.circuit import Placement, extract_commodities, validate_layers
-from distqc.flow import metrics
-from distqc.netmodel import gen_hex
+from distqc.flow import compile_circuit_flow, metrics
+from distqc.netmodel import gen_hex, gen_rect_low
+from distqc.steiner import compile_circuit_steiner
 
 
 class TestRandomCzGenerator:
@@ -127,3 +129,41 @@ class TestCompileBackend:
             ext, sched = compile_backend(backend, circ, Placement.identity(graph.node_count), graph)
             m = metrics(sched)
             assert (sched.horizon, ext.e_count) == (m.e_depth, m.e_count)
+
+    @pytest.mark.parametrize(
+        "backend,size", [("flow-greedy", 64), ("flow-exact", 6), ("steiner", 64)]
+    )
+    def test_leaves_no_cyclic_garbage(self, backend, size):
+        # pausing the collector in the compile entries holds no memory only
+        # while no compile leaves a reference cycle; steiner densifies here
+        graph = gen_rect_low(2)
+        placement = Placement.identity(graph.node_count)
+        circ = gen_random_cz_circuit(graph.node_count, size, random.Random(3))
+        compile_backend(backend, circ, placement, graph)  # fills the graph's caches
+        gc.collect()
+        gc.disable()
+        try:
+            ext, sched = compile_backend(backend, circ, placement, graph)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert ext.e_count > 0 and sched.horizon > 0
+
+    @pytest.mark.parametrize("entry", [compile_circuit_flow, compile_circuit_steiner])
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("processor", [0, 99])  # 99 is outside the graph
+    def test_compile_restores_collector_state(self, entry, enabled, processor):
+        graph = gen_rect_low(2)
+        circ = gen_random_cz_circuit(graph.node_count, 8, random.Random(4))
+        placement = Placement((processor,) + tuple(range(1, graph.node_count)))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if processor < graph.node_count:
+                entry(circ, placement, graph)
+            else:
+                with pytest.raises(ValueError, match="processor 99"):
+                    entry(circ, placement, graph)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()

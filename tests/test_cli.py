@@ -181,6 +181,24 @@ class TestBadInput:
         assert rc == 2 and err.count("\n") == 1
         assert err.startswith(f"distqc verify: error: {circ}: missing key")
 
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    @pytest.mark.parametrize(
+        "content,message",
+        [(None, "No such file or directory"), ("{\"qubits\": 2,", "malformed JSON: Expecting")],
+    )
+    def test_unreadable_input_file(self, tmp_path, capsys, topo, circ, command, content, message):
+        bad = tmp_path / "in.json"
+        if content is not None:
+            bad.write_text(content)
+        if command == "compile":
+            argv = ["compile", "--circuit", str(bad), "--topology", str(topo), "--backend", "flow-greedy"]
+        else:
+            argv = ["verify", "--extended", str(bad), "--logical", str(circ)]
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1
+        assert err.startswith(f"distqc {command}: error: {bad}: {message}")
+
     @pytest.fixture
     def compiled_cx(self, tmp_path, topo):
         logical = tmp_path / "cx.json"

@@ -116,8 +116,9 @@ def test_strict_and_quasi_parallel_predecessor():
 
 
 def test_failed_searches_not_repeated(monkeypatch):
-    # path 0-1-2 of capacity 1; step 1 routes 0->1 and 1->2, after which
-    # 0->2 fails (component {0}) and the second 0->2 fails with no search
+    # path 0-1-2 of capacity 1; step 1 routes 0->1 and 1->2 on their free
+    # shortest paths with no search, after which 0->2 fails (component {0})
+    # and the second 0->2 fails with no search
     graph = QuotientGraph(3, ((0, 1, 1), (1, 2, 1)))
     comms = tuple(
         Commodity(s, t, 0, (1,), cz(0, 1)) for s, t in ((0, 2), (0, 1), (1, 2), (0, 2))
@@ -134,8 +135,10 @@ def test_failed_searches_not_repeated(monkeypatch):
     monkeypatch.setattr(QuotientGraph, "bfs", counting_bfs)
     sched = iterative_greedy(graph, cs)
     assert sched.steps == (2, 1, 1, 3)
-    # step 1: three searches; step 2: 0->2 routes, the second 0->2 fails; step 3: one
-    assert len(searches) == 6
+    # step 1: one failed search; step 2: 0->2 routes with no search, the
+    # second 0->2 fails; step 3: it routes with no search.  Without the
+    # component rule the second 0->2 of step 1 would search too: 3.
+    assert len(searches) == 2
     searches.clear()
     assert reference_iterative_greedy(graph, cs) == sched
     assert len(searches) == 10

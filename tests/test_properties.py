@@ -2,7 +2,9 @@
 yhalf circuits and placements.  Both backends must give sound schedules,
 outputs that verify against their source, and extended circuits that
 round-trip through JSON unchanged; listing a fan gate's spokes in another
-order must not change a compile.  The Steiner approximation must return
+order must not change a compile.  On a lattice with random residual
+capacities, a residual search whose unfiltered shortest path is still free
+must return that path.  The Steiner approximation must return
 a tree whose leaves are terminals, and the CZ densifier must keep the CZ
 multiset (in at most n - 1 layers when it has no repeated pair).
 `XorExpr`, and the frame normalizer's rewrite of its masks, must agree with
@@ -34,6 +36,7 @@ from distqc.circuit import (
     yhalf,
 )
 from distqc.flow import check_feasible, compile_circuit_flow
+from distqc.netmodel import GENERATORS
 from distqc.pauli import ONE, XorExpr
 from distqc.pushing import FrameNormalizer
 from distqc.stabsim import channel_equivalent
@@ -186,6 +189,37 @@ def compile_outputs(circ, placement, graph):
 def test_spoke_order_does_not_change_a_compile(instance):
     graph, placement, (listed, reversed_) = instance
     assert compile_outputs(listed, placement, graph) == compile_outputs(reversed_, placement, graph)
+
+
+# -- Residual search -----------------------------------------------------------------
+
+
+@st.composite
+def residual_queries(draw):
+    """A small paper lattice, a residual map of 0-2 per link, two distinct
+    nodes, and whether to free the links of their unfiltered shortest path."""
+    graph = GENERATORS[draw(st.sampled_from(sorted(GENERATORS)))](draw(st.integers(1, 4)))
+    residual = {e: draw(st.integers(0, 2)) for e in sorted(graph.capacity)}
+    s = draw(st.integers(0, graph.node_count - 1))
+    t = draw(st.integers(0, graph.node_count - 1).filter(lambda t: t != s))
+    if draw(st.booleans()):
+        path = graph.shortest_path(s, t)
+        for u, v in zip(path, path[1:]):
+            residual[min(u, v), max(u, v)] = max(residual[min(u, v), max(u, v)], 1)
+    return graph, residual, s, t
+
+
+@PROPERTY_SETTINGS
+@given(residual_queries())
+def test_free_shortest_path_is_the_residual_search_result(query):
+    # iterative_greedy routes the free unfiltered path without a search
+    graph, residual, s, t = query
+    path = graph.shortest_path(s, t)
+    found = graph.shortest_path(s, t, residual)
+    if all(residual[min(u, v), max(u, v)] >= 1 for u, v in zip(path, path[1:])):
+        assert found == path
+    else:
+        assert found is None or (len(found) >= len(path) and found != path)
 
 
 # -- Steiner approximation and CZ densifier ---------------------------------------
