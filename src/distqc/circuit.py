@@ -277,8 +277,9 @@ def gate_from_json(doc: dict) -> Gate:
 
 
 def validate_layers(circuit: Circuit) -> None:
-    """Check per-layer qubit disjointness, global measurement-bit uniqueness,
-    and that no gate is a `bell`: Bell preparations belong to the expansion.
+    """Check that every gate kind is in GATE_KINDS, per-layer qubit
+    disjointness, global measurement-bit uniqueness, and that no gate is a
+    `bell`: Bell preparations belong to the expansion.
 
     Raises ValueError("layer {i}: {reason}") at the first violation.
     """
@@ -286,6 +287,8 @@ def validate_layers(circuit: Circuit) -> None:
     for li, layer in enumerate(circuit.layers):
         used: set[int] = set()
         for g in layer:
+            if g.kind not in GATE_KINDS:
+                raise ValueError(f"layer {li}: unknown gate kind {g.kind!r}")
             for q in g.qubits:
                 if q in used:
                     raise ValueError(f"layer {li}: qubit {q} used twice in layer")

@@ -90,11 +90,8 @@ def cmd_verify(args) -> int:
         validate_layers(logical)
     except ValueError as exc:
         raise ValueError(f"{args.logical}: {exc}") from None
-    rng = random.Random(args.seed)
     try:
-        ok = channel_equivalent(
-            extended, logical, trials=args.trials, branches=args.branches, rng=rng
-        )
+        ok = channel_equivalent(extended, logical)
     except ResidualEntanglementError as exc:
         print(f"NOT equivalent: {exc}")
         return 1
@@ -158,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--extended", required=True)
     p.add_argument("--logical", required=True)
-    no_effect = "does not change the verdict: the check is exact"
-    p.add_argument("--trials", type=int, default=20, help=f"at least 1; {no_effect}")
-    p.add_argument("--branches", type=int, default=10, help=f"at least 1; {no_effect}")
-    p.add_argument("--seed", type=int, default=0, help=no_effect)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run the benchmark matrix")

@@ -9,7 +9,7 @@ the circuit has finished.
 An expression is one int, ``mask``: bit 0 is the constant and bit ``b + 1``
 is measurement bit ``b`` (logical ``meas`` gates may emit bit 0), the layout
 of the symbolic signs in ``stabsim``.  XOR of two expressions is one int XOR.
-The expansion builder normalizes its frame as it emits gates
+``telegate.CircuitExpander`` normalizes its frame as it emits gates
 (``pushing.FrameNormalizer``), so the textbook protocols' corrections go
 straight into per-qubit masks and never become inline ``pauli`` gates.
 """

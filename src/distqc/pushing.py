@@ -137,7 +137,7 @@ class FrameNormalizer:
             for a, b in pairs:
                 rule(a, b)
         else:
-            raise ValueError(f"normalize_frame cannot handle gate kind {kind!r}")
+            raise ValueError(f"no push rule for gate kind {kind!r}")
         self.gates.append(g)
 
     def finish(self, frame: PauliFrame | None = None) -> tuple[tuple[Gate, ...], PauliFrame]:

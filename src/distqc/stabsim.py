@@ -433,14 +433,9 @@ def channel_equivalent(
     that leaves communication qubits entangled with the data register raises
     ResidualEntanglementError.
 
-    `trials`, `branches` and `rng` do not change the verdict; they are still
-    checked (an rng, at least one trial and one branch) so that callers
-    passing sampling settings keep their contract.
+    `trials`, `branches` and `rng` are ignored: the check samples nothing.
+    They remain only for callers that still pass them (ROADMAP open item 1).
     """
-    if rng is None:
-        raise ValueError("channel_equivalent needs a seeded rng")
-    if trials < 1 or branches < 1:
-        raise ValueError(f"need at least one trial and one branch, got {trials} and {branches}")
     n = logical.num_qubits
     if extended.num_data != n:
         raise ValueError("data register mismatch between circuits")

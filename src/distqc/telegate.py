@@ -3,12 +3,12 @@
 A remote interaction between processors connected by an entanglement path
 (or tree) becomes: Bell preparations on every link, one layer of local
 injection gates, one simultaneous measurement layer, and deferred Pauli
-corrections.  The builder feeds every gate it emits to the pushing rewriter
-as it goes and hands it the textbook protocols' corrections directly, so
-every correction lands in the terminal Pauli frame without ever becoming an
-inline conditioned Pauli gate.  That keeps the quantum part of a fragment at
-depth 3 (preparation, injection, measurement) plus one classical correction
-slot, for any path length.
+corrections.  `CircuitExpander` feeds every gate it emits to the pushing
+rewriter as it goes and hands it the textbook protocols' corrections
+directly, so every correction lands in the terminal Pauli frame without ever
+becoming an inline conditioned Pauli gate.  That keeps the quantum part of a
+fragment at depth 3 (preparation, injection, measurement) plus one classical
+correction slot, for any path length.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, bell, cx, cz, meas, yhalf
-from .circuit import check_reads, gate_from_json, gate_to_json, json_int, spokes_by_proc, unemitted_bit
+from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, bell, cx, cz, fanin, meas
+from .circuit import check_reads, gate_from_json, gate_to_json, json_int, spokes_by_proc
+from .circuit import unemitted_bit, yhalf
 from .netmodel import QuotientGraph
 from .pauli import PauliFrame
 from .pushing import FrameNormalizer
@@ -150,24 +151,128 @@ def _path_hops(path: list[int], source: int, target: int, graph: QuotientGraph |
     return _orient(source, zip(path, path[1:]), (target,), graph)
 
 
-class FragmentBuilder:
-    """Allocates communication qubits and bit ids while emitting gates, and
-    normalizes the Pauli frame as it goes."""
+def _expand_gate(g: Gate, procs: tuple[int, ...], route: Route) -> ExtendedCircuit:
+    """Expand the one-gate circuit `g`, qubit i on processor procs[i], over `route`."""
+    circuit = Circuit(len(procs), ((g,),))
+    return CircuitExpander(circuit, Placement(procs)).expand({(0, g): [route]})
 
-    def __init__(self, num_data: int, first_bit: int = 1):
-        self.num_data = num_data
-        self.next_qubit = num_data
-        self.next_bit = first_bit
+
+def expand_telegate_cx(
+    control_proc: int,
+    target_proc: int,
+    path: list[int],
+    graph: QuotientGraph | None = None,
+) -> ExtendedCircuit:
+    """Remote CX over an entanglement path; data qubits: 0 control, 1 target.
+
+    Consumes one Bell pair per path link.  Corrections land in the frame as
+    Z^(xor of X-basis bits) on the control and X^(xor of Z-basis bits) on the
+    target, matching the two-processor and entanglement-swap protocols.
+    """
+    hops = _path_hops(path, control_proc, target_proc, graph)
+    return _expand_gate(cx(0, 1), (control_proc, target_proc), (hops, (target_proc,)))
+
+
+def expand_telegate_cz(
+    control_proc: int,
+    target_proc: int,
+    path: list[int],
+    graph: QuotientGraph | None = None,
+) -> ExtendedCircuit:
+    """Remote CZ over an entanglement path; both corrections are Z-type."""
+    hops = _path_hops(path, control_proc, target_proc, graph)
+    return _expand_gate(cz(0, 1), (control_proc, target_proc), (hops, (target_proc,)))
+
+
+def expand_fanin_tree(
+    control_proc: int,
+    target_procs: set[int],
+    tree: Iterable[Hop],
+    graph: QuotientGraph | None = None,
+    basis: str = "X",
+) -> ExtendedCircuit:
+    """Fan-in over an entanglement tree spanning control and target processors.
+
+    Data qubits: 0 is the control; targets follow in ascending processor
+    order.  E-count equals the number of tree edges.
+    """
+    hops = _orient(control_proc, tree, target_procs, graph)
+    targets = sorted(set(target_procs))
+    g = fanin(0, range(1, 1 + len(targets)), basis)
+    # a target on the control's processor interacts locally, outside the route
+    served = tuple(p for p in targets if p != control_proc)
+    return _expand_gate(g, (control_proc, *targets), (hops, served))
+
+
+class CircuitExpander:
+    """Expands a whole placed circuit, gate by gate, into one extended circuit.
+
+    Local gates pass through; remote interactions are handed routes (paths or
+    trees on the quotient graph) by the scheduling backend.  Fan-outs are
+    compiled as fan-ins conjugated by basis-exchange layers.  Each emitted
+    gate goes straight to a `FrameNormalizer`, which moves every correction
+    into the frame.
+    """
+
+    def __init__(self, circuit: Circuit, placement: Placement):
+        self.circuit = circuit
+        self.placement = placement
+        self.next_qubit = circuit.num_qubits
+        # expansion bits follow the logical circuit's own measurement bits
+        last_bit = max((g.bit for g in circuit.all_gates() if g.kind == "meas"), default=0)
+        self.next_bit = last_bit + 1
         self.normalizer = FrameNormalizer()
 
-    def emit(self, g: Gate) -> None:
-        self.normalizer.feed(g)
+    def expand(self, routes: dict[tuple[int, Gate], list[Route]]) -> ExtendedCircuit:
+        """Emit every layer in its gate order; the frame is normalized as it goes.
+
+        `routes[(layer index, gate)]` holds the routes of a gate the backend
+        scheduled as remote (see `emit_remote`); every other gate is local.
+        """
+        feed = self.normalizer.feed
+        for li, layer in enumerate(self.circuit.layers):
+            for g in layer:
+                if (li, g) in routes:
+                    self.emit_remote(g, routes[(li, g)])
+                else:
+                    feed(g)
+        gates, frame = self.normalizer.finish()
+        return ExtendedCircuit(self.circuit.num_qubits, self.next_qubit, gates, frame)
 
     def correct(self, q: int, axis: str, bit: int) -> None:
         """Apply ``axis^b`` to qubit q, b the outcome of an expansion
         measurement.  Each such bit feeds exactly one correction, so its
         flip is consumed here."""
         self.normalizer.add(q, axis, (2 << bit) ^ self.normalizer.flips.pop(bit, 0))
+
+    def emit_remote(self, g: Gate, routes: list[Route]) -> None:
+        """Expand one two-qubit or fan gate over the given routes.
+
+        A route is `(hops, procs)`: the hops of a path or tree in the order
+        `emit_tree` takes (from the processor of the gate's first operand),
+        and the target processors it serves.  The operands on the first
+        operand's processor interact locally; then each route is expanded
+        once, in order of its lowest target processor (a route serving none
+        goes first).
+        """
+        if g.kind in TWO_QUBIT_KINDS:
+            kind = g.kind
+        elif g.kind in FAN_KINDS:
+            kind = "cz" if g.basis == "Z" else "cx"
+        else:
+            raise ValueError(f"gate kind {g.kind!r} is not a remote interaction")
+        hub = g.hub
+        hub_proc = self.placement.proc(hub)
+        mirror = g.kind == "fanout" and kind == "cx"
+        if mirror:
+            self.emit_mirror_layer(g.qubits)
+        targets_by_proc = spokes_by_proc(g, self.placement)
+        self.emit_tree(hub_proc, (), hub, targets_by_proc, kind)  # the local targets
+        for hops, procs in sorted(routes, key=lambda r: min(r[1], default=-1)):
+            sub = {p: targets_by_proc[p] for p in procs}
+            self.emit_tree(hub_proc, hops, hub, sub, kind)
+        if mirror:
+            self.emit_mirror_layer(g.qubits)
 
     def emit_tree(
         self,
@@ -218,121 +323,4 @@ class FragmentBuilder:
         up to global phase; the Z constants end up in the frame."""
         for q in qubits:
             self.normalizer.add(q, "Z", 1)
-            self.emit(yhalf(q))
-
-    def build(self) -> ExtendedCircuit:
-        gates, frame = self.normalizer.finish()
-        return ExtendedCircuit(self.num_data, self.next_qubit, gates, frame)
-
-
-def _expand_telegate(
-    kind: str, control_proc: int, target_proc: int, path: list[int], graph: QuotientGraph | None
-) -> ExtendedCircuit:
-    hops = _path_hops(path, control_proc, target_proc, graph)
-    b = FragmentBuilder(num_data=2)
-    b.emit_tree(control_proc, hops, 0, {target_proc: [1]}, kind)
-    return b.build()
-
-
-def expand_telegate_cx(
-    control_proc: int,
-    target_proc: int,
-    path: list[int],
-    graph: QuotientGraph | None = None,
-) -> ExtendedCircuit:
-    """Remote CX over an entanglement path; data qubits: 0 control, 1 target.
-
-    Consumes one Bell pair per path link.  Corrections land in the frame as
-    Z^(xor of X-basis bits) on the control and X^(xor of Z-basis bits) on the
-    target, matching the two-processor and entanglement-swap protocols.
-    """
-    return _expand_telegate("cx", control_proc, target_proc, path, graph)
-
-
-def expand_telegate_cz(
-    control_proc: int,
-    target_proc: int,
-    path: list[int],
-    graph: QuotientGraph | None = None,
-) -> ExtendedCircuit:
-    """Remote CZ over an entanglement path; both corrections are Z-type."""
-    return _expand_telegate("cz", control_proc, target_proc, path, graph)
-
-
-def expand_fanin_tree(
-    control_proc: int,
-    target_procs: set[int],
-    tree: Iterable[Hop],
-    graph: QuotientGraph | None = None,
-    basis: str = "X",
-) -> ExtendedCircuit:
-    """Fan-in over an entanglement tree spanning control and target processors.
-
-    Data qubits: 0 is the control; targets follow in ascending processor
-    order.  E-count equals the number of tree edges.
-    """
-    hops = _orient(control_proc, tree, target_procs, graph)
-    targets = sorted(set(target_procs))
-    targets_by_proc = {p: [1 + i] for i, p in enumerate(targets)}
-    b = FragmentBuilder(num_data=1 + len(targets))
-    b.emit_tree(control_proc, hops, 0, targets_by_proc, "cx" if basis == "X" else "cz")
-    return b.build()
-
-
-class CircuitExpander:
-    """Expands a whole placed circuit, gate by gate, into one extended circuit.
-
-    Local gates pass through; remote interactions are handed routes (paths or
-    trees on the quotient graph) by the scheduling backend.  Fan-outs are
-    compiled as fan-ins conjugated by basis-exchange layers.  The builder
-    moves every correction into the frame as the gates are emitted.
-    """
-
-    def __init__(self, circuit: Circuit, placement):
-        self.circuit = circuit
-        self.placement = placement
-        # expansion bits follow the logical circuit's own measurement bits
-        last_bit = max((g.bit for g in circuit.all_gates() if g.kind == "meas"), default=0)
-        self.builder = FragmentBuilder(circuit.num_qubits, first_bit=last_bit + 1)
-
-    def expand(self, routes: dict[tuple[int, Gate], list[Route]]) -> ExtendedCircuit:
-        """Emit every layer in its gate order; the frame is normalized as it goes.
-
-        `routes[(layer index, gate)]` holds the routes of a gate the backend
-        scheduled as remote (see `emit_remote`); every other gate is local.
-        """
-        for li, layer in enumerate(self.circuit.layers):
-            for g in layer:
-                if (li, g) in routes:
-                    self.emit_remote(g, routes[(li, g)])
-                else:
-                    self.builder.emit(g)
-        return self.builder.build()
-
-    def emit_remote(self, g: Gate, routes: list[Route]) -> None:
-        """Expand one two-qubit or fan gate over the given routes.
-
-        A route is `(hops, procs)`: the hops of a path or tree in the order
-        `emit_tree` takes (from the processor of the gate's first operand),
-        and the target processors it serves.  The operands on the first
-        operand's processor interact locally; then each route is expanded
-        once, in order of its lowest target processor.
-        """
-        if g.kind in TWO_QUBIT_KINDS:
-            kind = g.kind
-        elif g.kind in FAN_KINDS:
-            kind = "cz" if g.basis == "Z" else "cx"
-        else:
-            raise ValueError(f"gate kind {g.kind!r} is not a remote interaction")
-        hub = g.hub
-        hub_proc = self.placement.proc(hub)
-        mirror = g.kind == "fanout" and kind == "cx"
-        if mirror:
-            self.builder.emit_mirror_layer(g.qubits)
-        targets_by_proc = spokes_by_proc(g, self.placement)
-        self.builder.emit_tree(hub_proc, (), hub, targets_by_proc, kind)  # the local targets
-        for hops, procs in sorted(routes, key=lambda r: min(r[1])):
-            sub = {p: targets_by_proc[p] for p in procs}
-            self.builder.emit_tree(hub_proc, hops, hub, sub, kind)
-        if mirror:
-            self.builder.emit_mirror_layer(g.qubits)
+            self.normalizer.feed(yhalf(q))

@@ -121,6 +121,13 @@ class TestValidate:
             with pytest.raises(ValueError, match=msg):
                 compile_(circ, Placement.identity(3), gen_rect_low(2))
 
+    @pytest.mark.parametrize("compile_", [compile_circuit_flow, compile_circuit_steiner])
+    def test_unknown_gate_kind_rejected(self, compile_):
+        # a remote swap would otherwise fail deep in the expansion's push rules
+        circ = Circuit.from_layers(4, [[cz(1, 2)], [Gate("swap", (0, 3))]])
+        with pytest.raises(ValueError, match=r"^layer 1: unknown gate kind 'swap'$"):
+            compile_(circ, Placement.identity(4), gen_rect_low(2))
+
 
 class TestExtractCommodities:
     def test_cz_only_prec_empty(self):

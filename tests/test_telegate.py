@@ -136,6 +136,8 @@ class TestFanInTree:
         tele = expand_telegate_cx(0, 1, [0, 1])
         assert frag.gates == tele.gates
         assert frag.frame.to_json() == tele.frame.to_json()
+        # an empty basis is the X default, as everywhere in the IR
+        assert expand_fanin_tree(0, {1}, {(0, 1)}, basis="").gates == tele.gates
 
     def test_star_four_leaves(self):
         frag = expand_fanin_tree(0, {1, 2, 3, 4}, {(0, i) for i in range(1, 5)})
@@ -149,6 +151,16 @@ class TestFanInTree:
         assert frag.e_count == 4
         logical = Circuit.from_layers(4, [[fanin(0, [1, 2, 3])]])
         assert channel_equivalent(frag, logical, trials=6, branches=6, rng=random.Random(3))
+
+    @pytest.mark.parametrize("basis", ["X", "Z"])
+    def test_target_on_control_processor(self, basis):
+        # processor 1 holds the control and the first target, which
+        # interacts locally; the tree serves processors 2 and 3 only
+        frag = expand_fanin_tree(1, {1, 2, 3}, {(1, 2), (2, 3)}, basis=basis)
+        assert frag.e_count == 2
+        logical = Circuit.from_layers(4, [[fanin(0, [1, 2, 3], basis=basis)]])
+        assert channel_equivalent(frag, logical)
+        assert not channel_equivalent(frag, logical, drop_frame=True)
 
     def test_non_spanning_tree_rejected(self):
         line = QuotientGraph(3, ((0, 1, 1), (0, 2, 1)))
