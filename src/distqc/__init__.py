@@ -15,7 +15,6 @@ from .circuit import (
     Gate,
     Placement,
     extract_commodities,
-    validate_layers,
 )
 from .flow import (
     FlowSchedule,

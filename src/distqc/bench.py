@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, fields
 from itertools import product
 
-from .circuit import Circuit, Placement, cz, fanin, validate
+from .circuit import Circuit, Placement, cz, fanin
 from .flow import compile_circuit_flow
 from .netmodel import GENERATORS, QuotientGraph
 from .steiner import compile_circuit_steiner, cz_to_dense_fanin
@@ -107,7 +107,7 @@ def compile_backend(
     graph: QuotientGraph,
     cancel_pairs: bool = False,
 ):
-    """Run one backend (it validates the input); returns (extended, schedule),
+    """Run one backend (it checks the placement); returns (extended, schedule),
     whose E-count is `extended.e_count` and E-depth `schedule.horizon`.
 
     Steiner first densifies a non-empty CZ-only circuit into fan-in layers
@@ -118,7 +118,6 @@ def compile_backend(
     elif backend == "steiner":
         source = circuit
         if circuit.all_gates() and all(g.kind == "cz" for g in circuit.all_gates()):
-            validate(circuit, placement, graph)  # densifying drops the layers it checks
             source = cz_to_dense_fanin(circuit, cancel_pairs=cancel_pairs).to_circuit()
         ext, sched = compile_circuit_steiner(source, placement, graph)
     else:

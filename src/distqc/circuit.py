@@ -1,14 +1,14 @@
 """Layered circuit IR, qubit placement, and commodity extraction.
 
-A circuit is an ordered list of layers; each layer is a set of gates acting
-on pairwise-disjoint qubits.  Non-local two-qubit interactions (the ones
-whose operands sit on different processors under a given placement) become
-*commodities*: routing demands (source processor, target processor) that the
-scheduling backends consume.  Alongside the commodities we build two
-relations: the order relation ``prec`` (which commodity must logically run
-before which) and the quasi-parallel relation ``qpar`` (ordered pairs that
-may nevertheless share a time step because their conflict resolves in the
-classical correction layer).
+A `Circuit` is an ordered list of layers, each a set of gates on disjoint
+qubits; it checks that, each gate (`check_gate`) and its bit reads when
+built.  Remote two-qubit interactions (those whose operands sit on different
+processors under a given placement) become *commodities*: routing demands
+(source processor, target processor) that the scheduling backends consume.
+Alongside them we build the order relation ``prec`` (which commodity must
+logically run before which) and the quasi-parallel relation ``qpar``
+(ordered pairs that may nevertheless share a time step because their
+conflict resolves in the classical correction layer).
 """
 
 from __future__ import annotations
@@ -175,12 +175,19 @@ def bell(a: int, b: int, variant: str = "phi+") -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A layered circuit, well-formed by construction: every build, `from_json`
+    and `dataclasses.replace` too, runs `validate_layers` and `check_reads`."""
+
     num_qubits: int
     layers: tuple[tuple[Gate, ...], ...]
 
+    def __post_init__(self) -> None:
+        validate_layers(self)
+        check_reads(self.layers)
+
     @staticmethod
     def from_layers(num_qubits: int, layers: Iterable[Iterable[Gate]]) -> "Circuit":
-        fixed = tuple(tuple(sorted(layer, key=lambda g: min(g.qubits))) for layer in layers)
+        fixed = tuple(tuple(sorted(layer, key=lambda g: min(g.qubits, default=-1))) for layer in layers)
         return Circuit(num_qubits, fixed)
 
     def all_gates(self) -> list[Gate]:
@@ -239,6 +246,32 @@ GATE_KINDS = {
 }
 
 
+def _named(g: _GateFields) -> str:
+    return f"{g.kind} gate on qubits {list(g.qubits)}"
+
+
+def check_gate(g: _GateFields) -> None:
+    """Reject, with a ValueError, a kind outside GATE_KINDS, a wrong operand
+    count or basis for the kind, a field off its default on a kind not owning
+    it (only a meas emits a bit, only a pauli has a cond, only a bell has a
+    variant), and a variant outside BELL_PAULIS."""
+    if g.kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {g.kind!r}")
+    (count, bases), fan = GATE_KINDS[g.kind], g.kind in FAN_KINDS
+    if len(g.qubits) != count and not (fan and len(g.qubits) > count):
+        more = " or more" if fan else ""
+        raise ValueError(f"{_named(g)} has the wrong number of operands, expected {count}{more}")
+    if g.basis not in bases:
+        expected = " or ".join(b for b in bases if b) or "none"
+        raise ValueError(f"{_named(g)} has basis {g.basis!r}, expected {expected}")
+    for field, owner in (("bit", "meas"), ("cond", "pauli"), ("variant", "bell")):
+        if g.kind != owner and getattr(g, field) != _GateFields._field_defaults[field]:
+            raise ValueError(f"{_named(g)} carries a {field}, which only a {owner} may")
+    if g.variant and g.variant not in BELL_PAULIS:
+        expected = ", ".join(BELL_PAULIS)
+        raise ValueError(f"{_named(g)} has variant {g.variant!r}, expected one of {expected}")
+
+
 def json_int(value, what: str) -> int:
     """`value` if it is a non-negative JSON integer; anything else, a float
     or a boolean too, is a ValueError naming `what`."""
@@ -248,47 +281,31 @@ def json_int(value, what: str) -> int:
 
 
 def gate_from_json(doc: dict) -> Gate:
-    """Read one gate, rejecting an unknown kind, a wrong operand count, and
-    a qubit, bit, basis or Bell variant the simulator and the compiler
-    would misread."""
+    """Read one gate: its kind a known string, its qubits and bit JSON
+    integers, its cond a token list; `check_gate` then rejects what the
+    simulator and the compiler would misread."""
     kind = doc["kind"]
     if type(kind) is not str or kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {json.dumps(kind)}")
-    count, bases = GATE_KINDS[kind]
     qubits = tuple(json_int(q, f"{kind} gate qubit") for q in doc["q"])
-    basis, variant = doc.get("basis", ""), doc.get("variant", "")
-    fan = kind in FAN_KINDS
-    if len(qubits) < count or (len(qubits) > count and not fan):
-        raise ValueError(
-            f"{kind} gate on qubits {list(qubits)} has the wrong number of operands, "
-            f"expected {count}{' or more' if fan else ''}"
-        )
-    if basis not in bases:
-        expected = " or ".join(b for b in bases if b) or "none"
-        raise ValueError(f"{kind} gate on qubits {list(qubits)} has basis {basis!r}, expected {expected}")
-    if kind == "bell" and variant and variant not in BELL_PAULIS:
-        raise ValueError(
-            f"bell gate on qubits {list(qubits)} has variant {variant!r}, "
-            f"expected one of {', '.join(BELL_PAULIS)}"
-        )
     bit = json_int(doc["bit"], f"{kind} gate bit") if "bit" in doc else -1
     cond = XorExpr.from_tokens(doc["cond"]) if "cond" in doc else None
-    return Gate(kind=kind, qubits=qubits, basis=basis, bit=bit, cond=cond, variant=variant)
+    fields = _GateFields(kind, qubits, doc.get("basis", ""), bit, cond, doc.get("variant", ""))
+    check_gate(fields)  # before Gate(), so a fan gate's count fault is named as one
+    return Gate._make(fields)
 
 
 def validate_layers(circuit: Circuit) -> None:
-    """Check that every gate kind is in GATE_KINDS, per-layer qubit
-    disjointness, global measurement-bit uniqueness, and that no gate is a
-    `bell`: Bell preparations belong to the expansion.
-
-    Raises ValueError("layer {i}: {reason}") at the first violation.
-    """
-    seen_bits: set[int] = set()
+    """Check every gate (`check_gate`), that each layer's qubits are distinct
+    and in range, and that no gate is a `bell`, which belongs to the
+    expansion.  Raises ValueError("layer {i}: {reason}") at the first fault."""
     for li, layer in enumerate(circuit.layers):
         used: set[int] = set()
         for g in layer:
-            if g.kind not in GATE_KINDS:
-                raise ValueError(f"layer {li}: unknown gate kind {g.kind!r}")
+            try:
+                check_gate(g)
+            except ValueError as exc:
+                raise ValueError(f"layer {li}: {exc}") from None
             for q in g.qubits:
                 if q in used:
                     raise ValueError(f"layer {li}: qubit {q} used twice in layer")
@@ -297,10 +314,6 @@ def validate_layers(circuit: Circuit) -> None:
                 used.add(q)
             if g.kind == "bell":
                 raise ValueError(f"layer {li}: bell on qubits {list(g.qubits)} is not a logical gate")
-            if g.kind == "meas":
-                if g.bit in seen_bits:
-                    raise ValueError(f"layer {li}: bit {g.bit} emitted twice")
-                seen_bits.add(g.bit)
 
 
 def unemitted_bit(expr: XorExpr, emitted: int) -> int | None:
@@ -310,9 +323,9 @@ def unemitted_bit(expr: XorExpr, emitted: int) -> int | None:
 
 
 def check_reads(layers: Iterable[Iterable[Gate]]) -> int:
-    """Reject, with a ValueError, a condition reading a bit that no meas of
-    an earlier layer emits.  Returns the XorExpr mask of every emitted bit,
-    with the constant set."""
+    """Reject, with a ValueError, a meas emitting no bit or a bit emitted
+    before, and a condition reading a bit that no meas of an earlier layer
+    emits.  Returns the XorExpr mask of every emitted bit, constant set."""
     emitted = 1
     for li, layer in enumerate(layers):
         measured = 0
@@ -326,18 +339,16 @@ def check_reads(layers: Iterable[Iterable[Gate]]) -> int:
             if g.kind == "meas":
                 if g.bit < 0:
                     raise ValueError(f"layer {li}: meas on qubit {g.qubits[0]} emits no bit")
+                if (emitted | measured) & (2 << g.bit):
+                    raise ValueError(f"layer {li}: bit {g.bit} emitted twice")
                 measured |= 2 << g.bit
         emitted |= measured
     return emitted
 
 
 def validate(circuit: Circuit, placement: Placement, graph: QuotientGraph) -> None:
-    """Reject a malformed compile input with a ValueError naming the fault:
-    a layer violation, a condition reading a bit that no meas of an earlier
-    layer emits, a placement missing a qubit, or a processor outside the
-    graph."""
-    validate_layers(circuit)
-    check_reads(circuit.layers)
+    """Reject a placement missing a qubit of `circuit` or a processor outside
+    `graph`, with a ValueError naming the fault; a `Circuit` checks itself."""
     procs = placement.qubit_to_processor
     if len(procs) < circuit.num_qubits:
         raise ValueError(f"placement maps {len(procs)} of {circuit.num_qubits} qubits")

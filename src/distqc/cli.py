@@ -16,7 +16,7 @@ from .bench import (
     gen_random_cz_circuit,
     run_bench,
 )
-from .circuit import Circuit, Placement, validate_layers
+from .circuit import Circuit, Placement
 from .netmodel import GENERATORS, QuotientGraph
 from .stabsim import ResidualEntanglementError, channel_equivalent
 from .telegate import ExtendedCircuit
@@ -86,10 +86,6 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     extended = _load(args.extended, ExtendedCircuit.from_json)
     logical = _load(args.logical, Circuit.from_json)
-    try:
-        validate_layers(logical)
-    except ValueError as exc:
-        raise ValueError(f"{args.logical}: {exc}") from None
     try:
         ok = channel_equivalent(extended, logical)
     except ResidualEntanglementError as exc:

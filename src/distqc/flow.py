@@ -379,7 +379,7 @@ def compile_circuit_flow(
 
     mode "greedy" runs the iterative compiler; "exact" runs the quickest-flow
     binary search over the exact sub-solver (small instances only).  Raises
-    ValueError on a malformed input (see ``circuit.validate``).  Returns
+    ValueError on a placement that does not fit (``circuit.validate``).  Returns
     (extended circuit, schedule, commodity set).  The cyclic collector is
     paused for the whole compile (``circuit.gc_paused``); that state is
     process-global, so another thread sees it paused too.

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 _BIT_TOKEN = re.compile(r"b[0-9]+")  # a measurement bit in JSON
-_QUBIT_KEY = re.compile(r"q[0-9]+")  # a frame entry's qubit in JSON
+_QUBIT_KEY = re.compile(r"q(0|[1-9][0-9]*)")  # a frame entry's qubit in JSON
 
 
 def set_bits(mask: int) -> list[int]:
@@ -193,9 +193,9 @@ class PauliFrame:
 
     @staticmethod
     def from_json(doc: dict, num_qubits: int) -> "PauliFrame":
-        """Read ``to_json()`` back, rejecting a key that is not ``q<digits>``,
-        names a qubit outside ``0..num_qubits-1`` or holds anything but x
-        and z token lists."""
+        """Read ``to_json()`` back, rejecting a key that ``to_json`` would not
+        write (``q0``, ``q1``, ...: no leading zero), names a qubit outside
+        ``0..num_qubits-1`` or holds anything but x and z token lists."""
         if not isinstance(doc, dict):
             raise ValueError("frame must map q<qubit> keys to x and z token lists")
         frame = PauliFrame()

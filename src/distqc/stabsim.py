@@ -401,17 +401,6 @@ def run_extended(extended, apply_frame: bool = True) -> StabilizerState:
     return state
 
 
-def _require_unitary(logical) -> None:
-    for li, layer in enumerate(logical.layers):
-        for g in layer:
-            conditioned = g.kind == "pauli" and g.cond is not None and g.cond.mask >> 1
-            if g.kind in ("prep", "meas", "bell") or conditioned:
-                raise ValueError(
-                    f"logical layer {li}: {g.kind} on qubits {list(g.qubits)} is not unitary; "
-                    "only unitary logical circuits can be verified"
-                )
-
-
 def channel_equivalent(
     extended,
     logical,
@@ -428,10 +417,10 @@ def channel_equivalent(
     its frame and the trace over the communication qubits, the circuits are
     equivalent exactly when every remaining sign is constant and the
     canonical tableaus agree.  `drop_frame=True` skips the corrections
-    (negative control).  A logical circuit with a prep, a meas or a
-    conditioned pauli is refused with a ValueError, and an extended circuit
-    that leaves communication qubits entangled with the data register raises
-    ResidualEntanglementError.
+    (negative control).  A logical circuit with a prep or a meas (which a
+    conditioned pauli needs) is refused with a ValueError, and an extended
+    circuit that leaves communication qubits entangled with the data
+    register raises ResidualEntanglementError.
 
     `trials`, `branches` and `rng` are ignored: the check samples nothing.
     They remain only for callers that still pass them (ROADMAP open item 1).
@@ -439,10 +428,15 @@ def channel_equivalent(
     n = logical.num_qubits
     if extended.num_data != n:
         raise ValueError("data register mismatch between circuits")
-    _require_unitary(logical)
     ref = choi_state(n, n)
-    for g in logical.all_gates():
-        ref.apply_gate(g)
+    for li, layer in enumerate(logical.layers):
+        for g in layer:
+            if g.kind in ("prep", "meas"):
+                raise ValueError(
+                    f"logical layer {li}: {g.kind} on qubits {list(g.qubits)} is not unitary; "
+                    "only unitary logical circuits can be verified"
+                )
+            ref.apply_gate(g)
     state = run_extended(extended, apply_frame=not drop_frame)
     m = extended.num_qubits
     try:

@@ -319,7 +319,7 @@ def compile_circuit_steiner(
     basis-exchanged fan-ins; single-qubit gates, preparations and
     measurements pass through locally.  Each layer's trees are packed
     into rounds after the previous layer's.  Raises ValueError on a
-    malformed input (see ``circuit.validate``), and InvalidPathError when a
+    placement that does not fit (``circuit.validate``), and InvalidPathError when a
     tree is not a tree of lattice edges joining its gate's processors.  The
     cyclic collector is paused for the whole compile (``circuit.gc_paused``);
     that state is process-global, so another thread sees it paused too.

@@ -15,11 +15,14 @@ from distqc.circuit import (
     extract_commodities,
     fanin,
     fanout,
+    gate_from_json,
+    gate_to_json,
     meas,
     pauli,
     validate_layers,
     yhalf,
 )
+from distqc.cli import main
 from distqc.flow import compile_circuit_flow, iterative_greedy, metrics
 from distqc.netmodel import gen_rect_low
 from distqc.pauli import XorExpr
@@ -80,9 +83,8 @@ class TestGate:
 
 class TestValidateLayers:
     def test_shared_qubit_in_layer(self):
-        c = Circuit.from_layers(4, [[cz(0, 1), cz(1, 2)]])
         with pytest.raises(ValueError, match=r"^layer 0: qubit 1 used twice in layer$"):
-            validate_layers(c)
+            Circuit.from_layers(4, [[cz(0, 1), cz(1, 2)]])
 
     def test_negative_qubit_out_of_range(self):
         # an index from the end would name a real qubit
@@ -93,9 +95,8 @@ class TestValidateLayers:
         assert validate_layers(Circuit.from_layers(3, [])) is None
 
     def test_duplicate_bit(self):
-        c = Circuit.from_layers(2, [[meas(0, "Z", 7)], [meas(1, "Z", 7)]])
         with pytest.raises(ValueError, match=r"^layer 1: bit 7 emitted twice$"):
-            validate_layers(c)
+            Circuit.from_layers(2, [[meas(0, "Z", 7)], [meas(1, "Z", 7)]])
 
     def test_random_generator_layers_valid(self):
         rng = random.Random(3)
@@ -115,18 +116,54 @@ class TestValidate:
     def test_condition_on_unmeasured_bit_rejected(self, layer):
         # compiled, the frame would read the remote CX's own measurement
         # of the same bit id
-        circ = Circuit.from_layers(3, [[cx(0, 1)], layer])
         msg = "layer 1: pauli on qubit 2 reads bit 1, which no meas of an earlier layer emits"
         for compile_ in (compile_circuit_flow, compile_circuit_steiner):
             with pytest.raises(ValueError, match=msg):
-                compile_(circ, Placement.identity(3), gen_rect_low(2))
+                compile_(Circuit.from_layers(3, [[cx(0, 1)], layer]), Placement.identity(3), gen_rect_low(2))
 
     @pytest.mark.parametrize("compile_", [compile_circuit_flow, compile_circuit_steiner])
     def test_unknown_gate_kind_rejected(self, compile_):
         # a remote swap would otherwise fail deep in the expansion's push rules
-        circ = Circuit.from_layers(4, [[cz(1, 2)], [Gate("swap", (0, 3))]])
         with pytest.raises(ValueError, match=r"^layer 1: unknown gate kind 'swap'$"):
-            compile_(circ, Placement.identity(4), gen_rect_low(2))
+            compile_(
+                Circuit.from_layers(4, [[cz(1, 2)], [Gate("swap", (0, 3))]]),
+                Placement.identity(4),
+                gen_rect_low(2),
+            )
+
+
+MALFORMED_GATES = [
+    (Gate("cx", (0, 1, 2)), "cx gate on qubits [0, 1, 2] has the wrong number of operands, expected 2"),
+    (fanin(0, [1], basis="Y"), "fanin gate on qubits [0, 1] has basis 'Y', expected X or Z"),
+    (meas(0, "Q", 0), "meas gate on qubits [0] has basis 'Q', expected X or Z"),
+    (Gate("cx", (0, 1), cond=XorExpr.of(0)), "cx gate on qubits [0, 1] carries a cond, which only a pauli may"),
+    (Gate("cz", (0, 1), bit=0), "cz gate on qubits [0, 1] carries a bit, which only a meas may"),
+    (Gate("cz", (0, 1), variant="phi+"), "cz gate on qubits [0, 1] carries a variant, which only a bell may"),
+    (Gate("bell", (0, 1), variant="phi"),
+     "bell gate on qubits [0, 1] has variant 'phi', expected one of phi+, phi-, psi+, psi-"),
+    (Gate("cz", ()), "cz gate on qubits [] has the wrong number of operands, expected 2"),
+]
+MALFORMED_IDS = [
+    "cx-three-qubits", "fanin-basis-y", "meas-basis-q", "cx-cond", "cz-bit", "cz-variant",
+    "bell-variant-phi", "cz-no-qubits",
+]
+
+
+@pytest.mark.parametrize("gate,reason", MALFORMED_GATES, ids=MALFORMED_IDS)
+def test_malformed_gate_rejected_everywhere(tmp_path, capsys, gate, reason):
+    """One rule, one message: from Python, from JSON and from the command
+    line alike."""
+    with pytest.raises(ValueError) as built:
+        Circuit.from_layers(3, [[gate]])
+    assert str(built.value) == f"layer 0: {reason}"
+    with pytest.raises(ValueError) as read:
+        gate_from_json(gate_to_json(gate))
+    assert str(read.value) == reason
+    circ, topo = tmp_path / "circ.json", tmp_path / "topo.json"
+    circ.write_text(json.dumps({"qubits": 3, "layers": [[gate_to_json(gate)]]}))
+    topo.write_text(json.dumps(gen_rect_low(2).to_json()))
+    rc = main(["compile", "--circuit", str(circ), "--topology", str(topo), "--backend", "flow-greedy"])
+    assert rc == 2 and capsys.readouterr().err == f"distqc compile: error: {circ}: {reason}\n"
 
 
 class TestExtractCommodities:

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import distqc
-from distqc.circuit import Circuit, bell, cx, cz, meas, pauli
+from distqc.circuit import Circuit, cx, cz, meas
 from distqc.cli import main
-from distqc.pauli import PauliFrame, XorExpr
+from distqc.pauli import PauliFrame
 from distqc.telegate import ExtendedCircuit
 
 
@@ -135,7 +135,9 @@ class TestBadInput:
 
     def test_qubit_twice_in_layer(self, tmp_path, capsys, topo):
         circ = tmp_path / "dup.json"
-        circ.write_text(json.dumps(Circuit.from_layers(9, [[cz(0, 1), cz(1, 2)]]).to_json()))
+        circ.write_text(json.dumps({"qubits": 9, "layers": [
+            [{"kind": "cz", "q": [0, 1]}, {"kind": "cz", "q": [1, 2]}],
+        ]}))
         rc, err = self.compile_rc(capsys, circ, topo)
         assert rc == 2 and "qubit 1 used twice" in err
 
@@ -159,14 +161,18 @@ class TestBadInput:
 
     def test_condition_on_unmeasured_bit(self, tmp_path, capsys, topo):
         circ = tmp_path / "cond.json"
-        logical = Circuit.from_layers(9, [[cx(0, 1)], [pauli(2, "X", XorExpr.of(1))]])
-        circ.write_text(json.dumps(logical.to_json()))
+        circ.write_text(json.dumps({"qubits": 9, "layers": [
+            [{"kind": "cx", "q": [0, 1]}],
+            [{"kind": "pauli", "q": [2], "basis": "X", "cond": ["b1"]}],
+        ]}))
         rc, err = self.compile_rc(capsys, circ, topo)
         assert rc == 2 and "layer 1: pauli on qubit 2 reads bit 1" in err
 
     def test_qubit_twice_in_layer_steiner(self, tmp_path, capsys, topo):
         circ = tmp_path / "dup.json"
-        circ.write_text(json.dumps(Circuit.from_layers(9, [[cz(0, 1), cz(1, 2)]]).to_json()))
+        circ.write_text(json.dumps({"qubits": 9, "layers": [
+            [{"kind": "cz", "q": [0, 1]}, {"kind": "cz", "q": [1, 2]}],
+        ]}))
         rc = run(["compile", "--circuit", str(circ), "--topology", str(topo),
                   "--backend", "steiner"])
         err = capsys.readouterr().err
@@ -223,7 +229,10 @@ class TestBadInput:
         # compiled, it would drop qubit 0's pending correction; verified, it
         # would run as H then CX
         circ = tmp_path / "bell.json"
-        circ.write_text(json.dumps(Circuit.from_layers(9, [[cx(0, 4)], [bell(0, 1)]]).to_json()))
+        circ.write_text(json.dumps({"qubits": 9, "layers": [
+            [{"kind": "cx", "q": [0, 4]}],
+            [{"kind": "bell", "q": [0, 1], "variant": "phi+"}],
+        ]}))
         rc, err = self.compile_rc(capsys, circ, topo)
         assert rc == 2 and "layer 1: bell on qubits [0, 1] is not a logical gate" in err
         rc, err = self.verify_rc(capsys, compiled_cx, circ)
@@ -280,10 +289,16 @@ class TestBadInput:
             ([], [], "frame must map q<qubit> keys to x and z token lists"),
             ([], {"q0": ["1"]}, "frame entry q0 must hold only x and z token lists"),
             ([], {"q0": {"y": ["1"]}}, "frame entry q0 must hold only x and z token lists"),
+            # read as qubit 1, the two entries would cancel to an empty frame
+            ([], {"q1": {"x": ["1"]}, "q01": {"x": ["1"]}}, "bad frame key 'q01', expected q<qubit>"),
+            # the simulator would keep only the later outcome
+            ([[{"kind": "meas", "q": [0], "bit": 2}], [{"kind": "meas", "q": [1], "bit": 2}]], {},
+             "layer 1: bit 2 emitted twice"),
         ],
         ids=["unemitted-cond", "unemitted-frame-bit", "negative-frame-key",
              "frame-qubit-out-of-range", "int-cond-token", "meas-without-bit",
-             "frame-not-object", "frame-entry-not-object", "frame-entry-unknown-axis"],
+             "frame-not-object", "frame-entry-not-object", "frame-entry-unknown-axis",
+             "leading-zero-frame-key", "bit-emitted-twice"],
     )
     def test_verify_malformed_extended(self, tmp_path, capsys, layers, frame, message):
         ext = tmp_path / "ext.json"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from distqc.circuit import Circuit, Placement, bell, cx, meas, pauli, prep
+from distqc.circuit import Circuit, Placement, bell, cx, cz, meas, pauli, prep
 from distqc.flow import compile_circuit_flow
 from distqc.netmodel import gen_rect_low
 from distqc.pauli import ONE, PauliFrame, XorExpr
@@ -95,19 +95,29 @@ def test_verdict_ignores_sampling_settings(trials, branches, seed):
     [(prep(1), "prep"), (meas(1, "Z", 7), "meas"), (pauli(1, "X", XorExpr.of(7)), "pauli")],
 )
 def test_refuses_non_unitary_logical_circuit(gate, name):
-    logical = Circuit.from_layers(2, [[cx(0, 1)], [gate]])
     ext = ExtendedCircuit(2, 2, (cx(0, 1),), PauliFrame())
-    with pytest.raises(ValueError, match=f"logical layer 1: {name} on qubits \\[1\\] is not unitary"):
-        exact(ext, logical)
+    message = f"logical layer 1: {name} on qubits \\[1\\] is not unitary"
+    if name == "pauli":
+        # a conditioned pauli reads a bit no earlier meas emits, or that
+        # meas is refused first; the circuit itself refuses this one
+        message = "^layer 1: pauli on qubit 1 reads bit 7, which no meas of an earlier layer emits$"
+    with pytest.raises(ValueError, match=message):
+        exact(ext, Circuit.from_layers(2, [[cx(0, 1)], [gate]]))
 
 
 def test_refuses_logical_bell():
     # a logical bell is a preparation: the simulator would otherwise run it
     # as H then CX, while compilation drops its qubits' pending corrections
-    logical = Circuit.from_layers(9, [[cx(0, 4)], [bell(0, 1)]])
     ext = ExtendedCircuit(9, 9, (cx(0, 4),), PauliFrame())
-    with pytest.raises(ValueError, match=r"logical layer 1: bell on qubits \[0, 1\] is not unitary"):
-        exact(ext, logical)
+    with pytest.raises(ValueError, match=r"^layer 1: bell on qubits \[0, 1\] is not a logical gate$"):
+        exact(ext, Circuit.from_layers(9, [[cx(0, 4)], [bell(0, 1)]]))
+
+
+def test_refuses_logical_qubit_out_of_range():
+    # run, cz(0, 3) would act on a reference qubit of the 2-qubit Choi state
+    ext = ExtendedCircuit(2, 2, (cz(0, 1),), PauliFrame())
+    with pytest.raises(ValueError, match=r"^layer 0: qubit 3 out of range$"):
+        exact(ext, Circuit.from_layers(2, [[cz(0, 3)]]))
 
 
 def test_constant_pauli_is_unitary():

@@ -376,9 +376,10 @@ class TestDensifier:
 
 class TestGeneralSteinerBackend:
     def test_rejects_qubit_twice_in_layer(self):
-        circ = Circuit(3, ((cz(0, 1), cz(1, 2)),))
         with pytest.raises(ValueError, match="layer 0: qubit 1 used twice"):
-            compile_circuit_steiner(circ, Placement.identity(3), gen_rect_low(2))
+            compile_circuit_steiner(
+                Circuit(3, ((cz(0, 1), cz(1, 2)),)), Placement.identity(3), gen_rect_low(2)
+            )
 
     def test_mixed_circuit(self):
         from distqc.circuit import cx, yhalf
