@@ -5,10 +5,10 @@ qubits; it checks that, each gate (`check_gate`) and its bit reads when
 built.  Remote two-qubit interactions (those whose operands sit on different
 processors under a given placement) become *commodities*: routing demands
 (source processor, target processor) that the scheduling backends consume.
-Alongside them we build the order relation ``prec`` (which commodity must
-logically run before which) and the quasi-parallel relation ``qpar``
-(ordered pairs that may nevertheless share a time step because their
-conflict resolves in the classical correction layer).
+Alongside them we build the order relation, stored per commodity as two
+ascending successor lists: those that must run in a strictly later time
+step, and the quasi-parallel ones that may share its step because their
+conflict resolves in the classical correction layer.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import gc
 import json
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from operator import lt
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
 from .pauli import XorExpr, set_bits
@@ -400,42 +401,55 @@ class Commodity:
 
 
 @dataclass(frozen=True)
-class OrderIndex:
-    """Per-commodity view of ``prec``: sorted predecessors, and successors
-    split by whether they need a strictly later step or may share one."""
+class CommoditySet:
+    """Commodities in index order and the order relation stored per commodity.
 
-    preds: tuple[tuple[int, ...], ...]
+    ``strict_succs[j]`` lists, ascending, the commodities that must run in a
+    strictly later step than j; ``qpar_succs[j]`` those that must not run
+    earlier but may share j's step (quasi-parallel).  Every successor has a
+    larger index than its commodity, so index order is a topological order
+    and the relation has no cycle; anything else is refused when built.
+    """
+
+    commodities: tuple[Commodity, ...]
     strict_succs: tuple[tuple[int, ...], ...]
     qpar_succs: tuple[tuple[int, ...], ...]
 
-
-@dataclass(frozen=True)
-class CommoditySet:
-    commodities: tuple[Commodity, ...]
-    prec: frozenset[tuple[int, int]]  # (j, i): commodity j must run before i
-    qpar: frozenset[frozenset[int]]  # unordered quasi-parallel pairs
+    def __post_init__(self) -> None:
+        k = self.k
+        if not len(self.strict_succs) == len(self.qpar_succs) == k:
+            raise ValueError(f"successor lists must have one entry per commodity ({k})")
+        for lists in (self.strict_succs, self.qpar_succs):
+            for j, succs in enumerate(lists):
+                if succs and not (j < succs[0] and succs[-1] < k and all(map(lt, succs, succs[1:]))):
+                    raise ValueError(
+                        f"commodity {j} lists successors {succs}, which must ascend above {j} and below {k}"
+                    )
 
     @property
     def k(self) -> int:
         return len(self.commodities)
 
     @cached_property
-    def order(self) -> OrderIndex:
-        """The order relation indexed per commodity, built once in O(|prec|)."""
+    def preds(self) -> tuple[tuple[int, ...], ...]:
+        """Each commodity's predecessors, strict and quasi-parallel, ascending."""
         preds: list[list[int]] = [[] for _ in range(self.k)]
-        strict: list[list[int]] = [[] for _ in range(self.k)]
-        qpar: list[list[int]] = [[] for _ in range(self.k)]
-        for j, i in self.prec:
-            preds[i].append(j)
-            (qpar if frozenset((j, i)) in self.qpar else strict)[j].append(i)
-        return OrderIndex(
-            tuple(tuple(sorted(p)) for p in preds),
-            tuple(tuple(sorted(s)) for s in strict),
-            tuple(tuple(sorted(s)) for s in qpar),
+        for j in range(self.k):
+            for i in (*self.strict_succs[j], *self.qpar_succs[j]):
+                preds[i].append(j)
+        return tuple(map(tuple, preds))
+
+    @cached_property
+    def prec(self) -> frozenset[tuple[int, int]]:
+        """The relation as (j, i) pairs, j before i (in the same step when quasi-parallel)."""
+        return frozenset(
+            (j, i) for j in range(self.k) for i in (*self.strict_succs[j], *self.qpar_succs[j])
         )
 
-    def quasi_parallel(self, i: int, j: int) -> bool:
-        return frozenset({i, j}) in self.qpar
+    @cached_property
+    def qpar(self) -> frozenset[frozenset[int]]:
+        """The quasi-parallel pairs of ``prec``, unordered."""
+        return frozenset(frozenset((j, i)) for j, succs in enumerate(self.qpar_succs) for i in succs)
 
 
 def default_qpar(earlier: Gate, later: Gate, shared_qubit: int) -> bool:
@@ -473,7 +487,7 @@ def _gate_commodities(g: Gate, li: int, placement: Placement) -> list[Commodity]
 
 
 def extract_commodities(circuit: Circuit, placement: Placement) -> CommoditySet:
-    """Enumerate remote interactions and build the prec / qpar relations.
+    """Enumerate remote interactions and build their order relation.
 
     Commodity order is deterministic: lexicographic by (layer index, smallest
     operand qubit, smallest target qubit).  The order relation is the
@@ -481,7 +495,9 @@ def extract_commodities(circuit: Circuit, placement: Placement) -> CommoditySet:
     earlier layer, shares a qubit with gate(i), and at least one of the two
     gates is not diagonal (commuting diagonal pairs get no constraint).
     Only commodities on one of gate(i)'s qubits can relate to i, so each is
-    compared with those alone, found through a per-qubit history.
+    compared with those alone, found through a per-qubit history.  A
+    predecessor sits in an earlier layer, hence at a lower index, and i is
+    appended to its successor list in ascending i.
     """
     commodities: list[Commodity] = []
     for li, layer in enumerate(circuit.layers):
@@ -494,21 +510,22 @@ def extract_commodities(circuit: Circuit, placement: Placement) -> CommoditySet:
     # history[q]: indices of the commodities already emitted on qubit q, ascending
     history: dict[int, list[int]] = {}
     diagonal = [c.gate.is_diagonal() for c in commodities]
-    prec: set[tuple[int, int]] = set()
-    qpar: set[frozenset[int]] = set()
+    strict: list[list[int]] = [[] for _ in commodities]
+    qpar: list[list[int]] = [[] for _ in commodities]
     for i, ci in enumerate(commodities):
         qi = ci.gate.qubits
         candidates: set[int] = set()
         for q in qi:
             candidates.update(history.setdefault(q, []))
-        for j in sorted(candidates):
+        for j in candidates:
             cj = commodities[j]
             if cj.layer >= ci.layer or (diagonal[j] and diagonal[i]):
                 continue
-            prec.add((j, i))
             shared = set(cj.gate.qubits).intersection(qi)
             if len(shared) == 1 and default_qpar(cj.gate, ci.gate, next(iter(shared))):
-                qpar.add(frozenset({j, i}))
+                qpar[j].append(i)
+            else:
+                strict[j].append(i)
         for q in qi:
             history[q].append(i)
-    return CommoditySet(tuple(commodities), frozenset(prec), frozenset(qpar))
+    return CommoditySet(tuple(commodities), tuple(map(tuple, strict)), tuple(map(tuple, qpar)))

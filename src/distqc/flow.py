@@ -12,7 +12,6 @@ many ready commodities as possible per step, shortest paths first.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -121,12 +120,11 @@ def check_feasible(sched: FlowSchedule, q: QuotientGraph, cs: CommoditySet) -> V
     if over:
         e, tau = min(over)  # the first overload in (edge, step) order
         return Violation("c3", edge=e, step=tau, message=f"{usage[e, tau]} > capacity {capacity[e]}")
-    order = cs.order
     for j, tau in enumerate(sched.steps):
-        for i in order.strict_succs[j]:
+        for i in cs.strict_succs[j]:
             if tau >= sched.steps[i]:
                 return Violation("c5", commodity=i, message=f"needs step > step of {j}")
-        for i in order.qpar_succs[j]:
+        for i in cs.qpar_succs[j]:
             if tau > sched.steps[i]:
                 return Violation("c6", commodity=i, message=f"needs step >= step of {j}")
     return None
@@ -146,29 +144,12 @@ def _simple_paths(q: QuotientGraph, s: int, t: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _topological_order(cs: CommoditySet) -> list[int]:
-    index = cs.order
-    indeg = [len(p) for p in index.preds]
-    heap = [i for i in range(cs.k) if indeg[i] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        for v in (*index.strict_succs[u], *index.qpar_succs[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-    if len(order) != cs.k:
-        raise ValueError("order relation contains a cycle")
-    return order
-
-
 def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule | None:
     """Minimum-total-flow schedule within horizon d, or None when infeasible.
 
-    Branch and bound over (step, path) choices in topological commodity
-    order, pruned with shortest-path lower bounds on the remaining flow.
+    Branch and bound over (step, path) choices in commodity index order,
+    which puts every predecessor first (see ``CommoditySet``), pruned with
+    shortest-path lower bounds on the remaining flow.
     A commodity's step is bounded from above by its tail, the longest chain
     of strict successors below it (a quasi-parallel successor may share its
     step), which prunes only branches with no complete schedule.  Intended
@@ -183,13 +164,11 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
         return FlowSchedule(0, (), ())
     if d < 1:
         return None
-    order = _topological_order(cs)
-    index = cs.order
+    strict_succs, qpar_succs = cs.strict_succs, cs.qpar_succs
     tail = [0] * cs.k
-    for i in reversed(order):
+    for i in reversed(range(cs.k)):
         tail[i] = max(
-            [tail[j] + 1 for j in index.strict_succs[i]] + [tail[j] for j in index.qpar_succs[i]],
-            default=0,
+            [tail[j] + 1 for j in strict_succs[i]] + [tail[j] for j in qpar_succs[i]], default=0
         )
     if max(tail) >= d:
         return None
@@ -199,38 +178,32 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
         if not opts:
             return None
     remaining_lb = [0] * (cs.k + 1)
-    for pos in range(cs.k - 1, -1, -1):
-        remaining_lb[pos] = remaining_lb[pos + 1] + lower[order[pos]]
+    for i in range(cs.k - 1, -1, -1):
+        remaining_lb[i] = remaining_lb[i + 1] + lower[i]
 
     best_f = math.inf
     best: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
-    steps: dict[int, int] = {}
-    paths: dict[int, tuple[int, ...]] = {}
+    # entries at and above the commodity being assigned are stale
+    steps = [0] * cs.k
+    paths: list[tuple[int, ...]] = [()] * cs.k
     usage: dict[tuple[tuple[int, int], int], int] = {}
     capacity = q.capacity
-    preds = index.preds
+    preds = cs.preds
 
-    def assign(pos: int, flow: int) -> None:
+    def assign(i: int, flow: int) -> None:
         nonlocal best_f, best
-        if flow + remaining_lb[pos] >= best_f:
+        if flow + remaining_lb[i] >= best_f:
             return
-        if pos == cs.k:
+        if i == cs.k:
             best_f = flow
-            best = (
-                tuple(steps[i] for i in range(cs.k)),
-                tuple(paths[i] for i in range(cs.k)),
-            )
+            best = (tuple(steps), tuple(paths))
             return
-        i = order[pos]
         earliest = 1
         for j in preds[i]:
-            if cs.quasi_parallel(i, j):
-                earliest = max(earliest, steps[j])
-            else:
-                earliest = max(earliest, steps[j] + 1)
+            earliest = max(earliest, steps[j] + (i not in qpar_succs[j]))
         for tau in range(earliest, d - tail[i] + 1):
             for path in options[i]:
-                if flow + (len(path) - 1) + remaining_lb[pos + 1] >= best_f:
+                if flow + (len(path) - 1) + remaining_lb[i + 1] >= best_f:
                     break  # paths are sorted by length
                 edges = [(min(u, v), max(u, v)) for u, v in zip(path, path[1:])]
                 if any(usage.get((e, tau), 0) >= capacity[e] for e in edges):
@@ -239,11 +212,9 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
                     usage[(e, tau)] = usage.get((e, tau), 0) + 1
                 steps[i] = tau
                 paths[i] = path
-                assign(pos + 1, flow + len(edges))
+                assign(i + 1, flow + len(edges))
                 for e in edges:
                     usage[(e, tau)] -= 1
-        steps.pop(i, None)
-        paths.pop(i, None)
 
     assign(0, 0)
     del assign  # the closure refers to itself: a reference cycle per call
@@ -309,12 +280,12 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     least shortest path (see ``QuotientGraph.bfs``), and lowering capacities
     only removes paths, so the surviving unfiltered path is still the
     shortest and the least, the very path the search would return.  Always
-    terminates on an acyclic order relation: a fresh step offers full
-    capacities and a connected graph, so some ready commodity routes.
+    terminates: the least unplaced commodity is ready, since its
+    predecessors have lower indices, and a fresh step offers it full
+    capacities and a path.
     """
-    order = cs.order
     sp_len = [q.hops(c.source, c.target) for c in cs.commodities]
-    waiting = [len(p) for p in order.preds]
+    waiting = [len(p) for p in cs.preds]
     steps: list[int] = [0] * cs.k
     paths: list[tuple[int, ...]] = [()] * cs.k
     ready = [i for i in range(cs.k) if not waiting[i]]
@@ -351,17 +322,17 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
                 steps[i] = tau
                 paths[i] = path
                 landed.append(i)
-                for s in order.qpar_succs[i]:
+                for s in cs.qpar_succs[i]:
                     waiting[s] -= 1
                     if not waiting[s]:
                         unlocked.append(s)
             batch = unlocked
         if not landed:
-            raise ValueError("order relation contains a cycle")
+            raise ValueError(f"step {tau} placed no commodity although every link was free")
         placed += len(landed)
         ready = deferred
         for i in landed:
-            for s in order.strict_succs[i]:
+            for s in cs.strict_succs[i]:
                 waiting[s] -= 1
                 if not waiting[s]:
                     ready.append(s)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-_BIT_TOKEN = re.compile(r"b[0-9]+")  # a measurement bit in JSON
+_BIT_TOKEN = re.compile(r"b(0|[1-9][0-9]*)")  # a measurement bit in JSON
 _QUBIT_KEY = re.compile(r"q(0|[1-9][0-9]*)")  # a frame entry's qubit in JSON
 
 
@@ -116,8 +116,8 @@ class XorExpr:
 
     @staticmethod
     def from_tokens(tokens: list[str]) -> "XorExpr":
-        """Read ``tokens()`` back: ``"1"`` or ``"b<digits>"`` strings, a
-        repeated token cancelling; anything else is a ValueError."""
+        """Read ``tokens()`` back: ``"1"`` or ``"b<bit>"`` strings (no leading
+        zero), a repeated token cancelling; anything else is a ValueError."""
         mask = 0
         for tok in tokens:
             if tok == "1":

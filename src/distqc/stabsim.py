@@ -150,12 +150,16 @@ class StabilizerState:
         if not anticommuting:
             # the stabilizers paired with the destabilizers that have an X
             # part on q multiply to +-Z_q: build the product in a scratch
-            # row 2n, read its sign and clear the row
+            # row 2n, read its sign and clear the row; only columns where a
+            # factor has support change
             scratch = 1 << 2 * n
+            factors = x[q] & ((1 << n) - 1)
+            rows = factors << n
+            cols = [j for j in range(n) if (x[j] | z[j]) & rows]
             self.sym.append(0)
-            for i in set_bits(x[q] & ((1 << n) - 1)):
-                self.r = _rowmul(x, z, self.r, self.sym, scratch, n + i, range(n))
-            for j in range(n):
+            for i in set_bits(factors):
+                self.r = _rowmul(x, z, self.r, self.sym, scratch, n + i, cols)
+            for j in cols:
                 x[j] &= ~scratch
                 z[j] &= ~scratch
             out = self.r >> 2 * n & 1 | self.sym.pop()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from collections.abc import Iterable
 
 import networkx as nx
 import numpy as np
@@ -94,7 +95,7 @@ def enumerate_schedules(q: QuotientGraph, cs: CommoditySet, d: int):
             for j in preds[i]:
                 if j < len(chosen):
                     tj = chosen[j][0]
-                    if cs.quasi_parallel(i, j):
+                    if frozenset({i, j}) in cs.qpar:
                         if tj > tau:
                             return False
                     elif tj >= tau:
@@ -249,10 +250,25 @@ def random_connected_graph(rng: random.Random, n: int, max_cap: int = 2) -> Quot
     )
 
 
-def random_commodity_set(
-    rng: random.Random, q: QuotientGraph, k: int, qpar_prob: float = 0.3
+def commodity_set(
+    commodities: Iterable[Commodity], prec: Iterable[tuple[int, int]], qpar: Iterable[frozenset[int]]
 ) -> CommoditySet:
-    """Random commodities with a random order DAG (edges only j -> i, j < i)."""
+    """A CommoditySet from its relation as sets: (j, i) pairs, j before i, and
+    the unordered pairs among them that may share a step."""
+    commodities = tuple(commodities)
+    qpar = set(qpar)
+    strict: list[list[int]] = [[] for _ in commodities]
+    par: list[list[int]] = [[] for _ in commodities]
+    for j, i in sorted(prec):
+        (par if frozenset({j, i}) in qpar else strict)[j].append(i)
+    return CommoditySet(commodities, tuple(map(tuple, strict)), tuple(map(tuple, par)))
+
+
+def random_order_relation(
+    rng: random.Random, q: QuotientGraph, k: int, qpar_prob: float = 0.3
+) -> tuple[list[Commodity], set[tuple[int, int]], set[frozenset[int]]]:
+    """Random commodities with a random order DAG (edges only j -> i, j < i),
+    as ``commodity_set`` arguments."""
     comms = []
     for i in range(k):
         s, t = rng.sample(range(q.node_count), 2)
@@ -265,11 +281,20 @@ def random_commodity_set(
                 prec.add((j, i))
                 if rng.random() < qpar_prob:
                     qpar.add(frozenset({j, i}))
-    return CommoditySet(tuple(comms), frozenset(prec), frozenset(qpar))
+    return comms, prec, qpar
 
 
-def reference_extract_commodities(circuit: Circuit, placement: Placement) -> CommoditySet:
-    """Commodity extraction comparing every pair of commodities, O(k^2)."""
+def random_commodity_set(
+    rng: random.Random, q: QuotientGraph, k: int, qpar_prob: float = 0.3
+) -> CommoditySet:
+    return commodity_set(*random_order_relation(rng, q, k, qpar_prob))
+
+
+def reference_order_relation(
+    circuit: Circuit, placement: Placement
+) -> tuple[list[Commodity], set[tuple[int, int]], set[frozenset[int]]]:
+    """Commodity extraction comparing every pair of commodities, O(k^2), as
+    ``commodity_set`` arguments."""
     commodities: list[Commodity] = []
     for li, layer in enumerate(circuit.layers):
         layer_comms: list[Commodity] = []
@@ -293,7 +318,11 @@ def reference_extract_commodities(circuit: Circuit, placement: Placement) -> Com
             prec.add((j, i))
             if len(shared) == 1 and default_qpar(cj.gate, ci.gate, next(iter(shared))):
                 qpar.add(frozenset({j, i}))
-    return CommoditySet(tuple(commodities), frozenset(prec), frozenset(qpar))
+    return commodities, prec, qpar
+
+
+def reference_extract_commodities(circuit: Circuit, placement: Placement) -> CommoditySet:
+    return commodity_set(*reference_order_relation(circuit, placement))
 
 
 def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
@@ -312,7 +341,7 @@ def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedu
         def ready(i: int) -> bool:
             for j in preds[i]:
                 done = j in steps
-                if cs.quasi_parallel(i, j):
+                if frozenset({i, j}) in cs.qpar:
                     if not (done and steps[j] <= tau):
                         return False
                 elif not (done and steps[j] < tau):

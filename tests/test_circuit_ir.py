@@ -181,13 +181,13 @@ class TestExtractCommodities:
         cs = extract_commodities(c, Placement.identity(3))
         assert cs.k == 2
         assert cs.prec == frozenset({(0, 1)})
-        assert cs.quasi_parallel(0, 1)
+        assert cs.qpar == frozenset({frozenset({0, 1})})
 
     def test_control_shared_not_quasi_parallel(self):
         c = Circuit.from_layers(3, [[cx(1, 0)], [cz(1, 2)]])
         cs = extract_commodities(c, Placement.identity(3))
         assert cs.prec == frozenset({(0, 1)})
-        assert not cs.quasi_parallel(0, 1)
+        assert cs.qpar == frozenset()
 
     def test_single_processor_no_commodities(self):
         c = Circuit.from_layers(4, [[cx(0, 1)], [cz(2, 3)]])
@@ -230,7 +230,7 @@ class TestExtractCommodities:
         c = gen_random_cz_circuit(9, 24, rng)
         g = gen_rect_low(3)
         cs = extract_commodities(c, Placement.identity(9))
-        stripped = type(cs)(cs.commodities, frozenset(), frozenset())
+        stripped = type(cs)(cs.commodities, ((),) * cs.k, ((),) * cs.k)
         a = iterative_greedy(g, cs)
         b = iterative_greedy(g, stripped)
         assert metrics(a) == metrics(b)

@@ -294,11 +294,14 @@ class TestBadInput:
             # the simulator would keep only the later outcome
             ([[{"kind": "meas", "q": [0], "bit": 2}], [{"kind": "meas", "q": [1], "bit": 2}]], {},
              "layer 1: bit 2 emitted twice"),
+            # read as bit 1, the two tokens would cancel to an empty correction
+            ([[{"kind": "meas", "q": [1], "bit": 1}]], {"q0": {"x": ["b1", "b01"]}},
+             "bad xor token: 'b01'"),
         ],
         ids=["unemitted-cond", "unemitted-frame-bit", "negative-frame-key",
              "frame-qubit-out-of-range", "int-cond-token", "meas-without-bit",
              "frame-not-object", "frame-entry-not-object", "frame-entry-unknown-axis",
-             "leading-zero-frame-key", "bit-emitted-twice"],
+             "leading-zero-frame-key", "bit-emitted-twice", "leading-zero-cond-token"],
     )
     def test_verify_malformed_extended(self, tmp_path, capsys, layers, frame, message):
         ext = tmp_path / "ext.json"

@@ -17,10 +17,12 @@ from distqc.circuit import (
 from distqc.flow import check_feasible, iterative_greedy
 from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_low
 from oracles import (
-    random_commodity_set,
+    commodity_set,
     random_connected_graph,
+    random_order_relation,
     reference_extract_commodities,
     reference_iterative_greedy,
+    reference_order_relation,
 )
 
 
@@ -50,18 +52,20 @@ def with_random_capacities(rng: random.Random, q: QuotientGraph) -> QuotientGrap
     return QuotientGraph(q.node_count, tuple((u, v, rng.randint(1, 3)) for u, v, _ in q.edges))
 
 
-def assert_index_matches(cs: CommoditySet) -> None:
-    preds = tuple(tuple(sorted(j for j, i2 in cs.prec if i2 == i)) for i in range(cs.k))
-    assert cs.order.preds == preds
-    edges = [(j, i, False) for j, succs in enumerate(cs.order.strict_succs) for i in succs]
-    edges += [(j, i, True) for j, succs in enumerate(cs.order.qpar_succs) for i in succs]
-    assert sorted(edges) == sorted((j, i, cs.quasi_parallel(i, j)) for j, i in cs.prec)
+def assert_index_matches(cs: CommoditySet, prec: set, qpar: set) -> None:
+    """The successor lists and the views derived from them against the
+    relation as reference sets."""
+    edges = [(j, i, False) for j, succs in enumerate(cs.strict_succs) for i in succs]
+    edges += [(j, i, True) for j, succs in enumerate(cs.qpar_succs) for i in succs]
+    assert sorted(edges) == sorted((j, i, frozenset({j, i}) in qpar) for j, i in prec)
+    assert cs.preds == tuple(tuple(sorted(j for j, i2 in prec if i2 == i)) for i in range(cs.k))
+    assert cs.prec == prec and cs.qpar == qpar
 
 
 def mixed_predecessors(cs: CommoditySet) -> int:
     """Commodities with both a strict and a quasi-parallel predecessor."""
-    strict = {i for succs in cs.order.strict_succs for i in succs}
-    qpar = {i for succs in cs.order.qpar_succs for i in succs}
+    strict = {i for succs in cs.strict_succs for i in succs}
+    qpar = {i for succs in cs.qpar_succs for i in succs}
     return len(strict & qpar)
 
 
@@ -77,9 +81,10 @@ def test_circuits_match_reference():
                 circuit = random_layered_circuit(rng, n, rng.randint(3, 10))
                 placement = Placement(tuple(rng.randrange(graph.node_count) for _ in range(n)))
                 cs = extract_commodities(circuit, placement)
-                ref = reference_extract_commodities(circuit, placement)
+                comms, prec, qpar = reference_order_relation(circuit, placement)
+                ref = commodity_set(comms, prec, qpar)
                 assert cs == ref
-                assert_index_matches(cs)
+                assert_index_matches(cs, prec, qpar)
                 sched = iterative_greedy(graph, cs)
                 assert sched == reference_iterative_greedy(graph, ref)
                 assert check_feasible(sched, graph, cs) is None
@@ -93,8 +98,9 @@ def test_random_order_relations_match_reference():
     rng = random.Random(7)
     for _ in range(40):
         graph = random_connected_graph(rng, rng.randint(3, 8), max_cap=3)
-        cs = random_commodity_set(rng, graph, rng.randint(1, 14), qpar_prob=0.5)
-        assert_index_matches(cs)
+        comms, prec, qpar = random_order_relation(rng, graph, rng.randint(1, 14), qpar_prob=0.5)
+        cs = commodity_set(comms, prec, qpar)
+        assert_index_matches(cs, prec, qpar)
         assert iterative_greedy(graph, cs) == reference_iterative_greedy(graph, cs)
 
 
@@ -105,9 +111,9 @@ def test_strict_and_quasi_parallel_predecessor():
     placement = Placement.identity(6)
     cs = extract_commodities(circuit, placement)
     assert cs == reference_extract_commodities(circuit, placement)
-    assert cs.order.preds == ((), (), (0,), (1, 2))
-    assert cs.order.strict_succs == ((2,), (3,), (), ())
-    assert cs.order.qpar_succs == ((), (), (3,), ())
+    assert cs.preds == ((), (), (0,), (1, 2))
+    assert cs.strict_succs == ((2,), (3,), (), ())
+    assert cs.qpar_succs == ((), (), (3,), ())
     graph = gen_rect_low(2)
     sched = iterative_greedy(graph, cs)
     assert sched == reference_iterative_greedy(graph, cs)
@@ -123,7 +129,7 @@ def test_failed_searches_not_repeated(monkeypatch):
     comms = tuple(
         Commodity(s, t, 0, (1,), cz(0, 1)) for s, t in ((0, 2), (0, 1), (1, 2), (0, 2))
     )
-    cs = CommoditySet(comms, frozenset(), frozenset())
+    cs = commodity_set(comms, (), ())
     searches = []
     bfs = QuotientGraph.bfs
 

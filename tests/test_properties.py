@@ -359,7 +359,7 @@ def test_measurement_bit_zero_is_not_the_constant():
 
 
 def test_from_tokens_rejects_bad_tokens():
-    for bad in (["x3"], ["b-1"], ["b"], ["b1", "q"], [7], ["b1", None], ["b 1"]):
+    for bad in (["x3"], ["b-1"], ["b"], ["b1", "q"], [7], ["b1", None], ["b 1"], ["b07"]):
         with pytest.raises(ValueError):
             XorExpr.from_tokens(bad)
 

@@ -329,6 +329,24 @@ class TestAgainstReference:
                 reference_reduced_canonical, ref, data
             )
 
+    def test_ghz_products_of_many_stabilizers_match(self):
+        # a 12-qubit GHZ state along a seeded qubit chain; once qubit 0 is
+        # measured, each other qubit's Z outcome is deterministic, the sign
+        # of a product of up to 12 stabilizers
+        rng = random.Random(12)
+        n = 12
+        chain = rng.sample(range(n), n)
+        state, ref = StabilizerState(n), ReferenceStabilizerState(n, symbolic=True)
+        for sim in (state, ref):
+            sim.h(chain[0])
+            for a, b in zip(chain, chain[1:]):
+                sim.cx(a, b)
+        assert state.measure(0, "Z") == ref.measure(0, "Z")
+        for q in rng.sample(range(1, n), n - 1):
+            assert state.measure(q, "Z") == ref.measure(q, "Z")
+        assert state.symbols == ref.symbols == 1
+        state.validate()
+
     def test_unknown_flip_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown Pauli axis 'Y'"):
             StabilizerState(1).flip(0, "Y", 1)
