@@ -20,7 +20,7 @@ from functools import cached_property, wraps
 from operator import lt
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
-from .pauli import XorExpr, set_bits
+from .pauli import XorExpr, check_bit_id, set_bits
 
 if TYPE_CHECKING:
     from .netmodel import QuotientGraph
@@ -283,13 +283,14 @@ def json_int(value, what: str) -> int:
 
 def gate_from_json(doc: dict) -> Gate:
     """Read one gate: its kind a known string, its qubits and bit JSON
-    integers, its cond a token list; `check_gate` then rejects what the
-    simulator and the compiler would misread."""
+    integers (the bit at most `pauli.MAX_BIT_ID`), its cond a token list;
+    `check_gate` then rejects what the simulator and the compiler would
+    misread."""
     kind = doc["kind"]
     if type(kind) is not str or kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {json.dumps(kind)}")
     qubits = tuple(json_int(q, f"{kind} gate qubit") for q in doc["q"])
-    bit = json_int(doc["bit"], f"{kind} gate bit") if "bit" in doc else -1
+    bit = check_bit_id(json_int(doc["bit"], f"{kind} gate bit")) if "bit" in doc else -1
     cond = XorExpr.from_tokens(doc["cond"]) if "cond" in doc else None
     fields = _GateFields(kind, qubits, doc.get("basis", ""), bit, cond, doc.get("variant", ""))
     check_gate(fields)  # before Gate(), so a fan gate's count fault is named as one

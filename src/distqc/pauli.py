@@ -10,8 +10,11 @@ An expression is one int, ``mask``: bit 0 is the constant and bit ``b + 1``
 is measurement bit ``b`` (logical ``meas`` gates may emit bit 0), the layout
 of the symbolic signs in ``stabsim``.  XOR of two expressions is one int XOR.
 ``telegate.CircuitExpander`` normalizes its frame as it emits gates
-(``pushing.FrameNormalizer``), so the textbook protocols' corrections go
-straight into per-qubit masks and never become inline ``pauli`` gates.
+(``pushing.FrameNormalizer``): local gates are pushed one by one, each
+remote target by its logical interaction's push rule, and the textbook
+protocols' closed-form corrections go straight into per-qubit masks, so
+they never become inline ``pauli`` gates.  A mask is as wide as its
+highest bit id, so input files may name bit ids up to ``MAX_BIT_ID`` only.
 """
 
 from __future__ import annotations
@@ -21,6 +24,16 @@ from dataclasses import dataclass, field
 
 _BIT_TOKEN = re.compile(r"b(0|[1-9][0-9]*)")  # a measurement bit in JSON
 _QUBIT_KEY = re.compile(r"q(0|[1-9][0-9]*)")  # a frame entry's qubit in JSON
+# the largest bit id a JSON input may name: about 15 times the bits of the
+# largest paper-matrix compile (hex, k = 4096, about 71k bits)
+MAX_BIT_ID = 1 << 20
+
+
+def check_bit_id(bit: int) -> int:
+    """`bit`, or a ValueError if it is above `MAX_BIT_ID`."""
+    if bit > MAX_BIT_ID:
+        raise ValueError(f"bit id {bit} is above the cap {MAX_BIT_ID}")
+    return bit
 
 
 def set_bits(mask: int) -> list[int]:
@@ -117,13 +130,14 @@ class XorExpr:
     @staticmethod
     def from_tokens(tokens: list[str]) -> "XorExpr":
         """Read ``tokens()`` back: ``"1"`` or ``"b<bit>"`` strings (no leading
-        zero), a repeated token cancelling; anything else is a ValueError."""
+        zero, bit at most `MAX_BIT_ID`), a repeated token cancelling;
+        anything else is a ValueError."""
         mask = 0
         for tok in tokens:
             if tok == "1":
                 mask ^= 1
             elif isinstance(tok, str) and _BIT_TOKEN.fullmatch(tok):
-                mask ^= 2 << int(tok[1:])
+                mask ^= 2 << check_bit_id(int(tok[1:]))
             else:
                 raise ValueError(f"bad xor token: {tok!r}")
         return XorExpr.from_mask(mask)

@@ -3,12 +3,15 @@
 A remote interaction between processors connected by an entanglement path
 (or tree) becomes: Bell preparations on every link, one layer of local
 injection gates, one simultaneous measurement layer, and deferred Pauli
-corrections.  `CircuitExpander` feeds every gate it emits to the pushing
-rewriter as it goes and hands it the textbook protocols' corrections
-directly, so every correction lands in the terminal Pauli frame without ever
-becoming an inline conditioned Pauli gate.  That keeps the quantum part of a
-fragment at depth 3 (preparation, injection, measurement) plus one classical
-correction slot, for any path length.
+corrections.  `CircuitExpander` feeds local gates to the pushing rewriter as
+it goes.  A fragment's own gates skip it: the fragment moves the pending
+frame exactly as the logical interaction does, so the rewriter's push rule
+for that interaction is applied once per remote target, and the protocols'
+closed-form corrections are added to the frame directly.  Every correction
+thus lands in the terminal Pauli frame without ever becoming an inline
+conditioned Pauli gate.  That keeps the quantum part of a fragment at depth
+3 (preparation, injection, measurement) plus one classical correction slot,
+for any path length.
 """
 
 from __future__ import annotations
@@ -209,9 +212,11 @@ class CircuitExpander:
 
     Local gates pass through; remote interactions are handed routes (paths or
     trees on the quotient graph) by the scheduling backend.  Fan-outs are
-    compiled as fan-ins conjugated by basis-exchange layers.  Each emitted
-    gate goes straight to a `FrameNormalizer`, which moves every correction
-    into the frame.
+    compiled as fan-ins conjugated by basis-exchange layers.  A
+    `FrameNormalizer` moves every correction into the frame: local gates and
+    the basis-exchange layers are fed to it gate by gate; each remote
+    target costs it one logical push and one closed-form correction, and
+    each route one closed-form correction on the control (see `emit_tree`).
     """
 
     def __init__(self, circuit: Circuit, placement: Placement):
@@ -238,12 +243,6 @@ class CircuitExpander:
                     feed(g)
         gates, frame = self.normalizer.finish()
         return ExtendedCircuit(self.circuit.num_qubits, self.next_qubit, gates, frame)
-
-    def correct(self, q: int, axis: str, bit: int) -> None:
-        """Apply ``axis^b`` to qubit q, b the outcome of an expansion
-        measurement.  Each such bit feeds exactly one correction, so its
-        flip is consumed here."""
-        self.normalizer.add(q, axis, (2 << bit) ^ self.normalizer.flips.pop(bit, 0))
 
     def emit_remote(self, g: Gate, routes: list[Route]) -> None:
         """Expand one two-qubit or fan gate over the given routes.
@@ -288,35 +287,50 @@ class CircuitExpander:
         order from root (see `_orient`); `targets_by_proc` lists, in
         ascending order, the data targets each processor holds.  Per hop: a
         Bell pair with near qubit at u and far qubit at v; the parent's
-        proxy injects into the near qubit, which is measured in Z (bit feeds
-        an X fix on the far qubit); the far qubit becomes v's proxy,
-        interacting locally with v's data targets.  Finally each proxy is
-        measured in X, kicking a Z onto the control.  Bits come in wire
-        order: per hop, the Z-basis bit then the X-basis bit.
+        proxy injects into the near qubit, which is measured in Z; the far
+        qubit becomes v's proxy, interacting locally with v's data targets.
+        Finally each proxy is measured in X.  Bits come in wire order: per
+        hop, the Z-basis bit then the X-basis bit.
+
+        Targets on root interact locally through the normalizer's `feed`.
+        The fragment's own gates go straight to its gate list: its
+        communication qubits are fresh and all measured inside it, so on the
+        pending frame it acts as the logical interaction does, applied once
+        per remote target by the normalizer's push rule, plus the protocol's
+        closed-form corrections.  A target at v gets X (cx) or Z (cz) with
+        the XOR of the Z-basis bits on the hops from root to v; the control
+        gets Z with the XOR of every X-basis bit.
         """
         interact = cx if kind == "cx" else cz
-        feed, correct = self.normalizer.feed, self.correct
+        normalizer = self.normalizer
         for tq in targets_by_proc.get(root, ()):
-            feed(interact(control_qubit, tq))
+            normalizer.feed(interact(control_qubit, tq))
+        push, fix = (normalizer._cx, "X") if kind == "cx" else (normalizer._cz, "Z")
+        emit, add = normalizer.gates.append, normalizer.add
         # hop i uses qubits q0 + 2i (near) and q0 + 2i + 1 (far), and bits
         # b0 + 2i (Z basis) and b0 + 2i + 1 (X basis)
         q0, b0 = self.next_qubit, self.next_bit
         self.next_qubit += 2 * len(hops)
         self.next_bit += 2 * len(hops)
         for i in range(len(hops)):
-            feed(bell(q0 + 2 * i, q0 + 2 * i + 1))
+            emit(bell(q0 + 2 * i, q0 + 2 * i + 1))
         proxy = {root: control_qubit}
+        z_bits = {root: 0}  # per processor, the mask of the Z-basis bits from root
         for i, (u, v) in enumerate(hops):
             near, far = q0 + 2 * i, q0 + 2 * i + 1
-            feed(cx(proxy[u], near))
-            feed(meas(near, "Z", b0 + 2 * i))
-            correct(far, "X", b0 + 2 * i)
+            emit(cx(proxy[u], near))
+            emit(meas(near, "Z", b0 + 2 * i))
+            z_bits[v] = z_bits[u] ^ (2 << (b0 + 2 * i))
             for tq in targets_by_proc.get(v, ()):
-                feed(interact(far, tq))
+                emit(interact(far, tq))
+                push(control_qubit, tq)
+                add(tq, fix, z_bits[v])
             proxy[v] = far
+        x_bits = 0
         for i in range(len(hops)):
-            feed(meas(q0 + 2 * i + 1, "X", b0 + 2 * i + 1))
-            correct(control_qubit, "Z", b0 + 2 * i + 1)
+            emit(meas(q0 + 2 * i + 1, "X", b0 + 2 * i + 1))
+            x_bits ^= 2 << (b0 + 2 * i + 1)
+        add(control_qubit, "Z", x_bits)
 
     def emit_mirror_layer(self, qubits: tuple[int, ...]) -> None:
         """Basis-exchange layer: Z then Y^{1/2} per qubit acts as a Hadamard

@@ -11,7 +11,11 @@ tree for tree.  The sampled channel check runs concrete inputs and
 measurement branches, where the library's check runs one symbolic Choi
 state, and it runs them on the numpy tableau (`ReferenceStabilizerState`)
 that the library's bit-packed tableau must match outcome for outcome and
-byte for byte.
+byte for byte.  The gate-by-gate expander feeds every fragment gate to the
+frame normalizer and hands it each protocol correction as its bit is
+measured; the library's expander, which applies each remote target's
+logical push rule once plus closed-form corrections, must match it gate
+for gate and mask for mask.
 """
 
 from __future__ import annotations
@@ -31,10 +35,12 @@ from distqc.circuit import (
     Gate,
     Placement,
     _gate_commodities,
+    bell,
     cx,
     cz,
     default_qpar,
     fanin,
+    meas,
     yhalf,
 )
 from distqc.flow import FlowSchedule
@@ -42,6 +48,7 @@ from distqc.netmodel import QuotientGraph
 from distqc.pauli import PauliFrame
 from distqc.stabsim import BranchDependentError, ResidualEntanglementError
 from distqc.steiner import EXACT_MAX_TERMINALS, Edge, SteinerInstance, _norm
+from distqc.telegate import CircuitExpander, Hop
 
 
 def to_nx(q: QuotientGraph) -> nx.Graph:
@@ -369,6 +376,45 @@ def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedu
         tuple(steps[i] for i in range(cs.k)),
         tuple(paths[i] for i in range(cs.k)),
     )
+
+
+class GateByGateExpander(CircuitExpander):
+    """`CircuitExpander` with every fragment gate fed to the normalizer: the
+    textbook protocol's corrections are handed over as each bit is measured,
+    after the flip its measurement recorded is consumed."""
+
+    def correct(self, q: int, axis: str, bit: int) -> None:
+        self.normalizer.add(q, axis, (2 << bit) ^ self.normalizer.flips.pop(bit, 0))
+
+    def emit_tree(
+        self,
+        root: int,
+        hops: tuple[Hop, ...],
+        control_qubit: int,
+        targets_by_proc: dict[int, list[int]],
+        kind: str,
+    ) -> None:
+        interact = cx if kind == "cx" else cz
+        feed, correct = self.normalizer.feed, self.correct
+        for tq in targets_by_proc.get(root, ()):
+            feed(interact(control_qubit, tq))
+        q0, b0 = self.next_qubit, self.next_bit
+        self.next_qubit += 2 * len(hops)
+        self.next_bit += 2 * len(hops)
+        for i in range(len(hops)):
+            feed(bell(q0 + 2 * i, q0 + 2 * i + 1))
+        proxy = {root: control_qubit}
+        for i, (u, v) in enumerate(hops):
+            near, far = q0 + 2 * i, q0 + 2 * i + 1
+            feed(cx(proxy[u], near))
+            feed(meas(near, "Z", b0 + 2 * i))
+            correct(far, "X", b0 + 2 * i)
+            for tq in targets_by_proc.get(v, ()):
+                feed(interact(far, tq))
+            proxy[v] = far
+        for i in range(len(hops)):
+            feed(meas(q0 + 2 * i + 1, "X", b0 + 2 * i + 1))
+            correct(control_qubit, "Z", b0 + 2 * i + 1)
 
 
 def random_clifford_circuit(n: int, max_gates: int, rng: random.Random) -> Circuit:

@@ -322,6 +322,25 @@ class TestBadInput:
         rc, err = self.verify_rc(capsys, compiled_cx, circ)
         assert rc == 2 and err == f"distqc verify: error: {circ}: bad xor token: 7\n"
 
+    def test_condition_token_above_bit_cap(self, tmp_path, capsys, topo, compiled_cx):
+        circ = tmp_path / "cond.json"
+        circ.write_text(json.dumps({"qubits": 9, "layers": [
+            [{"kind": "meas", "q": [0], "bit": 7}],
+            [{"kind": "pauli", "q": [1], "basis": "X", "cond": ["b7", "b1048577"]}],
+        ]}))
+        message = "bit id 1048577 is above the cap 1048576"
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and err == f"distqc compile: error: {circ}: {message}\n"
+        rc, err = self.verify_rc(capsys, compiled_cx, circ)
+        assert rc == 2 and err == f"distqc verify: error: {circ}: {message}\n"
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps({"qubits": 2, "data": 1, "layers": [],
+                                   "frame": {"q0": {"z": ["b1048577"]}}}))
+        logical = tmp_path / "logical.json"
+        logical.write_text(json.dumps({"qubits": 1, "layers": []}))
+        rc, err = self.verify_rc(capsys, ext, logical)
+        assert rc == 2 and err == f"distqc verify: error: {ext}: {message}\n"
+
     @pytest.mark.parametrize(
         "gate,message",
         [
@@ -343,10 +362,13 @@ class TestBadInput:
             ({"kind": "meas", "q": [0], "bit": "3"}, 'meas gate bit must be a non-negative integer, got "3"'),
             ({"kind": "cx", "q": [1, 1]}, "cx gate on qubits [1, 1] repeats an operand"),
             ({"kind": "fanin", "q": [0, 2, 0]}, "fanin gate on qubits [0, 2, 0] repeats an operand"),
+            # every expansion mask would be ten million bits wide
+            ({"kind": "meas", "q": [0], "bit": 10000000}, "bit id 10000000 is above the cap 1048576"),
         ],
         ids=["yhalf-two-qubits", "pauli-two-qubits", "cx-three-operands", "cx-one-operand",
              "fanin-one-operand", "yhalf-basis", "unknown-kind", "float-qubit", "bool-qubit",
-             "negative-qubit", "string-bit", "cx-repeated-operand", "fanin-repeated-operand"],
+             "negative-qubit", "string-bit", "cx-repeated-operand", "fanin-repeated-operand",
+             "bit-above-cap"],
     )
     def test_malformed_gate(self, tmp_path, capsys, topo, compiled_cx, gate, message):
         # compiled as a logical circuit, and verified as each of the two inputs

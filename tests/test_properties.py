@@ -8,8 +8,9 @@ must return that path.  The Steiner approximation must return
 a tree whose leaves are terminals, and the CZ densifier must keep the CZ
 multiset (in at most n - 1 layers when it has no repeated pair).
 `XorExpr`, and the frame normalizer's rewrite of its masks, must agree with
-a plain frozenset model of an affine GF(2) expression.  Every gate kind and
-every layered circuit must read back from its JSON as an equal value."""
+a plain frozenset model of an affine GF(2) expression.  Every gate kind,
+every layered circuit, placement, connected capacitated graph and flow
+schedule must read back from its JSON as an equal value."""
 
 import json
 import random
@@ -35,9 +36,9 @@ from distqc.circuit import (
     gate_to_json,
     yhalf,
 )
-from distqc.flow import check_feasible, compile_circuit_flow
+from distqc.flow import FlowSchedule, check_feasible, compile_circuit_flow
 from distqc.netmodel import GENERATORS
-from distqc.pauli import ONE, XorExpr
+from distqc.pauli import MAX_BIT_ID, ONE, XorExpr
 from distqc.pushing import FrameNormalizer
 from distqc.stabsim import channel_equivalent
 from distqc.steiner import SteinerInstance, compile_circuit_steiner, cz_to_dense_fanin, steiner_tree_approx
@@ -359,9 +360,10 @@ def test_measurement_bit_zero_is_not_the_constant():
 
 
 def test_from_tokens_rejects_bad_tokens():
-    for bad in (["x3"], ["b-1"], ["b"], ["b1", "q"], [7], ["b1", None], ["b 1"], ["b07"]):
+    for bad in (["x3"], ["b-1"], ["b"], ["b1", "q"], [7], ["b1", None], ["b 1"], ["b07"], [f"b{MAX_BIT_ID + 1}"]):
         with pytest.raises(ValueError):
             XorExpr.from_tokens(bad)
+    assert XorExpr.from_tokens([f"b{MAX_BIT_ID}"]) == XorExpr.of(MAX_BIT_ID)
 
 
 # -- JSON round trips ---------------------------------------------------------------
@@ -396,3 +398,32 @@ def test_circuit_json_round_trip(case):
     n, gate_layers = case
     c = Circuit.from_layers(n, gate_layers)
     assert Circuit.from_json(json.loads(json.dumps(c.to_json()))) == c
+
+
+def json_round_trip(value):
+    return type(value).from_json(json.loads(json.dumps(value.to_json())))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(0, 200), max_size=30))
+def test_placement_json_round_trip(procs):
+    p = Placement(tuple(procs))
+    assert json_round_trip(p) == p
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_quotient_graph_json_round_trip(nodes, max_cap, seed):
+    g = random_connected_graph(random.Random(seed), nodes, max_cap)
+    assert json_round_trip(g) == g
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 20).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.tuples(st.integers(1, d), st.lists(st.integers(0, 30), min_size=2, max_size=7)), max_size=12),
+)))
+def test_flow_schedule_json_round_trip(case):
+    horizon, assignments = case
+    s = FlowSchedule(horizon, tuple(tau for tau, _ in assignments), tuple(tuple(p) for _, p in assignments))
+    assert json_round_trip(s) == s

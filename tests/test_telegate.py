@@ -4,21 +4,27 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distqc.bench import gen_random_cz_circuit
 from distqc.circuit import Circuit, Placement, cx, cz, fanin, fanout, gate_to_json, meas, pauli, yhalf
 from distqc.flow import compile_circuit_flow
 from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_high, gen_rect_low
 from distqc.pauli import PauliFrame, XorExpr
+from distqc.pushing import FrameNormalizer
 from distqc.stabsim import channel_equivalent
-from distqc.steiner import compile_circuit_steiner
+from distqc.steiner import compile_circuit_steiner, cz_to_dense_fanin
 from distqc.telegate import (
     CircuitExpander,
     ExtendedCircuit,
     InvalidPathError,
+    _orient,
     expand_fanin_tree,
     expand_telegate_cx,
     expand_telegate_cz,
 )
+from oracles import GateByGateExpander
 
 CX2 = Circuit.from_layers(2, [[cx(0, 1)]])
 CZ2 = Circuit.from_layers(2, [[cz(0, 1)]])
@@ -374,3 +380,102 @@ class TestPinnedLargerOutputs:
             expand_fanin_tree(0, {2, 3, 4}, {(0, 1), (1, 2), (1, 3), (0, 4)}),
         ]
         assert _sha_json([f.to_json() for f in frags]) == FRAGMENTS_SHA256
+
+
+# -- the closed-form corrections against the gate-by-gate expansion -----------------
+
+AXES = st.sampled_from("XZ")
+# a condition over the logical bits 0 and 3, or None for an unconditional Pauli
+CONDS = st.none() | st.tuples(st.frozensets(st.sampled_from([0, 3])), st.booleans()).map(
+    lambda m: XorExpr(*m)
+)
+
+
+@st.composite
+def fragment_cases(draw):
+    """One remote cx, cz, fanin or fanout (hub qubit 0 on processor 0) on a
+    random processor tree of up to 4 hops, as one tree route or one path per
+    target processor.  Before it: logical bits 0 and 3, which carry flips
+    when a pending Pauli anticommutes with their measurement, and pending X
+    and Z on every operand conditioned on them.  After it: a measurement of
+    every operand, whose flips the fragment's frame sets, and Paulis
+    conditioned on those bits, which the flips rewrite."""
+    procs = draw(st.integers(1, 5))
+    parent = [draw(st.integers(0, v - 1)) for v in range(1, procs)]  # processor v's parent is parent[v - 1]
+    kind = draw(st.sampled_from(["cx", "cz", "fanin", "fanout"]))
+    size = 1 if kind in ("cx", "cz") else draw(st.integers(1, 4))
+    spokes = list(range(1, size + 1))
+    spoke_procs = draw(st.lists(st.integers(0, procs - 1), min_size=size, max_size=size))
+    if kind in ("cx", "cz"):
+        gate = (cx if kind == "cx" else cz)(0, 1)
+    else:
+        gate = (fanin if kind == "fanin" else fanout)(0, spokes, basis=draw(AXES))
+    a, b = size + 1, size + 2  # hold the logical bits, on processor 0
+    operands = [0, *spokes]
+    layers = [
+        [pauli(q, axis, None) for q in (a, b) if (axis := draw(st.sampled_from(["", "X", "Z"])))],
+        [meas(a, draw(AXES), 0), meas(b, draw(AXES), 3)],
+        *([pauli(q, axis, cond) for q in operands if (cond := draw(CONDS)) is not None] for axis in "XZ"),
+        [gate],
+        [meas(q, draw(AXES), 10 + q) for q in operands],
+        [pauli(a, "X", XorExpr.of(*(10 + q for q in operands))), pauli(b, "Z", XorExpr.of(10, 3))],
+    ]
+    circ = Circuit.from_layers(size + 3, layers)
+    placement = Placement((0, *spoke_procs, 0, 0))
+    served = sorted(set(spoke_procs) - {0})
+    if draw(st.booleans()):
+        edges = [(p, v) for v, p in enumerate(parent, start=1)]
+        routes = [(_orient(0, edges, served, None), tuple(served))]
+    else:
+        routes = []
+        for p in served:
+            chain = [p]
+            while chain[-1]:
+                chain.append(parent[chain[-1] - 1])
+            chain.reverse()
+            routes.append((tuple(zip(chain, chain[1:])), (p,)))
+    return circ, placement, {(4, gate): routes}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(fragment_cases())
+def test_closed_form_matches_gate_by_gate_expansion(case):
+    circ, placement, routes = case
+    fast, slow = CircuitExpander(circ, placement), GateByGateExpander(circ, placement)
+    got, want = fast.expand(routes), slow.expand(routes)
+    assert got.gates == want.gates
+    assert (got.frame.x, got.frame.z) == (want.frame.x, want.frame.z)
+    assert fast.normalizer.flips == slow.normalizer.flips
+    logical_bits = {g.bit for g in circ.all_gates() if g.kind == "meas"}
+    assert set(fast.normalizer.flips) <= logical_bits
+
+
+def _fed_gates(monkeypatch):
+    """Every gate handed to `FrameNormalizer.feed` from now on, in order."""
+    fed = []
+    feed = FrameNormalizer.feed
+
+    def spy(self, g):
+        fed.append(g)
+        feed(self, g)
+
+    monkeypatch.setattr(FrameNormalizer, "feed", spy)
+    return fed
+
+
+def test_feed_sees_no_fragment_gate(monkeypatch):
+    # two qubits per processor, so some gates and fan targets are local
+    g = gen_rect_high(4)
+    n = 2 * g.node_count
+    placement = Placement.round_robin(n, g.node_count)
+    half_cx = half_cx_circuit(n, 256, random.Random("half-cx"))
+    fan_in = cz_to_dense_fanin(gen_random_cz_circuit(n, 128, random.Random("fan-in"))).to_circuit()
+    assert any(x.kind == "fanin" for x in fan_in.all_gates())
+    for compile_ in (
+        lambda: compile_circuit_flow(half_cx, placement, g, "greedy")[0],
+        lambda: compile_circuit_steiner(fan_in, placement, g)[0],
+    ):
+        fed = _fed_gates(monkeypatch)
+        ext = compile_()
+        assert ext.e_count > 0 and fed
+        assert not [x for x in fed if x.kind == "bell" or max(x.qubits) >= ext.num_data]
