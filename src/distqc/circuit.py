@@ -281,14 +281,29 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def check_keys(doc, known: frozenset[str], what: str) -> None:
+    """Reject, with a ValueError naming `what`, a `doc` that is not a JSON
+    object or has a key outside `known` (the least such key is named): a
+    misspelt optional key would otherwise read as absent."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = doc.keys() - known
+    if unknown:
+        raise ValueError(f"{what} has unknown key {json.dumps(min(unknown))}")
+
+
+GATE_KEYS = frozenset({"kind", "q", "basis", "bit", "cond", "variant"})
+
+
 def gate_from_json(doc: dict) -> Gate:
-    """Read one gate: its kind a known string, its qubits and bit JSON
-    integers (the bit at most `pauli.MAX_BIT_ID`), its cond a token list;
-    `check_gate` then rejects what the simulator and the compiler would
-    misread."""
+    """Read one gate: its kind a known string, no key outside `GATE_KEYS`,
+    its qubits and bit JSON integers (the bit at most `pauli.MAX_BIT_ID`),
+    its cond a token list; `check_gate` then rejects what the simulator and
+    the compiler would misread."""
     kind = doc["kind"]
     if type(kind) is not str or kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {json.dumps(kind)}")
+    check_keys(doc, GATE_KEYS, f"{kind} gate")
     qubits = tuple(json_int(q, f"{kind} gate qubit") for q in doc["q"])
     bit = check_bit_id(json_int(doc["bit"], f"{kind} gate bit")) if "bit" in doc else -1
     cond = XorExpr.from_tokens(doc["cond"]) if "cond" in doc else None
@@ -454,15 +469,15 @@ class CommoditySet:
 
 
 def default_qpar(earlier: Gate, later: Gate, shared_qubit: int) -> bool:
-    """Quasi-parallelism for one ordered pair sharing exactly one qubit.
+    """Quasi-parallelism for one ordered pair sharing exactly one qubit, at
+    least one of the two not diagonal.
 
     Safe pattern: the shared qubit is the target of the earlier gate and a
     control of the later one (the later telegate's control-side injection can
     ride in the same entanglement round, with the conflict repaired in the
-    correction layer), or both gates are diagonal.
+    correction layer).  A pair of diagonal gates commutes and is never
+    asked: `extract_commodities` gives it no constraint at all.
     """
-    if earlier.is_diagonal() and later.is_diagonal():
-        return True
     return shared_qubit in earlier.targets() and shared_qubit in later.controls()
 
 

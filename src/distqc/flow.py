@@ -162,8 +162,6 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
         )
     if cs.k == 0:
         return FlowSchedule(0, (), ())
-    if d < 1:
-        return None
     strict_succs, qpar_succs = cs.strict_succs, cs.qpar_succs
     tail = [0] * cs.k
     for i in reversed(range(cs.k)):
@@ -173,10 +171,9 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
     if max(tail) >= d:
         return None
     options = [_simple_paths(q, c.source, c.target) for c in cs.commodities]
-    lower = [len(opts[0]) - 1 if opts else math.inf for opts in options]
-    for i, opts in enumerate(options):
-        if not opts:
-            return None
+    if not all(options):
+        return None
+    lower = [len(opts[0]) - 1 for opts in options]
     remaining_lb = [0] * (cs.k + 1)
     for i in range(cs.k - 1, -1, -1):
         remaining_lb[i] = remaining_lb[i + 1] + lower[i]
@@ -192,8 +189,6 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
 
     def assign(i: int, flow: int) -> None:
         nonlocal best_f, best
-        if flow + remaining_lb[i] >= best_f:
-            return
         if i == cs.k:
             best_f = flow
             best = (tuple(steps), tuple(paths))

@@ -11,9 +11,9 @@ is measurement bit ``b`` (logical ``meas`` gates may emit bit 0), the layout
 of the symbolic signs in ``stabsim``.  XOR of two expressions is one int XOR.
 ``telegate.CircuitExpander`` normalizes its frame as it emits gates
 (``pushing.FrameNormalizer``): local gates are pushed one by one, each
-remote target by its logical interaction's push rule, and the textbook
-protocols' closed-form corrections go straight into per-qubit masks, so
-they never become inline ``pauli`` gates.  A mask is as wide as its
+target of a remote gate by its logical interaction's push rule, and the
+textbook protocols' closed-form corrections go straight into per-qubit
+masks, so they never become inline ``pauli`` gates.  A mask is as wide as its
 highest bit id, so input files may name bit ids up to ``MAX_BIT_ID`` only.
 """
 
@@ -71,14 +71,6 @@ class XorExpr:
 
     def __setattr__(self, name, value):
         raise AttributeError("XorExpr is immutable")
-
-    @staticmethod
-    def zero() -> "XorExpr":
-        return XorExpr()
-
-    @staticmethod
-    def one() -> "XorExpr":
-        return XorExpr(const=True)
 
     @staticmethod
     def of(*bits: int, const: bool = False) -> "XorExpr":
@@ -146,8 +138,8 @@ class XorExpr:
         return "(" + "^".join(self.tokens()) + ")" if self else "0"
 
 
-ZERO = XorExpr.zero()
-ONE = XorExpr.one()
+ZERO = XorExpr()
+ONE = XorExpr(const=True)
 
 
 @dataclass
@@ -156,7 +148,9 @@ class PauliFrame:
 
     The frame entry for qubit ``q`` means: after the quantum circuit, apply
     ``X^x(q)`` and ``Z^z(q)`` where the exponents are evaluated from the
-    recorded measurement bits.
+    recorded measurement bits.  `add` is the one update: it XORs an
+    expression into an entry and drops an entry that becomes 0, so no
+    stored expression is ever 0.
     """
 
     x: dict[int, XorExpr] = field(default_factory=dict)
@@ -168,27 +162,18 @@ class PauliFrame:
     def z_of(self, q: int) -> XorExpr:
         return self.z.get(q, ZERO)
 
-    def add_x(self, q: int, e: XorExpr) -> None:
-        val = self.x_of(q) ^ e
-        if val:
-            self.x[q] = val
-        else:
-            self.x.pop(q, None)
-
-    def add_z(self, q: int, e: XorExpr) -> None:
-        val = self.z_of(q) ^ e
-        if val:
-            self.z[q] = val
-        else:
-            self.z.pop(q, None)
-
     def add(self, q: int, axis: str, e: XorExpr) -> None:
         if axis == "X":
-            self.add_x(q, e)
+            entries = self.x
         elif axis == "Z":
-            self.add_z(q, e)
+            entries = self.z
         else:
             raise ValueError(f"unknown Pauli axis {axis!r}")
+        val = entries.get(q, ZERO) ^ e
+        if val:
+            entries[q] = val
+        else:
+            entries.pop(q, None)
 
     def qubits(self) -> set[int]:
         return set(self.x) | set(self.z)
@@ -221,6 +206,6 @@ class PauliFrame:
                 raise ValueError(f"frame entry {key} of a {num_qubits}-qubit circuit")
             if not isinstance(parts, dict) or not parts.keys() <= {"x", "z"}:
                 raise ValueError(f"frame entry {key} must hold only x and z token lists")
-            frame.add_x(q, XorExpr.from_tokens(parts.get("x", [])))
-            frame.add_z(q, XorExpr.from_tokens(parts.get("z", [])))
+            frame.add(q, "X", XorExpr.from_tokens(parts.get("x", [])))
+            frame.add(q, "Z", XorExpr.from_tokens(parts.get("z", [])))
         return frame

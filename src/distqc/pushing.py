@@ -53,9 +53,9 @@ class FrameNormalizer:
     module docstring; a measurement stores the anticommuting mask as its
     bit's flip and drops the rest, and a prep or bell drops its qubits'
     masks.  Every gate but `pauli` goes to `gates`.  `telegate` appends a
-    telegate fragment's gates to `gates` itself and calls `_cx`/`_cz` once
-    per remote target, since the fragment moves the frame as that one
-    interaction does.
+    remote interaction's gates to `gates` itself and calls `_cx`/`_cz` once
+    per target, since the fragment moves the frame as that one interaction
+    does.
     """
 
     def __init__(self) -> None:

@@ -232,9 +232,11 @@ class StabilizerState:
             raise ValueError(f"cannot apply gate kind {k!r}")
 
     def apply_frame(self, frame: PauliFrame, bits: dict[int, int]) -> None:
-        for q, e in sorted(frame.x.items()):
+        """Apply each frame entry; an entry only XORs sign bits, so their
+        order cannot change the state."""
+        for q, e in frame.x.items():
             self.flip(q, "X", e.evaluate(bits))
-        for q, e in sorted(frame.z.items()):
+        for q, e in frame.z.items():
             self.flip(q, "Z", e.evaluate(bits))
 
     # -- diagnostics -----------------------------------------------------------

@@ -4,9 +4,9 @@ A remote interaction between processors connected by an entanglement path
 (or tree) becomes: Bell preparations on every link, one layer of local
 injection gates, one simultaneous measurement layer, and deferred Pauli
 corrections.  `CircuitExpander` feeds local gates to the pushing rewriter as
-it goes.  A fragment's own gates skip it: the fragment moves the pending
+it goes.  A remote gate's own gates skip it: the fragment moves the pending
 frame exactly as the logical interaction does, so the rewriter's push rule
-for that interaction is applied once per remote target, and the protocols'
+for that interaction is applied once per target, and the protocols'
 closed-form corrections are added to the frame directly.  Every correction
 thus lands in the terminal Pauli frame without ever becoming an inline
 conditioned Pauli gate.  That keeps the quantum part of a fragment at depth
@@ -20,11 +20,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, bell, cx, cz, fanin, meas
-from .circuit import check_reads, gate_from_json, gate_to_json, json_int, spokes_by_proc
+from .circuit import check_keys, check_reads, gate_from_json, gate_to_json, json_int, spokes_by_proc
 from .circuit import unemitted_bit, yhalf
 from .netmodel import QuotientGraph
-from .pauli import PauliFrame
+from .pauli import PauliFrame, check_bit_id
 from .pushing import FrameNormalizer
+
+EXTENDED_KEYS = frozenset({"qubits", "data", "layers", "frame"})
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,10 @@ class ExtendedCircuit:
 
     @staticmethod
     def from_json(doc: dict) -> "ExtendedCircuit":
-        """Read ``to_json()`` back, rejecting a qubit outside the circuit and
-        a condition or frame entry reading a bit that no meas emits first."""
+        """Read ``to_json()`` back, rejecting a key ``to_json`` does not
+        write, a qubit outside the circuit and a condition or frame entry
+        reading a bit that no meas emits first."""
+        check_keys(doc, EXTENDED_KEYS, "extended circuit")
         layers = [[gate_from_json(g) for g in layer] for layer in doc["layers"]]
         gates = tuple(g for layer in layers for g in layer)
         n, data = json_int(doc["qubits"], "qubit count"), json_int(doc["data"], "data qubit count")
@@ -214,9 +218,10 @@ class CircuitExpander:
     trees on the quotient graph) by the scheduling backend.  Fan-outs are
     compiled as fan-ins conjugated by basis-exchange layers.  A
     `FrameNormalizer` moves every correction into the frame: local gates and
-    the basis-exchange layers are fed to it gate by gate; each remote
-    target costs it one logical push and one closed-form correction, and
-    each route one closed-form correction on the control (see `emit_tree`).
+    the basis-exchange layers are fed to it gate by gate; each target of a
+    remote interaction costs it one logical push (and, off the control's
+    processor, one closed-form correction), and each route one closed-form
+    correction on the control (see `emit_tree`).
     """
 
     def __init__(self, circuit: Circuit, placement: Placement):
@@ -233,6 +238,9 @@ class CircuitExpander:
 
         `routes[(layer index, gate)]` holds the routes of a gate the backend
         scheduled as remote (see `emit_remote`); every other gate is local.
+        Refuses, with `pauli.check_bit_id`'s ValueError, an expansion whose
+        last bit is above `pauli.MAX_BIT_ID`, which ``from_json`` could not
+        read back.
         """
         feed = self.normalizer.feed
         for li, layer in enumerate(self.circuit.layers):
@@ -241,6 +249,7 @@ class CircuitExpander:
                     self.emit_remote(g, routes[(li, g)])
                 else:
                     feed(g)
+        check_bit_id(self.next_bit - 1)
         gates, frame = self.normalizer.finish()
         return ExtendedCircuit(self.circuit.num_qubits, self.next_qubit, gates, frame)
 
@@ -292,21 +301,23 @@ class CircuitExpander:
         Finally each proxy is measured in X.  Bits come in wire order: per
         hop, the Z-basis bit then the X-basis bit.
 
-        Targets on root interact locally through the normalizer's `feed`.
-        The fragment's own gates go straight to its gate list: its
+        Targets on root interact with the control directly: the zero-hop
+        case, with no Bell pair and no correction.  The fragment's gates go
+        straight to the normalizer's gate list, none through `feed`: its
         communication qubits are fresh and all measured inside it, so on the
         pending frame it acts as the logical interaction does, applied once
-        per remote target by the normalizer's push rule, plus the protocol's
+        per target by the normalizer's push rule, plus the protocol's
         closed-form corrections.  A target at v gets X (cx) or Z (cz) with
         the XOR of the Z-basis bits on the hops from root to v; the control
         gets Z with the XOR of every X-basis bit.
         """
         interact = cx if kind == "cx" else cz
         normalizer = self.normalizer
-        for tq in targets_by_proc.get(root, ()):
-            normalizer.feed(interact(control_qubit, tq))
         push, fix = (normalizer._cx, "X") if kind == "cx" else (normalizer._cz, "Z")
         emit, add = normalizer.gates.append, normalizer.add
+        for tq in targets_by_proc.get(root, ()):
+            emit(interact(control_qubit, tq))
+            push(control_qubit, tq)
         # hop i uses qubits q0 + 2i (near) and q0 + 2i + 1 (far), and bits
         # b0 + 2i (Z basis) and b0 + 2i + 1 (X basis)
         q0, b0 = self.next_qubit, self.next_bit

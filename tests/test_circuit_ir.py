@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from distqc.bench import gen_random_cz_circuit
 from distqc.circuit import (
     Circuit,
+    Commodity,
+    CommoditySet,
     Gate,
     Placement,
     cx,
@@ -19,6 +22,7 @@ from distqc.circuit import (
     gate_to_json,
     meas,
     pauli,
+    validate,
     validate_layers,
     yhalf,
 )
@@ -253,9 +257,24 @@ class TestSerialization:
         assert Placement.from_json(json.loads(json.dumps(p.to_json()))) == p
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(2, 10), st.integers(0, 60), st.integers(0, 2**31))
 def test_generated_circuits_always_layer_valid(n, k, seed):
     c = gen_random_cz_circuit(n, k, random.Random(seed))
     assert validate_layers(c) is None
     assert len(c.all_gates()) == k
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: validate(Circuit.from_layers(3, [[cz(0, 2)]]), Placement((0, 1)), gen_rect_low(2)),
+         "placement maps 2 of 3 qubits"),
+        (lambda: CommoditySet((Commodity(0, 1, 0, (1,), cx(0, 1)),), (), ((),)),
+         "successor lists must have one entry per commodity (1)"),
+    ],
+    ids=["short-placement", "successor-list-count"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

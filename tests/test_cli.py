@@ -9,7 +9,7 @@ import pytest
 import distqc
 from distqc.circuit import Circuit, cx, cz, meas
 from distqc.cli import main
-from distqc.pauli import PauliFrame
+from distqc.pauli import MAX_BIT_ID, PauliFrame
 from distqc.telegate import ExtendedCircuit
 
 
@@ -311,6 +311,41 @@ class TestBadInput:
         rc, err = self.verify_rc(capsys, ext, logical)
         assert rc == 2 and err == f"distqc verify: error: {ext}: {message}\n"
 
+    def test_verify_unknown_extended_key(self, tmp_path, capsys, compiled_cx):
+        # read without the key, the circuit would have an empty frame
+        doc = json.loads(compiled_cx.read_text())
+        doc["frames"] = doc.pop("frame")
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps(doc))
+        logical = tmp_path / "cx.json"
+        rc, err = self.verify_rc(capsys, ext, logical)
+        assert rc == 2 and err == f'distqc verify: error: {ext}: extended circuit has unknown key "frames"\n'
+
+    @staticmethod
+    def measure_then_six_remote_cx(bit):
+        """A 9-qubit circuit whose expansion on rect-low g=3 (round robin)
+        emits the 32 bits above its one logical bit."""
+        return Circuit.from_layers(9, [
+            [meas(0, "Z", bit)], [cx(1, 8), cx(2, 6)], [cx(3, 7), cx(4, 5)], [cx(8, 1), cx(6, 3)],
+        ])
+
+    @pytest.mark.parametrize("bit", [MAX_BIT_ID, MAX_BIT_ID - 31])
+    def test_compile_refuses_output_above_bit_cap(self, tmp_path, capsys, topo, bit):
+        circ = tmp_path / "circ.json"
+        circ.write_text(json.dumps(self.measure_then_six_remote_cx(bit).to_json()))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        last = bit + 32
+        assert rc == 2 and err == f"distqc compile: error: bit id {last} is above the cap {MAX_BIT_ID}\n"
+
+    def test_compile_output_at_bit_cap_reads_back(self, tmp_path, capsys, topo):
+        circ = tmp_path / "circ.json"
+        circ.write_text(json.dumps(self.measure_then_six_remote_cx(MAX_BIT_ID - 32).to_json()))
+        ext = tmp_path / "ext.json"
+        assert run(["compile", "--circuit", str(circ), "--topology", str(topo),
+                    "--backend", "flow-greedy", "--extended-out", str(ext)]) == 0
+        extended = ExtendedCircuit.from_json(json.loads(ext.read_text()))
+        assert max(g.bit for g in extended.gates if g.kind == "meas") == MAX_BIT_ID
+
     def test_non_string_condition_token(self, tmp_path, capsys, topo, compiled_cx):
         circ = tmp_path / "cond.json"
         circ.write_text(json.dumps({"qubits": 9, "layers": [
@@ -364,11 +399,14 @@ class TestBadInput:
             ({"kind": "fanin", "q": [0, 2, 0]}, "fanin gate on qubits [0, 2, 0] repeats an operand"),
             # every expansion mask would be ten million bits wide
             ({"kind": "meas", "q": [0], "bit": 10000000}, "bit id 10000000 is above the cap 1048576"),
+            # read without the key: an X fan-in, and a Z measurement
+            ({"kind": "fanin", "q": [0, 4, 8], "bases": "Z"}, 'fanin gate has unknown key "bases"'),
+            ({"kind": "meas", "q": [0], "bit": 1, "Basis": "X"}, 'meas gate has unknown key "Basis"'),
         ],
         ids=["yhalf-two-qubits", "pauli-two-qubits", "cx-three-operands", "cx-one-operand",
              "fanin-one-operand", "yhalf-basis", "unknown-kind", "float-qubit", "bool-qubit",
              "negative-qubit", "string-bit", "cx-repeated-operand", "fanin-repeated-operand",
-             "bit-above-cap"],
+             "bit-above-cap", "fanin-misspelt-basis", "meas-misspelt-basis"],
     )
     def test_malformed_gate(self, tmp_path, capsys, topo, compiled_cx, gate, message):
         # compiled as a logical circuit, and verified as each of the two inputs

@@ -123,6 +123,6 @@ def test_refuses_logical_qubit_out_of_range():
 def test_constant_pauli_is_unitary():
     logical = Circuit.from_layers(1, [[pauli(0, "X", ONE)]])
     frame = PauliFrame()
-    frame.add_x(0, ONE)
+    frame.add(0, "X", ONE)
     assert exact(ExtendedCircuit(1, 1, (), frame), logical)
     assert not exact(ExtendedCircuit(1, 1, (), PauliFrame()), logical)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -370,3 +371,34 @@ class TestFlowCompileEquivalence:
                 assert channel_equivalent(
                     ext, circ, trials=4, branches=4, rng=random.Random(trial)
                 )
+
+
+SPLIT = QuotientGraph(4, ((0, 1, 1), (2, 3, 1)))  # two components
+ONE_HOP = commodity_set([Commodity(0, 1, 0, (1,), cx(0, 1))], [], [])
+NO_PATH = commodity_set([Commodity(0, 2, 0, (1,), cx(0, 1))], [], [])
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        (lambda: solve_mcf_exact(EDGE, commodity_set([], [], []), 1), FlowSchedule(0, (), ())),
+        (lambda: solve_mcf_exact(EDGE, ONE_HOP, 0), None),
+        (lambda: solve_mcf_exact(SPLIT, NO_PATH, 1), None),
+        (lambda: quickest_flow(SPLIT, NO_PATH),
+         ValueError("no feasible schedule up to horizon k; instance is malformed")),
+        (lambda: check_feasible(FlowSchedule(1, (1, 1), ((0, 1), (0, 1))), EDGE, ONE_HOP),
+         Violation("demand", message="2 assignments for 1 commodities")),
+        (lambda: check_feasible(FlowSchedule(1, (2,), ((0, 1),)), EDGE, ONE_HOP),
+         Violation("demand", commodity=0, step=2, message="step outside horizon")),
+        (lambda: compile_circuit_flow(Circuit.from_layers(2, [[cx(0, 1)]]), Placement.identity(2), EDGE, "fast"),
+         ValueError("unknown flow mode 'fast'")),
+    ],
+    ids=["exact-k0", "exact-d0", "exact-no-path", "quickest-no-path", "feasible-count",
+         "feasible-step-outside-horizon", "compile-unknown-mode"],
+)
+def test_refusals(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            call()
+    else:
+        assert call() == expected

@@ -1,6 +1,8 @@
 import json
 import random
+import re
 from fractions import Fraction
+from functools import partial
 
 import networkx as nx
 import pytest
@@ -179,3 +181,18 @@ class TestDistanceService:
         assert both() == first
         fresh = gen_rect_low(3)
         assert iterative_greedy(fresh, cs) == first[0]
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (partial(QuotientGraph, 2, ((1, 0, 1),)), "bad edge (1,0) in graph of 2 nodes"),
+        (partial(QuotientGraph, 2, ((0, 1, 0),)), "edge (0,1) capacity must be >= 1"),
+        (partial(QuotientGraph, 2, ((0, 1, 1), (0, 1, 2))), "duplicate edge (0,1)"),
+        *((partial(gen, 0), "generator factor must be >= 1") for gen in GENERATORS.values()),
+    ],
+    ids=["reversed-edge", "zero-capacity", "duplicate-edge", *(f"{kind}-g0" for kind in GENERATORS)],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -45,13 +45,7 @@ from distqc.steiner import SteinerInstance, compile_circuit_steiner, cz_to_dense
 from distqc.telegate import ExtendedCircuit
 from oracles import random_connected_graph
 
-PROPERTY_SETTINGS = settings(
-    derandomize=True,
-    database=None,
-    max_examples=200,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+PROPERTY_SETTINGS = settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite

@@ -368,3 +368,8 @@ class TestGateDispatch:
         s = StabilizerState(1)
         s.apply_gate(prep(0, "X"))
         assert s.measure(0, "X") == 0
+
+
+def test_data_register_mismatch_refused():
+    with pytest.raises(ValueError, match="^data register mismatch between circuits$"):
+        channel_equivalent(ExtendedCircuit(1, 1, (), PauliFrame()), Circuit.from_layers(2, []))

@@ -396,3 +396,8 @@ class TestGeneralSteinerBackend:
         circ = Circuit.from_layers(6, [[cz(0, 4)]])
         with pytest.raises(InvalidPathError, match=r"\(0,4\) missing from graph"):
             compile_circuit_steiner(circ, Placement.identity(6), gen_rect_low(2))
+
+
+def test_instance_without_terminal_refused():
+    with pytest.raises(ValueError, match="^need at least one terminal$"):
+        SteinerInstance(gen_rect_low(2), frozenset())

@@ -437,7 +437,7 @@ def fragment_cases(draw):
     return circ, placement, {(4, gate): routes}
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(fragment_cases())
 def test_closed_form_matches_gate_by_gate_expansion(case):
     circ, placement, routes = case
@@ -471,6 +471,8 @@ def test_feed_sees_no_fragment_gate(monkeypatch):
     half_cx = half_cx_circuit(n, 256, random.Random("half-cx"))
     fan_in = cz_to_dense_fanin(gen_random_cz_circuit(n, 128, random.Random("fan-in"))).to_circuit()
     assert any(x.kind == "fanin" for x in fan_in.all_gates())
+    # a target on its control's processor is not fed either, so one local gate
+    fan_in = Circuit(n, ((yhalf(0),), *fan_in.layers))
     for compile_ in (
         lambda: compile_circuit_flow(half_cx, placement, g, "greedy")[0],
         lambda: compile_circuit_steiner(fan_in, placement, g)[0],
@@ -479,3 +481,8 @@ def test_feed_sees_no_fragment_gate(monkeypatch):
         ext = compile_()
         assert ext.e_count > 0 and fed
         assert not [x for x in fed if x.kind == "bell" or max(x.qubits) >= ext.num_data]
+
+
+def test_more_data_qubits_than_qubits_refused():
+    with pytest.raises(ValueError, match="^2 data qubits in a 1-qubit circuit$"):
+        ExtendedCircuit.from_json({"qubits": 1, "data": 2, "layers": [], "frame": {}})
