@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from itertools import product
 
 from .circuit import Circuit, Placement, cz, fanin
-from .flow import compile_circuit_flow
+from .flow import EXACT_MAX_COMMODITIES, EXACT_MAX_NODES, compile_circuit_flow
 from .netmodel import GENERATORS, QuotientGraph
 from .steiner import compile_circuit_steiner, cz_to_dense_fanin
 
@@ -74,6 +74,18 @@ class BenchConfig:
                 raise ValueError(f"unknown backend {b!r}")
         if any(s <= 0 for s in self.sizes) or any(g < 1 for g in self.g_values):
             raise ValueError("sizes and generator factors must be positive")
+        if "flow-exact" not in self.backends:
+            return
+        # one qubit per processor: every random CZ is remote, so k is the size
+        for t, g in product(self.topologies, self.g_values):
+            nodes = GENERATORS[t](g).node_count
+            for size in self.sizes:
+                if size > EXACT_MAX_COMMODITIES or nodes > EXACT_MAX_NODES:
+                    raise ValueError(
+                        f"flow-exact cell {t} g={g} size {size}: exact solver limited to "
+                        f"{EXACT_MAX_COMMODITIES} commodities on {EXACT_MAX_NODES} nodes "
+                        f"(got k={size}, nodes={nodes})"
+                    )
 
 
 @dataclass(frozen=True)

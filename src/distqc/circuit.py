@@ -29,16 +29,7 @@ TWO_QUBIT_KINDS = {"cz", "cx"}
 FAN_KINDS = {"fanin", "fanout"}
 
 
-class _GateFields(NamedTuple):
-    kind: str
-    qubits: tuple[int, ...]
-    basis: str = ""
-    bit: int = -1
-    cond: XorExpr | None = None
-    variant: str = ""
-
-
-class Gate(_GateFields):
+class Gate(NamedTuple):
     """One circuit operation: an immutable tuple, compared and hashed by value.
 
     kind     a key of GATE_KINDS
@@ -50,33 +41,19 @@ class Gate(_GateFields):
     cond     XOR-of-bits condition of a pauli gate
     variant  Bell state prepared by a bell gate: phi+, phi-, psi+, psi-
 
-    Every construction, `_make` and `_replace` included, rejects a repeated
-    operand and a fan gate with fewer than two operands.  It is a tuple
-    because the expansion builds one per emitted gate, and a tuple is the
-    cheapest immutable record to construct.
+    A plain record: building one checks nothing.  `check_gate` is the one
+    gate contract, and every gate entering from outside the compiler passes
+    it (`Circuit` runs it on each of its gates, `gate_from_json` on each
+    gate it reads).  It is a tuple because the expansion builds one per
+    emitted gate, and a tuple is the cheapest immutable record to construct.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        kind: str,
-        qubits: tuple[int, ...],
-        basis: str = "",
-        bit: int = -1,
-        cond: XorExpr | None = None,
-        variant: str = "",
-    ) -> "Gate":
-        n = len(qubits)
-        if n > 1 and len(set(qubits)) != n:
-            raise ValueError(f"{kind} gate on qubits {list(qubits)} repeats an operand")
-        if n < 2 and kind in FAN_KINDS:
-            raise ValueError("fanin/fanout needs at least one remote operand")
-        return tuple.__new__(cls, (kind, qubits, basis, bit, cond, variant))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "Gate":
-        return cls(*iterable)
+    kind: str
+    qubits: tuple[int, ...]
+    basis: str = ""
+    bit: int = -1
+    cond: XorExpr | None = None
+    variant: str = ""
 
     @property
     def hub(self) -> int:
@@ -247,13 +224,14 @@ GATE_KINDS = {
 }
 
 
-def _named(g: _GateFields) -> str:
+def _named(g: Gate) -> str:
     return f"{g.kind} gate on qubits {list(g.qubits)}"
 
 
-def check_gate(g: _GateFields) -> None:
+def check_gate(g: Gate) -> None:
     """Reject, with a ValueError, a kind outside GATE_KINDS, a wrong operand
-    count or basis for the kind, a field off its default on a kind not owning
+    count for the kind (a fan gate needs at least two), a repeated operand, a
+    wrong basis for the kind, a field off its default on a kind not owning
     it (only a meas emits a bit, only a pauli has a cond, only a bell has a
     variant), and a variant outside BELL_PAULIS."""
     if g.kind not in GATE_KINDS:
@@ -262,11 +240,13 @@ def check_gate(g: _GateFields) -> None:
     if len(g.qubits) != count and not (fan and len(g.qubits) > count):
         more = " or more" if fan else ""
         raise ValueError(f"{_named(g)} has the wrong number of operands, expected {count}{more}")
+    if len(set(g.qubits)) != len(g.qubits):
+        raise ValueError(f"{_named(g)} repeats an operand")
     if g.basis not in bases:
         expected = " or ".join(b for b in bases if b) or "none"
         raise ValueError(f"{_named(g)} has basis {g.basis!r}, expected {expected}")
     for field, owner in (("bit", "meas"), ("cond", "pauli"), ("variant", "bell")):
-        if g.kind != owner and getattr(g, field) != _GateFields._field_defaults[field]:
+        if g.kind != owner and getattr(g, field) != Gate._field_defaults[field]:
             raise ValueError(f"{_named(g)} carries a {field}, which only a {owner} may")
     if g.variant and g.variant not in BELL_PAULIS:
         expected = ", ".join(BELL_PAULIS)
@@ -307,9 +287,9 @@ def gate_from_json(doc: dict) -> Gate:
     qubits = tuple(json_int(q, f"{kind} gate qubit") for q in doc["q"])
     bit = check_bit_id(json_int(doc["bit"], f"{kind} gate bit")) if "bit" in doc else -1
     cond = XorExpr.from_tokens(doc["cond"]) if "cond" in doc else None
-    fields = _GateFields(kind, qubits, doc.get("basis", ""), bit, cond, doc.get("variant", ""))
-    check_gate(fields)  # before Gate(), so a fan gate's count fault is named as one
-    return Gate._make(fields)
+    gate = Gate(kind, qubits, doc.get("basis", ""), bit, cond, doc.get("variant", ""))
+    check_gate(gate)
+    return gate
 
 
 def validate_layers(circuit: Circuit) -> None:

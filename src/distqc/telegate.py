@@ -82,17 +82,28 @@ class ExtendedCircuit:
     @staticmethod
     def from_json(doc: dict) -> "ExtendedCircuit":
         """Read ``to_json()`` back, rejecting a key ``to_json`` does not
-        write, a qubit outside the circuit and a condition or frame entry
-        reading a bit that no meas emits first."""
+        write, a qubit outside the circuit, a `bell` on a data qubit or on a
+        qubit an earlier gate acts on (a bell prepares fresh qubits; the
+        simulator would entangle whatever they hold), and a condition or
+        frame entry reading a bit that no meas emits first."""
         check_keys(doc, EXTENDED_KEYS, "extended circuit")
         layers = [[gate_from_json(g) for g in layer] for layer in doc["layers"]]
         gates = tuple(g for layer in layers for g in layer)
         n, data = json_int(doc["qubits"], "qubit count"), json_int(doc["data"], "data qubit count")
         if data > n:
             raise ValueError(f"{data} data qubits in a {n}-qubit circuit")
+        touched: set[int] = set()
         for g in gates:
             if not all(0 <= q < n for q in g.qubits):
                 raise ValueError(f"{g.kind} gate on qubits {list(g.qubits)} of a {n}-qubit circuit")
+            if g.kind == "bell":
+                for q in g.qubits:
+                    if q < data or q in touched:
+                        why = "is a data qubit" if q < data else "is acted on by an earlier gate"
+                        raise ValueError(
+                            f"bell gate on qubits {list(g.qubits)} needs fresh qubits: qubit {q} {why}"
+                        )
+            touched.update(g.qubits)
         emitted = check_reads(layers)
         frame = PauliFrame.from_json(doc.get("frame", {}), n)
         for axis, exprs in (("x", frame.x), ("z", frame.z)):

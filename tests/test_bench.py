@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 
 import pytest
 
@@ -104,6 +105,13 @@ class TestRunBench:
             BenchConfig(topologies=("moebius",))
         with pytest.raises(ValueError):
             BenchConfig(backends=("simulated-annealing",))
+        msg = (
+            "flow-exact cell rect-high g=5 size 4: exact solver limited to "
+            "10 commodities on 25 nodes (got k=4, nodes=36)"
+        )
+        with pytest.raises(ValueError, match=rf"^{re.escape(msg)}$"):
+            BenchConfig(topologies=("rect-high",), g_values=(5,), sizes=(4,), backends=("flow-exact",))
+        BenchConfig(topologies=("rect-high",), g_values=(5,), sizes=(64,), backends=("flow-greedy",))
 
     def test_exact_backend_small_instance(self):
         cfg = BenchConfig(

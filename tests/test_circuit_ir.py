@@ -13,6 +13,7 @@ from distqc.circuit import (
     CommoditySet,
     Gate,
     Placement,
+    check_gate,
     cx,
     cz,
     extract_commodities,
@@ -33,26 +34,42 @@ from distqc.pauli import XorExpr
 from distqc.steiner import compile_circuit_steiner
 
 
+def assert_refused(gate, reason):
+    """`check_gate` refuses `gate` with `reason`, and a circuit holding it
+    with the same reason for its layer."""
+    with pytest.raises(ValueError) as checked:
+        check_gate(gate)
+    assert str(checked.value) == reason
+    with pytest.raises(ValueError) as built:
+        Circuit.from_layers(4, [[gate]])
+    assert str(built.value) == f"layer 0: {reason}"
+
+
 class TestGate:
     def test_operands_distinct(self):
-        with pytest.raises(ValueError):
-            cx(1, 1)
+        assert_refused(cx(1, 1), "cx gate on qubits [1, 1] repeats an operand")
 
     def test_fanin_needs_target(self):
-        with pytest.raises(ValueError):
-            fanin(0, [])
+        reason = "fanin gate on qubits [0] has the wrong number of operands, expected 2 or more"
+        assert_refused(fanin(0, []), reason)
 
-    @pytest.mark.parametrize("kind,qubits", [("cx", (1, 1)), ("fanin", (0,)), ("fanout", (2, 3, 2))])
-    def test_direct_construction_validates(self, kind, qubits):
-        with pytest.raises(ValueError):
-            Gate(kind, qubits)
-        with pytest.raises(ValueError):
-            Gate(kind=kind, qubits=qubits, basis="Z")
+    @pytest.mark.parametrize(
+        "kind,qubits,reason",
+        [
+            ("cx", (1, 1), "cx gate on qubits [1, 1] repeats an operand"),
+            ("fanin", (0,), "fanin gate on qubits [0] has the wrong number of operands, expected 2 or more"),
+            ("fanout", (2, 3, 2), "fanout gate on qubits [2, 3, 2] repeats an operand"),
+        ],
+        ids=["cx-qubits0", "fanin-qubits1", "fanout-qubits2"],
+    )
+    def test_direct_construction_validates(self, kind, qubits, reason):
+        # building a gate checks nothing; the contract is check_gate's
+        assert_refused(Gate(kind, qubits), reason)
+        assert_refused(Gate(kind=kind, qubits=qubits, basis="Z"), reason)
 
     def test_replace_validates(self):
         assert cx(0, 1)._replace(qubits=(0, 2)) == cx(0, 2)
-        with pytest.raises(ValueError):
-            cx(0, 1)._replace(qubits=(1, 1))
+        assert_refused(cx(0, 1)._replace(qubits=(1, 1)), "cx gate on qubits [1, 1] repeats an operand")
 
     def test_immutable(self):
         g = cx(0, 1)

@@ -311,6 +311,32 @@ class TestBadInput:
         rc, err = self.verify_rc(capsys, ext, logical)
         assert rc == 2 and err == f"distqc verify: error: {ext}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "layer,message",
+        [
+            # the simulator would entangle the flipped qubit, not a fresh |0>
+            ([{"kind": "pauli", "q": [4], "basis": "X", "cond": ["1"]}],
+             "bell gate on qubits [4, 5] needs fresh qubits: qubit 4 is acted on by an earlier gate"),
+            ([{"kind": "bell", "q": [1, 2], "variant": "phi+"}],
+             "bell gate on qubits [1, 2] needs fresh qubits: qubit 1 is a data qubit"),
+        ],
+        ids=["after-pauli", "on-data-qubit"],
+    )
+    def test_verify_bell_on_used_qubit(self, tmp_path, capsys, layer, message):
+        logical = tmp_path / "cx.json"
+        logical.write_text(json.dumps(Circuit.from_layers(4, [[cx(0, 3)]]).to_json()))
+        topo = tmp_path / "topo.json"
+        assert run(["gen-topology", "--kind", "rect-low", "--g", "1", "--out", str(topo)]) == 0
+        ext = tmp_path / "ext.json"
+        assert run(["compile", "--circuit", str(logical), "--topology", str(topo),
+                    "--backend", "flow-greedy", "--extended-out", str(ext)]) == 0
+        doc = json.loads(ext.read_text())
+        assert {"kind": "bell", "q": [4, 5], "variant": "phi+"} in doc["layers"][0]
+        doc["layers"].insert(0, layer)
+        ext.write_text(json.dumps(doc))
+        rc, err = self.verify_rc(capsys, ext, logical)
+        assert rc == 2 and err == f"distqc verify: error: {ext}: {message}\n"
+
     def test_verify_unknown_extended_key(self, tmp_path, capsys, compiled_cx):
         # read without the key, the circuit would have an empty frame
         doc = json.loads(compiled_cx.read_text())
@@ -474,6 +500,23 @@ class TestBenchCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "topology,g,nodes,edges,k,backend,e_depth,e_count,wall_time_ms,seed"
         assert len(lines) == 3
+
+    def test_oversize_exact_cell_refused_before_any_compile(self, tmp_path, capsys):
+        # the default size 64 is far above the exact solver's 10 commodities
+        out = tmp_path / "bench.csv"
+        rc = run(["bench", "--backends", "flow-greedy,flow-exact", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err == (
+            "distqc bench: error: flow-exact cell rect-low g=2 size 64: exact solver limited to "
+            "10 commodities on 25 nodes (got k=64, nodes=6)\n"
+        )
+
+    def test_exact_cells_within_limits_run(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        rc = run(["bench", "--backends", "flow-exact", "--sizes", "8", "--samples", "1",
+                  "--out", str(out), "--no-timing"])
+        assert rc == 0 and len(out.read_text().strip().splitlines()) == 1 + 4
 
 
 def test_cli_import_leaves_networkx_unloaded():
