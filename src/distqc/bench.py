@@ -31,6 +31,8 @@ def gen_random_cz_circuit(n_qubits: int, k_gates: int, rng: random.Random) -> Ci
     """k CZ gates on uniformly random qubit pairs, packed into disjoint layers."""
     if n_qubits < 2:
         raise ValueError("need at least two qubits")
+    if k_gates < 0:
+        raise ValueError(f"gate count must be non-negative, got {k_gates}")
     layers: list[list] = []
     last: dict[int, int] = {}
     for _ in range(k_gates):
@@ -74,6 +76,8 @@ class BenchConfig:
                 raise ValueError(f"unknown backend {b!r}")
         if any(s <= 0 for s in self.sizes) or any(g < 1 for g in self.g_values):
             raise ValueError("sizes and generator factors must be positive")
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
         if "flow-exact" not in self.backends:
             return
         # one qubit per processor: every random CZ is remote, so k is the size

@@ -171,10 +171,6 @@ class Circuit:
     def all_gates(self) -> list[Gate]:
         return [g for layer in self.layers for g in layer]
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
     def to_json(self) -> dict:
         return {
             "qubits": self.num_qubits,
@@ -183,6 +179,7 @@ class Circuit:
 
     @staticmethod
     def from_json(doc: dict) -> "Circuit":
+        check_keys(doc, frozenset({"qubits", "layers"}), "circuit")
         layers = [[gate_from_json(g) for g in layer] for layer in doc["layers"]]
         return Circuit.from_layers(json_int(doc["qubits"], "qubit count"), layers)
 
@@ -276,10 +273,12 @@ GATE_KEYS = frozenset({"kind", "q", "basis", "bit", "cond", "variant"})
 
 
 def gate_from_json(doc: dict) -> Gate:
-    """Read one gate: its kind a known string, no key outside `GATE_KEYS`,
-    its qubits and bit JSON integers (the bit at most `pauli.MAX_BIT_ID`),
-    its cond a token list; `check_gate` then rejects what the simulator and
-    the compiler would misread."""
+    """Read one gate: a JSON object, its kind a known string, no key outside
+    `GATE_KEYS`, its qubits and bit JSON integers (the bit at most
+    `pauli.MAX_BIT_ID`), its cond a token list; `check_gate` then rejects
+    what the simulator and the compiler would misread."""
+    if not isinstance(doc, dict):
+        raise ValueError("gate must be a JSON object")
     kind = doc["kind"]
     if type(kind) is not str or kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {json.dumps(kind)}")
@@ -376,6 +375,7 @@ class Placement:
 
     @staticmethod
     def from_json(doc: dict) -> "Placement":
+        check_keys(doc, frozenset({"map"}), "placement")
         return Placement(tuple(json_int(p, "placement processor") for p in doc["map"]))
 
 

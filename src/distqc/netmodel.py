@@ -16,14 +16,13 @@ only runtime dependency of the package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .circuit import json_int
+from .circuit import check_keys, json_int
 
 # The exact Steiner program's terminal guard.  Its table entries are sums
 # of at most this many distance-matrix entries, which sizes that matrix's
@@ -96,8 +95,9 @@ class QuotientGraph:
         lexicographically least of its shortest paths, compared node by node
         from `s`.  With `usable`, an edge (u, v), u < v, is crossed only if
         its entry is at least 1.  The search returns as soon as it discovers
-        `stop`.  Unfiltered searches run in full once per source and are
-        memoised; callers must not mutate the returned dicts.
+        `stop` (a search from `stop` itself runs in full).  Unfiltered
+        searches run in full once per source and are memoised; callers must
+        not mutate the returned dicts.
         """
         if s not in self.adjacency:
             raise ValueError(f"node {s} not in graph of {self.node_count} nodes")
@@ -108,8 +108,6 @@ class QuotientGraph:
             stop = None
         dist = {s: 0}
         parent = {s: -1}
-        if s == stop:
-            return dist, parent
         queue = [s]
         for u in queue:  # the list grows while it is walked: FIFO order
             d = dist[u] + 1
@@ -167,14 +165,12 @@ class QuotientGraph:
 
     @staticmethod
     def from_json(doc: dict) -> "QuotientGraph":
+        check_keys(doc, frozenset({"nodes", "edges"}), "topology")
         edges = tuple(tuple(json_int(x, "edge entry") for x in e) for e in doc["edges"])
         q = QuotientGraph(json_int(doc["nodes"], "node count"), edges)
         if not q.is_connected():
             raise ValueError("processor-level graph is disconnected")
         return q
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
 
 
 def _grid(rows: int, cols: int) -> QuotientGraph:

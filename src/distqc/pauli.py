@@ -142,15 +142,36 @@ ZERO = XorExpr()
 ONE = XorExpr(const=True)
 
 
+def by_axis(axis: str, x, z):
+    """`x` for Pauli axis "X", `z` for "Z"; any other axis is a ValueError."""
+    if axis == "X":
+        return x
+    if axis == "Z":
+        return z
+    raise ValueError(f"unknown Pauli axis {axis!r}, expected X or Z")
+
+
+def xor_entry(entries: dict, q: int, value) -> None:
+    """XOR `value` into `entries[q]` (a missing entry reads 0) and drop an
+    entry that becomes 0, so no stored entry is ever 0.  The one frame-entry
+    update: entries and value are both `XorExpr`s or both int masks."""
+    old = entries.get(q)
+    if old is not None:
+        value ^= old
+    if value:
+        entries[q] = value
+    else:
+        entries.pop(q, None)
+
+
 @dataclass
 class PauliFrame:
     """Per-qubit pair of XOR expressions: the deferred ``X`` and ``Z`` parts.
 
     The frame entry for qubit ``q`` means: after the quantum circuit, apply
     ``X^x(q)`` and ``Z^z(q)`` where the exponents are evaluated from the
-    recorded measurement bits.  `add` is the one update: it XORs an
-    expression into an entry and drops an entry that becomes 0, so no
-    stored expression is ever 0.
+    recorded measurement bits.  `add` updates an entry by `xor_entry`, so
+    no stored expression is ever 0.
     """
 
     x: dict[int, XorExpr] = field(default_factory=dict)
@@ -163,17 +184,7 @@ class PauliFrame:
         return self.z.get(q, ZERO)
 
     def add(self, q: int, axis: str, e: XorExpr) -> None:
-        if axis == "X":
-            entries = self.x
-        elif axis == "Z":
-            entries = self.z
-        else:
-            raise ValueError(f"unknown Pauli axis {axis!r}")
-        val = entries.get(q, ZERO) ^ e
-        if val:
-            entries[q] = val
-        else:
-            entries.pop(q, None)
+        xor_entry(by_axis(axis, self.x, self.z), q, e)
 
     def qubits(self) -> set[int]:
         return set(self.x) | set(self.z)

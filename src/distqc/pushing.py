@@ -8,8 +8,8 @@ Pauli that no rule names passes unchanged:
     cz(a, b):   X on a -> X on a, Z on b        X on b -> X on b, Z on a
     yhalf:      X -> Z, Z -> X (up to global phase)
     xhalf:      Z -> X Z (the Y it becomes)     zhalf:  X -> X Z
-    fanin:      the cx (basis X) or cz (basis Z) from the hub to each spoke
-    fanout:     the cx or cz from each spoke to the hub
+    fanin, fanout:  the cx (basis X) or cz (basis Z) from each control to
+                each target (`Gate.controls`, `Gate.targets`)
 
 A Pauli meeting a measurement in the same basis is dropped; an anticommuting
 Pauli folds into the emitted bit (the outcome flips whenever the condition
@@ -20,9 +20,10 @@ into a terminal Pauli frame, leaving a branch-independent quantum circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .circuit import FAN_KINDS, Gate
-from .pauli import PauliFrame, XorExpr, set_bits
+from .pauli import PauliFrame, XorExpr, by_axis, set_bits, xor_entry
 
 
 @dataclass(frozen=True)
@@ -75,32 +76,22 @@ class FrameNormalizer:
 
     def add(self, q: int, axis: str, mask: int) -> None:
         """XOR an already rewritten mask into qubit q's pending Pauli."""
-        if axis == "X":
-            pending = self.x
-        elif axis == "Z":
-            pending = self.z
-        else:
-            raise ValueError(f"unknown Pauli axis {axis!r}")
-        mask ^= pending.get(q, 0)
-        if mask:
-            pending[q] = mask
-        else:
-            pending.pop(q, None)
+        xor_entry(by_axis(axis, self.x, self.z), q, mask)
 
     def _cx(self, c: int, t: int) -> None:
         xc = self.x.get(c)
         if xc:
-            self.add(t, "X", xc)
+            xor_entry(self.x, t, xc)
         zt = self.z.get(t)
         if zt:
-            self.add(c, "Z", zt)
+            xor_entry(self.z, c, zt)
 
     def _cz(self, a: int, b: int) -> None:
         xa, xb = self.x.get(a), self.x.get(b)
         if xa:
-            self.add(b, "Z", xa)
+            xor_entry(self.z, b, xa)
         if xb:
-            self.add(a, "Z", xb)
+            xor_entry(self.z, a, xb)
 
     def feed(self, g: Gate) -> None:
         kind = g.kind
@@ -130,15 +121,13 @@ class FrameNormalizer:
             if xq:
                 z[q] = xq
         elif kind == "xhalf":
-            self.add(g.qubits[0], "X", z.get(g.qubits[0], 0))
+            xor_entry(x, g.qubits[0], z.get(g.qubits[0], 0))
         elif kind == "zhalf":
-            self.add(g.qubits[0], "Z", x.get(g.qubits[0], 0))
+            xor_entry(z, g.qubits[0], x.get(g.qubits[0], 0))
         elif kind in FAN_KINDS:
             rule = self._cz if g.basis == "Z" else self._cx
-            hub = g.hub  # fanin: the hub drives each spoke; fanout: each spoke drives the hub
-            pairs = [(hub, s) for s in g.spokes] if kind == "fanin" else [(s, hub) for s in g.spokes]
-            for a, b in pairs:
-                rule(a, b)
+            for c, t in product(g.controls(), g.targets()):
+                rule(c, t)
         else:
             raise ValueError(f"no push rule for gate kind {kind!r}")
         self.gates.append(g)

@@ -28,10 +28,11 @@ measurement branch at once (`channel_equivalent`).
 
 from __future__ import annotations
 
+from itertools import product
 from typing import TYPE_CHECKING
 
-from .circuit import BELL_PAULIS, Gate
-from .pauli import PauliFrame, set_bits
+from .circuit import BELL_PAULIS, FAN_KINDS, Gate
+from .pauli import PauliFrame, by_axis, set_bits
 
 if TYPE_CHECKING:
     import random
@@ -91,12 +92,7 @@ class StabilizerState:
     def flip(self, q: int, axis: str, value: int) -> None:
         """Apply X or Z on q raised to an affine outcome value: the value is
         added to the sign of every row that anticommutes with the Pauli."""
-        if axis == "X":
-            hit = self.z[q]
-        elif axis == "Z":
-            hit = self.x[q]
-        else:
-            raise ValueError(f"unknown Pauli axis {axis!r}, expected X or Z")
+        hit = by_axis(axis, self.z, self.x)[q]
         if value & 1:
             self.r ^= hit
         symbols = value & ~1
@@ -207,14 +203,10 @@ class StabilizerState:
             self.xhalf(gate.qubits[0])
         elif k == "zhalf":
             self.zhalf(gate.qubits[0])
-        elif k == "fanin":
-            hub = gate.hub
-            for t in gate.spokes:
-                self.cz(hub, t) if gate.basis == "Z" else self.cx(hub, t)
-        elif k == "fanout":
-            hub = gate.hub
-            for c in gate.spokes:
-                self.cz(c, hub) if gate.basis == "Z" else self.cx(c, hub)
+        elif k in FAN_KINDS:
+            op = self.cz if gate.basis == "Z" else self.cx
+            for c, t in product(gate.controls(), gate.targets()):
+                op(c, t)
         elif k == "bell":
             self.bell(gate.qubits[0], gate.qubits[1], gate.variant or "phi+")
         elif k == "pauli":

@@ -267,23 +267,25 @@ def cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) -> FanInLaye
         e = _norm(*g.qubits)
         counts[e] = counts.get(e, 0) + 1
     if cancel_pairs:
-        counts = {e: c % 2 for e, c in counts.items()}
-    counts = {e: c for e, c in counts.items() if c}
-    incidence = {q: 0 for q in range(circuit.num_qubits)}
+        counts = {e: 1 for e, c in counts.items() if c % 2}
+    # uncovered[q][t]: the uncovered copies of pair (q, t), stored at both ends
+    uncovered: dict[int, dict[int, int]] = {q: {} for q in range(circuit.num_qubits)}
     for (u, v), c in counts.items():
-        incidence[u] += c
-        incidence[v] += c
-    order = sorted(range(circuit.num_qubits), key=lambda q: (-incidence[q], q))
+        uncovered[u][v] = uncovered[v][u] = c
+    left = sum(counts.values())
+    order = sorted(range(circuit.num_qubits), key=lambda q: (-sum(uncovered[q].values()), q))
     layers: list[tuple[Gate, ...]] = []
-    while any(counts.values()):
+    while left:
         for q in order:
-            partners = sorted(
-                t for (u, v), c in counts.items() if c for t in ((v,) if u == q else (u,) if v == q else ())
-            )
+            partners = sorted(uncovered[q])
             if not partners:
                 continue
             for t in partners:
-                counts[_norm(q, t)] -= 1
+                c = uncovered[q].pop(t) - 1
+                del uncovered[t][q]
+                if c:
+                    uncovered[q][t] = uncovered[t][q] = c
+            left -= len(partners)
             layers.append((fanin(q, partners, basis="Z"),))
     return FanInLayering(circuit.num_qubits, tuple(layers))
 

@@ -15,7 +15,9 @@ byte for byte.  The gate-by-gate expander feeds every fragment gate to the
 frame normalizer and hands it each protocol correction as its bit is
 measured; the library's expander, which applies each remote target's
 logical push rule once plus closed-form corrections, must match it gate
-for gate and mask for mask.
+for gate and mask for mask.  The reference densifier rescans every pair
+count for each qubit's partners; the library's, which keeps each qubit's
+uncovered pairs, must match it layer for layer.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from distqc.flow import FlowSchedule
 from distqc.netmodel import QuotientGraph
 from distqc.pauli import PauliFrame
 from distqc.stabsim import BranchDependentError, ResidualEntanglementError
-from distqc.steiner import EXACT_MAX_TERMINALS, Edge, SteinerInstance, _norm
+from distqc.steiner import EXACT_MAX_TERMINALS, Edge, FanInLayering, SteinerInstance, _norm
 from distqc.telegate import CircuitExpander, Hop
 
 
@@ -237,6 +239,35 @@ def reference_steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     if len(edges) != weight:
         raise AssertionError("Steiner reconstruction produced a non-tree edge multiset")
     return frozenset(edges)
+
+
+def reference_cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) -> FanInLayering:
+    """The densifier as a plain scan: each qubit's partners are found by
+    walking every pair count, once per qubit in every pass."""
+    counts: dict[Edge, int] = {}
+    for g in circuit.all_gates():
+        e = _norm(*g.qubits)
+        counts[e] = counts.get(e, 0) + 1
+    if cancel_pairs:
+        counts = {e: c % 2 for e, c in counts.items()}
+    counts = {e: c for e, c in counts.items() if c}
+    incidence = {q: 0 for q in range(circuit.num_qubits)}
+    for (u, v), c in counts.items():
+        incidence[u] += c
+        incidence[v] += c
+    order = sorted(range(circuit.num_qubits), key=lambda q: (-incidence[q], q))
+    layers: list[tuple[Gate, ...]] = []
+    while any(counts.values()):
+        for q in order:
+            partners = sorted(
+                t for (u, v), c in counts.items() if c for t in ((v,) if u == q else (u,) if v == q else ())
+            )
+            if not partners:
+                continue
+            for t in partners:
+                counts[_norm(q, t)] -= 1
+            layers.append((fanin(q, partners, basis="Z"),))
+    return FanInLayering(circuit.num_qubits, tuple(layers))
 
 
 def random_connected_graph(rng: random.Random, n: int, max_cap: int = 2) -> QuotientGraph:

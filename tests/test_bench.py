@@ -175,3 +175,18 @@ class TestCompileBackend:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: gen_hardest_fanin(1), "need at least two qubits"),
+        (lambda: BenchConfig(sizes=(0,)), "sizes and generator factors must be positive"),
+        (lambda: compile_backend("nope", gen_hardest_fanin(2), Placement.identity(2), gen_rect_low(1)),
+         "unknown backend 'nope'"),
+    ],
+    ids=["hardest-fanin-1", "size-0", "unknown-backend"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

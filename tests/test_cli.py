@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import distqc
-from distqc.circuit import Circuit, cx, cz, meas
+from distqc.circuit import Circuit, Placement, cx, cz, meas
 from distqc.cli import main
 from distqc.pauli import MAX_BIT_ID, PauliFrame
 from distqc.telegate import ExtendedCircuit
@@ -63,6 +63,14 @@ class TestGenCircuit:
             run(["gen-circuit", "--type", "random-cz", "--qubits", "6", "--gates", "9",
                  "--seed", "3", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_gate_count_refused(self, tmp_path, capsys):
+        # it would write an empty circuit and exit 0
+        out = tmp_path / "c.json"
+        rc = run(["gen-circuit", "--type", "random-cz", "--qubits", "4", "--gates", "-5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err == "distqc gen-circuit: error: gate count must be non-negative, got -5\n"
 
 
 class TestCompileAndVerify:
@@ -428,11 +436,14 @@ class TestBadInput:
             # read without the key: an X fan-in, and a Z measurement
             ({"kind": "fanin", "q": [0, 4, 8], "bases": "Z"}, 'fanin gate has unknown key "bases"'),
             ({"kind": "meas", "q": [0], "bit": 1, "Basis": "X"}, 'meas gate has unknown key "Basis"'),
+            (["cz", 0, 1], "gate must be a JSON object"),
+            ("cz", "gate must be a JSON object"),
         ],
         ids=["yhalf-two-qubits", "pauli-two-qubits", "cx-three-operands", "cx-one-operand",
              "fanin-one-operand", "yhalf-basis", "unknown-kind", "float-qubit", "bool-qubit",
              "negative-qubit", "string-bit", "cx-repeated-operand", "fanin-repeated-operand",
-             "bit-above-cap", "fanin-misspelt-basis", "meas-misspelt-basis"],
+             "bit-above-cap", "fanin-misspelt-basis", "meas-misspelt-basis", "gate-list",
+             "gate-string"],
     )
     def test_malformed_gate(self, tmp_path, capsys, topo, compiled_cx, gate, message):
         # compiled as a logical circuit, and verified as each of the two inputs
@@ -445,6 +456,36 @@ class TestBadInput:
         ext, logical = self.write_pair(tmp_path, gate, [])
         rc, err = self.verify_rc(capsys, ext, logical)
         assert rc == 2 and err == f"distqc verify: error: {ext}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "role,what",
+        [("circuit", "circuit"), ("topology", "topology"), ("placement", "placement"),
+         ("logical", "circuit")],
+    )
+    def test_input_not_an_object(self, tmp_path, capsys, topo, circ, compiled_cx, role, what):
+        # a list would otherwise fail on Python's own indexing message
+        bad = tmp_path / "list.json"
+        bad.write_text(json.dumps([9, []]))
+        if role == "logical":
+            rc, err = self.verify_rc(capsys, compiled_cx, bad)
+            command = "verify"
+        else:
+            files = {"circuit": circ, "topology": topo, **{role: bad}}
+            extra = ["--placement", str(bad)] if role == "placement" else []
+            rc, err = self.compile_rc(capsys, files["circuit"], files["topology"], *extra)
+            command = "compile"
+        assert rc == 2 and err == f"distqc {command}: error: {bad}: {what} must be a JSON object\n"
+
+    @pytest.mark.parametrize("role", ["circuit", "topology", "placement"])
+    def test_unknown_top_level_key(self, tmp_path, capsys, topo, circ, role):
+        files = {"circuit": circ, "topology": topo, "placement": tmp_path / "p.json"}
+        files["placement"].write_text(json.dumps(Placement.identity(9).to_json()))
+        doc = json.loads(files[role].read_text())
+        doc["note"] = "misspelt or stray"
+        files[role].write_text(json.dumps(doc))
+        placement = ["--placement", str(files["placement"])]
+        rc, err = self.compile_rc(capsys, files["circuit"], files["topology"], *placement)
+        assert rc == 2 and err == f'distqc compile: error: {files[role]}: {role} has unknown key "note"\n'
 
     @pytest.mark.parametrize(
         "doc,message",
@@ -500,6 +541,15 @@ class TestBenchCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "topology,g,nodes,edges,k,backend,e_depth,e_count,wall_time_ms,seed"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_non_positive_samples_refused(self, tmp_path, capsys, samples):
+        # it would write a CSV holding only its header and exit 0
+        out = tmp_path / "bench.csv"
+        rc = run(["bench", "--samples", samples, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err == f"distqc bench: error: samples must be at least 1, got {samples}\n"
 
     def test_oversize_exact_cell_refused_before_any_compile(self, tmp_path, capsys):
         # the default size 64 is far above the exact solver's 10 commodities

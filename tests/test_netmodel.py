@@ -190,8 +190,10 @@ class TestDistanceService:
         (partial(QuotientGraph, 2, ((0, 1, 0),)), "edge (0,1) capacity must be >= 1"),
         (partial(QuotientGraph, 2, ((0, 1, 1), (0, 1, 2))), "duplicate edge (0,1)"),
         *((partial(gen, 0), "generator factor must be >= 1") for gen in GENERATORS.values()),
+        (partial(edge_node_ratio, QuotientGraph(0, ())), "graph must have at least one node"),
     ],
-    ids=["reversed-edge", "zero-capacity", "duplicate-edge", *(f"{kind}-g0" for kind in GENERATORS)],
+    ids=["reversed-edge", "zero-capacity", "duplicate-edge", *(f"{kind}-g0" for kind in GENERATORS),
+         "ratio-no-nodes"],
 )
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

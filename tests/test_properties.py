@@ -43,7 +43,7 @@ from distqc.pushing import FrameNormalizer
 from distqc.stabsim import channel_equivalent
 from distqc.steiner import SteinerInstance, compile_circuit_steiner, cz_to_dense_fanin, steiner_tree_approx
 from distqc.telegate import ExtendedCircuit
-from oracles import random_connected_graph
+from oracles import random_connected_graph, reference_cz_to_dense_fanin
 
 PROPERTY_SETTINGS = settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 
@@ -270,6 +270,16 @@ def test_densifier_keeps_cz_multiset(case, cancel_pairs):
         counts = Counter({e: c % 2 for e, c in counts.items() if c % 2})
     fl = cz_to_dense_fanin(one_cz_per_layer(n, pairs), cancel_pairs=cancel_pairs)
     assert fl.cz_multiset() == counts
+
+
+@PROPERTY_SETTINGS
+@given(CZ_PAIRS, st.booleans())
+def test_densifier_matches_reference_scan(case, cancel_pairs):
+    n, pairs = case
+    pairs += pairs[: len(pairs) // 2]  # repeat the first half, so most cases hold repeated pairs
+    circuit = one_cz_per_layer(n, pairs)
+    expected = reference_cz_to_dense_fanin(circuit, cancel_pairs=cancel_pairs)
+    assert cz_to_dense_fanin(circuit, cancel_pairs=cancel_pairs) == expected
 
 
 # -- XorExpr against a frozenset model --------------------------------------------

@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
 from distqc.circuit import GATE_KINDS, Gate, cx, cz, fanin, fanout, gate_from_json, meas, pauli, yhalf
-from distqc.pauli import ONE, XorExpr
+from distqc.pauli import ONE, PauliFrame, XorExpr
 from distqc.pushing import CondPauli, FrameNormalizer, normalize_frame, push_pauli
 from distqc.stabsim import StabilizerState, canonical_tableau
 from distqc.telegate import ExtendedCircuit, expand_telegate_cx
@@ -228,3 +229,18 @@ class TestNormalizeFrame:
                     s2.apply_gate(g, {})
                 s2.apply_frame(out.frame, {})
                 assert canonical_tableau(s1) == canonical_tableau(s2)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: PauliFrame().add(0, "Y", ONE), "unknown Pauli axis 'Y', expected X or Z"),
+        (lambda: FrameNormalizer().add(0, "Y", 1), "unknown Pauli axis 'Y', expected X or Z"),
+        # a Gate checks nothing when built, so a direct caller can feed any kind
+        (lambda: FrameNormalizer().feed(Gate("swap", (0, 1))), "no push rule for gate kind 'swap'"),
+    ],
+    ids=["frame-axis", "normalizer-axis", "feed-unknown-kind"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

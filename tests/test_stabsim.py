@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -347,10 +348,6 @@ class TestAgainstReference:
         assert state.symbols == ref.symbols == 1
         state.validate()
 
-    def test_unknown_flip_axis_rejected(self):
-        with pytest.raises(ValueError, match="unknown Pauli axis 'Y'"):
-            StabilizerState(1).flip(0, "Y", 1)
-
 
 class TestGateDispatch:
     def test_conditioned_pauli_fires_on_bits(self):
@@ -373,3 +370,19 @@ class TestGateDispatch:
 def test_data_register_mismatch_refused():
     with pytest.raises(ValueError, match="^data register mismatch between circuits$"):
         channel_equivalent(ExtendedCircuit(1, 1, (), PauliFrame()), Circuit.from_layers(2, []))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: StabilizerState(1).flip(0, "Y", 1), "unknown Pauli axis 'Y', expected X or Z"),
+        # a Gate checks nothing when built, so a direct caller can apply any kind
+        (lambda: StabilizerState(2).apply_gate(Gate("swap", (0, 1))), "cannot apply gate kind 'swap'"),
+        (lambda: StabilizerState(1).measure(0, "Y"), "unsupported measurement basis 'Y'"),
+        (lambda: StabilizerState(0), "need at least one qubit"),
+    ],
+    ids=["flip-axis", "apply-unknown-kind", "measure-basis", "zero-qubits"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -486,3 +486,16 @@ def test_feed_sees_no_fragment_gate(monkeypatch):
 def test_more_data_qubits_than_qubits_refused():
     with pytest.raises(ValueError, match="^2 data qubits in a 1-qubit circuit$"):
         ExtendedCircuit.from_json({"qubits": 1, "data": 2, "layers": [], "frame": {}})
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: CircuitExpander(CX2, Placement.identity(2)).emit_remote(yhalf(0), []),
+         "gate kind 'yhalf' is not a remote interaction"),
+    ],
+    ids=["emit-remote-yhalf"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
