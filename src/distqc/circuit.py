@@ -180,7 +180,7 @@ class Circuit:
     @staticmethod
     def from_json(doc: dict) -> "Circuit":
         check_keys(doc, frozenset({"qubits", "layers"}), "circuit")
-        layers = [[gate_from_json(g) for g in layer] for layer in doc["layers"]]
+        layers = [[gate_from_json(g) for g in layer] for layer in json_layers(doc)]
         return Circuit.from_layers(json_int(doc["qubits"], "qubit count"), layers)
 
     def dumps(self) -> str:
@@ -258,6 +258,19 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """`value` if it is a JSON array; anything else is a ValueError naming `what`."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a JSON array, got {json.dumps(value)}")
+    return value
+
+
+def json_layers(doc: dict) -> list[list]:
+    """A circuit document's "layers", each checked to be a JSON array."""
+    layers = json_list(doc["layers"], '"layers"')
+    return [json_list(layer, f"layer {li}") for li, layer in enumerate(layers)]
+
+
 def check_keys(doc, known: frozenset[str], what: str) -> None:
     """Reject, with a ValueError naming `what`, a `doc` that is not a JSON
     object or has a key outside `known` (the least such key is named): a
@@ -283,9 +296,9 @@ def gate_from_json(doc: dict) -> Gate:
     if type(kind) is not str or kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {json.dumps(kind)}")
     check_keys(doc, GATE_KEYS, f"{kind} gate")
-    qubits = tuple(json_int(q, f"{kind} gate qubit") for q in doc["q"])
+    qubits = tuple(json_int(q, f"{kind} gate qubit") for q in json_list(doc["q"], f'{kind} gate "q"'))
     bit = check_bit_id(json_int(doc["bit"], f"{kind} gate bit")) if "bit" in doc else -1
-    cond = XorExpr.from_tokens(doc["cond"]) if "cond" in doc else None
+    cond = XorExpr.from_tokens(json_list(doc["cond"], f'{kind} gate "cond"')) if "cond" in doc else None
     gate = Gate(kind, qubits, doc.get("basis", ""), bit, cond, doc.get("variant", ""))
     check_gate(gate)
     return gate
@@ -376,7 +389,8 @@ class Placement:
     @staticmethod
     def from_json(doc: dict) -> "Placement":
         check_keys(doc, frozenset({"map"}), "placement")
-        return Placement(tuple(json_int(p, "placement processor") for p in doc["map"]))
+        procs = json_list(doc["map"], 'placement "map"')
+        return Placement(tuple(json_int(p, "placement processor") for p in procs))
 
 
 @dataclass(frozen=True)

@@ -98,8 +98,8 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     cfg = BenchConfig(
         topologies=tuple(args.topologies.split(",")),
-        g_values=tuple(int(x) for x in args.g.split(",")),
-        sizes=tuple(int(x) for x in args.sizes.split(",")),
+        g_values=args.g,
+        sizes=args.sizes,
         samples=args.samples,
         backends=tuple(args.backends.split(",")),
         seed=args.seed,
@@ -109,6 +109,16 @@ def cmd_bench(args) -> int:
     records = run_bench(cfg)
     print(f"{len(records)} rows -> {args.out}")
     return 0
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    """A comma-separated list of integers; argparse names the option it fails on."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the benchmark matrix")
     p.add_argument("--topologies", default="rect-low,hex")
-    p.add_argument("--g", default="2,3")
-    p.add_argument("--sizes", default="64")
+    p.add_argument("--g", type=int_list, default="2,3")
+    p.add_argument("--sizes", type=int_list, default="64")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--backends", default="flow-greedy")
     p.add_argument("--seed", type=int, default=0)

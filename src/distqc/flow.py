@@ -260,7 +260,10 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     commodity whose last quasi-parallel predecessor lands during a pass
     becomes ready for the next pass of the same step, one whose last strict
     predecessor lands becomes ready at the next step.  Readiness is kept as
-    counters of unplaced predecessors.
+    counters of unplaced predecessors.  The residual is a list of link
+    counts per edge id (see ``QuotientGraph.bfs``); each commodity's sort
+    key and unfiltered shortest path, with that path's edge ids, are worked
+    out once, before the first step.
 
     Residual capacity only shrinks within a step, so a commodity that found
     no path stays unroutable until the step ends and is not retried.  For
@@ -270,16 +273,20 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     R and its target outside R fails without a search.  Both rules skip only
     searches that would fail, so the schedule is unchanged.  A third rule,
     checked after them, skips searches that would succeed: when every link
-    of the memoised unfiltered shortest path still has residual capacity,
-    that path is routed.  The residual search returns the lexicographically
-    least shortest path (see ``QuotientGraph.bfs``), and lowering capacities
-    only removes paths, so the surviving unfiltered path is still the
-    shortest and the least, the very path the search would return.  Always
+    of the unfiltered shortest path still has residual capacity, that path
+    is routed.  The residual search returns the lexicographically least
+    shortest path (see ``QuotientGraph.bfs``), and lowering capacities only
+    removes paths, so the surviving unfiltered path is still the shortest
+    and the least, the very path the search would return.  Always
     terminates: the least unplaced commodity is ready, since its
     predecessors have lower indices, and a fresh step offers it full
     capacities and a path.
     """
-    sp_len = [q.hops(c.source, c.target) for c in cs.commodities]
+    commodities = cs.commodities
+    order = [(q.hops(c.source, c.target), i) for i, c in enumerate(commodities)]
+    free = [q.shortest_path(c.source, c.target) for c in commodities]
+    free_links = [q.edge_ids(path) for path in free]
+    capacities = [cap for _, _, cap in q.edges]
     waiting = [len(p) for p in cs.preds]
     steps: list[int] = [0] * cs.k
     paths: list[tuple[int, ...]] = [()] * cs.k
@@ -288,21 +295,20 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     tau = 0
     while placed < cs.k:
         tau += 1
-        residual = dict(q.capacity)
+        residual = list(capacities)
         component: dict[int, dict[int, int]] = {}  # node -> latest failed component
         deferred: list[int] = []
         landed: list[int] = []
         batch = ready
         while batch:
             unlocked: list[int] = []
-            for i in sorted(batch, key=lambda i: (sp_len[i], i)):
-                c = cs.commodities[i]
+            for i in sorted(batch, key=order.__getitem__):
+                c = commodities[i]
                 seen = component.get(c.source)
                 if seen is not None and c.target not in seen:
                     deferred.append(i)
                     continue
-                path = q.shortest_path(c.source, c.target)
-                links = [(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])]
+                path, links = free[i], free_links[i]
                 if not all(residual[e] for e in links):  # counts never drop below 0
                     dist, parent = q.bfs(c.source, residual, stop=c.target)
                     if c.target not in parent:
@@ -311,7 +317,7 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
                         deferred.append(i)
                         continue
                     path = trace_path(parent, c.target)
-                    links = [(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])]
+                    links = q.edge_ids(path)
                 for e in links:
                     residual[e] -= 1
                 steps[i] = tau

@@ -10,19 +10,24 @@ and ``distqc gen-topology`` writes one of the three lattice families below.
 ``QuotientGraph`` is the single owner of graph distances: one breadth-first
 search (``bfs``, memoised per source) backs the hop counts, shortest paths
 and the all-pairs distance matrix that the flow and Steiner backends use.
+Edges are named by their position in ``QuotientGraph.edges``: the search
+walks a per-node list of (neighbour, edge id) pairs, and a residual filter
+is a per-edge list of link counts indexed the same way.
 The lattice generators list their edges in plain Python, so numpy is the
 only runtime dependency of the package.
 """
 
 from __future__ import annotations
 
+import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .circuit import check_keys, json_int
+from .circuit import check_keys, json_int, json_list
 
 # The exact Steiner program's terminal guard.  Its table entries are sums
 # of at most this many distance-matrix entries, which sizes that matrix's
@@ -61,12 +66,27 @@ class QuotientGraph:
         return len(self.edges)
 
     @cached_property
+    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node u, its (v, e) pairs in ascending v, where ``edges[e]``
+        joins u and v."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
+        for e, (u, v, _) in enumerate(self.edges):
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+        return tuple(tuple(sorted(pairs)) for pairs in adj)
+
+    @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {u: [] for u in range(self.node_count)}
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {u: tuple(sorted(vs)) for u, vs in adj.items()}
+        return {u: tuple(v for v, _ in pairs) for u, pairs in enumerate(self.neighbours)}
+
+    @cached_property
+    def _edge_index(self) -> dict[tuple[int, int], int]:
+        return {(u, v): e for e, (u, v, _) in enumerate(self.edges)}
+
+    def edge_ids(self, path: tuple[int, ...]) -> list[int]:
+        """The positions in ``edges`` of the links of a node path."""
+        index = self._edge_index
+        return [index[u, v] if u < v else index[v, u] for u, v in zip(path, path[1:])]
 
     @cached_property
     def capacity(self) -> dict[tuple[int, int], int]:
@@ -85,19 +105,20 @@ class QuotientGraph:
     def bfs(
         self,
         s: int,
-        usable: dict[tuple[int, int], int] | None = None,
+        usable: Sequence[int] | None = None,
         stop: int | None = None,
     ) -> tuple[dict[int, int], dict[int, int]]:
         """Hop distances and parents (the source's parent is -1) from `s`.
 
-        Neighbours are visited in ascending order and every node keeps its
-        first-discovered parent, so the parents trace, to every node, the
-        lexicographically least of its shortest paths, compared node by node
-        from `s`.  With `usable`, an edge (u, v), u < v, is crossed only if
-        its entry is at least 1.  The search returns as soon as it discovers
-        `stop` (a search from `stop` itself runs in full).  Unfiltered
-        searches run in full once per source and are memoised; callers must
-        not mutate the returned dicts.
+        Neighbours are visited in ascending order (``neighbours``) and every
+        node keeps its first-discovered parent, so the parents trace, to
+        every node, the lexicographically least of its shortest paths,
+        compared node by node from `s`.  With `usable`, a list with one
+        entry per edge, the edge ``edges[e]`` is crossed only if
+        ``usable[e]`` is at least 1.  The search returns as soon as it
+        discovers `stop` (a search from `stop` itself runs in full).
+        Unfiltered searches run in full once per source and are memoised;
+        callers must not mutate the returned dicts.
         """
         if s not in self.adjacency:
             raise ValueError(f"node {s} not in graph of {self.node_count} nodes")
@@ -109,12 +130,13 @@ class QuotientGraph:
         dist = {s: 0}
         parent = {s: -1}
         queue = [s]
+        neighbours = self.neighbours
         for u in queue:  # the list grows while it is walked: FIFO order
             d = dist[u] + 1
-            for v in self.adjacency[u]:
+            for v, e in neighbours[u]:
                 if v in dist:
                     continue
-                if usable is not None and usable.get((u, v) if u < v else (v, u), 0) < 1:
+                if usable is not None and usable[e] < 1:
                     continue
                 dist[v] = d
                 parent[v] = u
@@ -151,7 +173,7 @@ class QuotientGraph:
         return d
 
     def shortest_path(
-        self, s: int, t: int, usable: dict[tuple[int, int], int] | None = None
+        self, s: int, t: int, usable: Sequence[int] | None = None
     ) -> tuple[int, ...] | None:
         """The BFS shortest s-t path as a node tuple, or None when there is none."""
         parent = self.bfs(s, usable, stop=t)[1]
@@ -166,8 +188,12 @@ class QuotientGraph:
     @staticmethod
     def from_json(doc: dict) -> "QuotientGraph":
         check_keys(doc, frozenset({"nodes", "edges"}), "topology")
-        edges = tuple(tuple(json_int(x, "edge entry") for x in e) for e in doc["edges"])
-        q = QuotientGraph(json_int(doc["nodes"], "node count"), edges)
+        edges = []
+        for i, e in enumerate(json_list(doc["edges"], 'topology "edges"')):
+            if type(e) is not list or len(e) != 3:
+                raise ValueError(f"edge {i} must be a JSON array [u, v, capacity], got {json.dumps(e)}")
+            edges.append(tuple(json_int(x, "edge entry") for x in e))
+        q = QuotientGraph(json_int(doc["nodes"], "node count"), tuple(edges))
         if not q.is_connected():
             raise ValueError("processor-level graph is disconnected")
         return q

@@ -215,7 +215,11 @@ class PauliFrame:
             q = int(key[1:])
             if q >= num_qubits:
                 raise ValueError(f"frame entry {key} of a {num_qubits}-qubit circuit")
-            if not isinstance(parts, dict) or not parts.keys() <= {"x", "z"}:
+            if (
+                not isinstance(parts, dict)
+                or not parts.keys() <= {"x", "z"}
+                or not all(type(tokens) is list for tokens in parts.values())
+            ):
                 raise ValueError(f"frame entry {key} must hold only x and z token lists")
             frame.add(q, "X", XorExpr.from_tokens(parts.get("x", [])))
             frame.add(q, "Z", XorExpr.from_tokens(parts.get("z", [])))

@@ -68,13 +68,13 @@ def steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
         return frozenset()
     # Prim over the metric closure (hops raises when a terminal is cut off)
     in_tree = {terms[0]}
-    usable: dict[Edge, int] = {}
+    usable = [0] * q.edge_count
     while len(in_tree) < len(terms):
         _, u, v = min(
             (q.hops(u, v), u, v) for u in sorted(in_tree) for v in terms if v not in in_tree
         )
-        path = q.shortest_path(u, v)
-        usable.update((_norm(a, b), 1) for a, b in zip(path, path[1:]))
+        for e in q.edge_ids(q.shortest_path(u, v)):
+            usable[e] = 1
         in_tree.add(v)
     # The tree can end in a non-terminal leaf where two paths cross a cycle
     # in opposite directions.  A parent map lists children after their

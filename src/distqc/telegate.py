@@ -20,8 +20,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, bell, cx, cz, fanin, meas
-from .circuit import check_keys, check_reads, gate_from_json, gate_to_json, json_int, spokes_by_proc
-from .circuit import unemitted_bit, yhalf
+from .circuit import check_keys, check_reads, gate_from_json, gate_to_json, json_int, json_layers
+from .circuit import spokes_by_proc, unemitted_bit, yhalf
 from .netmodel import QuotientGraph
 from .pauli import PauliFrame, check_bit_id
 from .pushing import FrameNormalizer
@@ -87,7 +87,7 @@ class ExtendedCircuit:
         simulator would entangle whatever they hold), and a condition or
         frame entry reading a bit that no meas emits first."""
         check_keys(doc, EXTENDED_KEYS, "extended circuit")
-        layers = [[gate_from_json(g) for g in layer] for layer in doc["layers"]]
+        layers = [[gate_from_json(g) for g in layer] for layer in json_layers(doc)]
         gates = tuple(g for layer in layers for g in layer)
         n, data = json_int(doc["qubits"], "qubit count"), json_int(doc["data"], "data qubit count")
         if data > n:
@@ -320,7 +320,10 @@ class CircuitExpander:
         per target by the normalizer's push rule, plus the protocol's
         closed-form corrections.  A target at v gets X (cx) or Z (cz) with
         the XOR of the Z-basis bits on the hops from root to v; the control
-        gets Z with the XOR of every X-basis bit.
+        gets Z with the XOR of every X-basis bit.  Those masks are built
+        relative to b0, with bit 2i (Z basis) or 2i + 1 (X basis) for hop
+        i, and shifted to bit ids only as they reach the normalizer: a
+        hop's XOR then costs the tree's width, not the largest bit id.
         """
         interact = cx if kind == "cx" else cz
         normalizer = self.normalizer
@@ -336,23 +339,24 @@ class CircuitExpander:
         self.next_bit += 2 * len(hops)
         for i in range(len(hops)):
             emit(bell(q0 + 2 * i, q0 + 2 * i + 1))
+        shift = b0 + 1  # a mask's bit b + 1 stands for bit id b (bit 0: the constant)
         proxy = {root: control_qubit}
-        z_bits = {root: 0}  # per processor, the mask of the Z-basis bits from root
+        z_bits = {root: 0}  # per processor, the Z-basis bits from root, relative to b0
         for i, (u, v) in enumerate(hops):
             near, far = q0 + 2 * i, q0 + 2 * i + 1
             emit(cx(proxy[u], near))
             emit(meas(near, "Z", b0 + 2 * i))
-            z_bits[v] = z_bits[u] ^ (2 << (b0 + 2 * i))
+            z_bits[v] = z_bits[u] ^ (1 << 2 * i)
             for tq in targets_by_proc.get(v, ()):
                 emit(interact(far, tq))
                 push(control_qubit, tq)
-                add(tq, fix, z_bits[v])
+                add(tq, fix, z_bits[v] << shift)
             proxy[v] = far
         x_bits = 0
         for i in range(len(hops)):
             emit(meas(q0 + 2 * i + 1, "X", b0 + 2 * i + 1))
-            x_bits ^= 2 << (b0 + 2 * i + 1)
-        add(control_qubit, "Z", x_bits)
+            x_bits ^= 2 << 2 * i
+        add(control_qubit, "Z", x_bits << shift)
 
     def emit_mirror_layer(self, qubits: tuple[int, ...]) -> None:
         """Basis-exchange layer: Z then Y^{1/2} per qubit acts as a Hadamard

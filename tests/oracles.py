@@ -374,7 +374,7 @@ def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedu
     tau = 0
     while remaining:
         tau += 1
-        residual = dict(q.capacity)
+        residual = [cap for _, _, cap in q.edges]
 
         def ready(i: int) -> bool:
             for j in preds[i]:
@@ -395,8 +395,8 @@ def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedu
                 path = q.shortest_path(c.source, c.target, usable=residual)
                 if path is None:
                     continue
-                for u, v in zip(path, path[1:]):
-                    residual[(min(u, v), max(u, v))] -= 1
+                for e in q.edge_ids(path):
+                    residual[e] -= 1
                 steps[i] = tau
                 paths[i] = path
                 remaining.discard(i)

@@ -186,6 +186,45 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert rc == 2 and err.count("\n") == 1 and "qubit 1 used twice" in err
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"qubits": 4, "layers": 5}, '"layers" must be a JSON array, got 5'),
+            ({"qubits": 4, "layers": [7]}, "layer 0 must be a JSON array, got 7"),
+            ({"qubits": 4, "layers": [[], {"kind": "cz"}]},
+             'layer 1 must be a JSON array, got {"kind": "cz"}'),
+            ({"qubits": 4, "layers": [[{"kind": "cz", "q": 5}]]}, 'cz gate "q" must be a JSON array, got 5'),
+        ],
+        ids=["layers-number", "layer-number", "layer-object", "gate-q-number"],
+    )
+    def test_circuit_lists_checked(self, tmp_path, capsys, topo, doc, message):
+        # iterating a number failed with Python's own 'int' object is not iterable
+        circ = tmp_path / "bad.json"
+        circ.write_text(json.dumps(doc))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and err == f"distqc compile: error: {circ}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            (3, 'topology "edges" must be a JSON array, got 3'),
+            ([[0, 1, 1], 4], "edge 1 must be a JSON array [u, v, capacity], got 4"),
+            ([[0, 1]], "edge 0 must be a JSON array [u, v, capacity], got [0, 1]"),
+        ],
+        ids=["edges-number", "edge-number", "edge-short"],
+    )
+    def test_topology_edges_checked(self, tmp_path, capsys, circ, edges, message):
+        topo = tmp_path / "bad.json"
+        topo.write_text(json.dumps({"nodes": 9, "edges": edges}))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and err == f"distqc compile: error: {topo}: {message}\n"
+
+    def test_placement_map_checked(self, tmp_path, capsys, topo, circ):
+        placement = tmp_path / "p.json"
+        placement.write_text(json.dumps({"map": 0}))
+        rc, err = self.compile_rc(capsys, circ, topo, "--placement", str(placement))
+        assert rc == 2 and err == f'distqc compile: error: {placement}: placement "map" must be a JSON array, got 0\n'
+
     def test_verify_extended_given_logical_circuit(self, capsys, circ):
         rc = run(["verify", "--extended", str(circ), "--logical", str(circ)])
         err = capsys.readouterr().err
@@ -305,11 +344,18 @@ class TestBadInput:
             # read as bit 1, the two tokens would cancel to an empty correction
             ([[{"kind": "meas", "q": [1], "bit": 1}]], {"q0": {"x": ["b1", "b01"]}},
              "bad xor token: 'b01'"),
+            (3, {}, '"layers" must be a JSON array, got 3'),
+            ([[], 4], {}, "layer 1 must be a JSON array, got 4"),
+            # a string was iterated as its characters: "1" read as ["1"]
+            ([[{"kind": "pauli", "q": [0], "basis": "X", "cond": "1"}]], {},
+             'pauli gate "cond" must be a JSON array, got "1"'),
+            ([], {"q0": {"x": "1"}}, "frame entry q0 must hold only x and z token lists"),
         ],
         ids=["unemitted-cond", "unemitted-frame-bit", "negative-frame-key",
              "frame-qubit-out-of-range", "int-cond-token", "meas-without-bit",
              "frame-not-object", "frame-entry-not-object", "frame-entry-unknown-axis",
-             "leading-zero-frame-key", "bit-emitted-twice", "leading-zero-cond-token"],
+             "leading-zero-frame-key", "bit-emitted-twice", "leading-zero-cond-token",
+             "layers-number", "layer-number", "cond-string", "frame-tokens-string"],
     )
     def test_verify_malformed_extended(self, tmp_path, capsys, layers, frame, message):
         ext = tmp_path / "ext.json"
@@ -550,6 +596,18 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert rc == 2 and not out.exists()
         assert err == f"distqc bench: error: samples must be at least 1, got {samples}\n"
+
+    @pytest.mark.parametrize("option,value", [("--g", ""), ("--sizes", "4,x")])
+    def test_non_integer_list_names_its_option(self, tmp_path, capsys, option, value):
+        # bare int() named no option: invalid literal for int() with base 10
+        out = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", option, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and not out.exists()
+        assert err.splitlines()[-1] == (
+            f"distqc bench: error: argument {option}: expected comma-separated integers, got {value!r}"
+        )
 
     def test_oversize_exact_cell_refused_before_any_compile(self, tmp_path, capsys):
         # the default size 64 is far above the exact solver's 10 commodities

@@ -42,6 +42,9 @@ EDGE2 = QuotientGraph(2, ((0, 1, 2),))
 
 
 GREEDY_PINNED_SHA256 = "7a8564a04d2bd9ef53532231d6240190c7c4d622883f83881055899a7957db8d"
+# taken while the residual was a dict keyed by (u, v) and the search walked
+# plain neighbour tuples, before edge-indexed routing
+GREEDY_PAPER_SCALE_SHA256 = "70e1c6a01ad9a14081a96bdd7c49efc475feefafa1bd9099c209d6fb3cf9a82d"
 # taken before solve_mcf_exact bounded each commodity's step from above
 QUICKEST_PINNED_SHA256 = "edbd4e0ec42744284ee3c873ce5421ef9437b2e26b6b96e4937f0894b421cf13"
 
@@ -309,6 +312,22 @@ class TestIterativeGreedy:
                 docs.append(iterative_greedy(g, cs).to_json())
         blob = json.dumps(docs, separators=(",", ":")).encode()
         assert hashlib.sha256(blob).hexdigest() == GREEDY_PINNED_SHA256
+
+    def test_paper_scale_schedules_pinned(self):
+        # k = 1024 at g = 11, the congested regime: most residual searches
+        # fail (3256 of 3742 on hex, CZ only), so the failed-component rule
+        # and the residual searches shape every schedule
+        docs = []
+        for make in (gen_hex, gen_rect_high):
+            g = make(11)
+            for cx_share in (0.0, 0.5):
+                rng = random.Random(f"paper:{make.__name__}:{cx_share}")
+                circ = random_pair_circuit(g.node_count, 1024, cx_share, rng)
+                cs = extract_commodities(circ, Placement.identity(g.node_count))
+                docs.append(iterative_greedy(g, cs).to_json())
+        assert [d["d"] for d in docs] == [148, 186, 59, 67]
+        blob = json.dumps(docs, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == GREEDY_PAPER_SCALE_SHA256
 
 
 class TestMetrics:

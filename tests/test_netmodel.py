@@ -119,6 +119,30 @@ class TestSerialization:
             QuotientGraph.from_json({"nodes": 4, "edges": [[0, 1, 1], [2, 3, 1]]})
 
 
+def edge_index_graphs():
+    lattices = [gen(g) for gen in (gen_rect_low, gen_hex, gen_rect_high) for g in range(1, 5)]
+    # edges listed out of order, so an edge id is not its rank among sorted edges
+    doc = {"nodes": 5, "edges": [[3, 4, 1], [0, 2, 2], [1, 3, 1], [0, 1, 3], [2, 3, 1]]}
+    return [*lattices, QuotientGraph.from_json(doc)]
+
+
+@pytest.mark.parametrize("q", edge_index_graphs())
+def test_neighbour_edge_ids(q):
+    pairs = 0
+    for u, nbrs in enumerate(q.neighbours):
+        vs = [v for v, _ in nbrs]
+        assert vs == sorted(set(vs))
+        assert tuple(vs) == q.adjacency[u]
+        for v, e in nbrs:
+            assert q.edges[e][:2] == (min(u, v), max(u, v))
+        pairs += len(nbrs)
+    assert pairs == 2 * q.edge_count  # every edge listed at both ends
+    path = q.shortest_path(0, q.node_count - 1)
+    assert q.edge_ids(path) == [
+        next(e for e, (a, b, _) in enumerate(q.edges) if {a, b} == {u, v}) for u, v in zip(path, path[1:])
+    ]
+
+
 class TestDistanceService:
     @pytest.mark.parametrize("gen", [gen_rect_low, gen_hex, gen_rect_high])
     def test_hops_match_networkx(self, gen):
@@ -143,7 +167,7 @@ class TestDistanceService:
             sub.add_nodes_from(range(q.node_count))
             sub.add_edges_from(e for e, c in usable.items() if c > 0)
             s, t = rng.sample(range(q.node_count), 2)
-            path = q.shortest_path(s, t, usable=usable)
+            path = q.shortest_path(s, t, usable=[usable[u, v] for u, v, _ in q.edges])
             if not nx.has_path(sub, s, t):
                 assert path is None
                 continue
@@ -153,8 +177,8 @@ class TestDistanceService:
 
     def test_residual_cut_gives_none(self):
         q = QuotientGraph(3, ((0, 1, 1), (1, 2, 1)))
-        assert q.shortest_path(0, 2, usable={(0, 1): 1, (1, 2): 0}) is None
-        assert q.shortest_path(0, 2, usable={(0, 1): 1, (1, 2): 1}) == (0, 1, 2)
+        assert q.shortest_path(0, 2, usable=[1, 0]) is None
+        assert q.shortest_path(0, 2, usable=[1, 1]) == (0, 1, 2)
         assert q.shortest_path(0, 2) == (0, 1, 2)  # the filter is not memoised
 
     def test_missing_or_unreachable_node_raises(self):

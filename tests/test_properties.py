@@ -210,7 +210,7 @@ def test_free_shortest_path_is_the_residual_search_result(query):
     # iterative_greedy routes the free unfiltered path without a search
     graph, residual, s, t = query
     path = graph.shortest_path(s, t)
-    found = graph.shortest_path(s, t, residual)
+    found = graph.shortest_path(s, t, [residual[u, v] for u, v, _ in graph.edges])
     if all(residual[min(u, v), max(u, v)] >= 1 for u, v in zip(path, path[1:])):
         assert found == path
     else:

@@ -385,21 +385,24 @@ class TestPinnedLargerOutputs:
 # -- the closed-form corrections against the gate-by-gate expansion -----------------
 
 AXES = st.sampled_from("XZ")
-# a condition over the logical bits 0 and 3, or None for an unconditional Pauli
-CONDS = st.none() | st.tuples(st.frozensets(st.sampled_from([0, 3])), st.booleans()).map(
-    lambda m: XorExpr(*m)
-)
 
 
 @st.composite
-def fragment_cases(draw):
+def fragment_cases(draw, bases=st.just(0)):
     """One remote cx, cz, fanin or fanout (hub qubit 0 on processor 0) on a
     random processor tree of up to 4 hops, as one tree route or one path per
-    target processor.  Before it: logical bits 0 and 3, which carry flips
-    when a pending Pauli anticommutes with their measurement, and pending X
-    and Z on every operand conditioned on them.  After it: a measurement of
-    every operand, whose flips the fragment's frame sets, and Paulis
-    conditioned on those bits, which the flips rewrite."""
+    target processor.  Before it: logical bits base and base + 3, which
+    carry flips when a pending Pauli anticommutes with their measurement,
+    and pending X and Z on every operand conditioned on them.  After it: a
+    measurement of every operand, whose flips the fragment's frame sets,
+    and Paulis conditioned on those bits, which the flips rewrite.  The
+    expansion's own bits follow the logical ones, so `base` (drawn from
+    `bases`) moves them up."""
+    base = draw(bases)
+    # a condition over the two early logical bits, or None for an unconditional Pauli
+    conds = st.none() | st.tuples(st.frozensets(st.sampled_from([base, base + 3])), st.booleans()).map(
+        lambda m: XorExpr(*m)
+    )
     procs = draw(st.integers(1, 5))
     parent = [draw(st.integers(0, v - 1)) for v in range(1, procs)]  # processor v's parent is parent[v - 1]
     kind = draw(st.sampled_from(["cx", "cz", "fanin", "fanout"]))
@@ -414,11 +417,12 @@ def fragment_cases(draw):
     operands = [0, *spokes]
     layers = [
         [pauli(q, axis, None) for q in (a, b) if (axis := draw(st.sampled_from(["", "X", "Z"])))],
-        [meas(a, draw(AXES), 0), meas(b, draw(AXES), 3)],
-        *([pauli(q, axis, cond) for q in operands if (cond := draw(CONDS)) is not None] for axis in "XZ"),
+        [meas(a, draw(AXES), base), meas(b, draw(AXES), base + 3)],
+        *([pauli(q, axis, cond) for q in operands if (cond := draw(conds)) is not None] for axis in "XZ"),
         [gate],
-        [meas(q, draw(AXES), 10 + q) for q in operands],
-        [pauli(a, "X", XorExpr.of(*(10 + q for q in operands))), pauli(b, "Z", XorExpr.of(10, 3))],
+        [meas(q, draw(AXES), base + 10 + q) for q in operands],
+        [pauli(a, "X", XorExpr.of(*(base + 10 + q for q in operands))),
+         pauli(b, "Z", XorExpr.of(base + 10, base + 3))],
     ]
     circ = Circuit.from_layers(size + 3, layers)
     placement = Placement((0, *spoke_procs, 0, 0))
@@ -437,10 +441,7 @@ def fragment_cases(draw):
     return circ, placement, {(4, gate): routes}
 
 
-@settings(max_examples=300)
-@given(fragment_cases())
-def test_closed_form_matches_gate_by_gate_expansion(case):
-    circ, placement, routes = case
+def assert_closed_form_matches(circ, placement, routes):
     fast, slow = CircuitExpander(circ, placement), GateByGateExpander(circ, placement)
     got, want = fast.expand(routes), slow.expand(routes)
     assert got.gates == want.gates
@@ -448,6 +449,22 @@ def test_closed_form_matches_gate_by_gate_expansion(case):
     assert fast.normalizer.flips == slow.normalizer.flips
     logical_bits = {g.bit for g in circ.all_gates() if g.kind == "meas"}
     assert set(fast.normalizer.flips) <= logical_bits
+
+
+@settings(max_examples=300)
+@given(fragment_cases())
+def test_closed_form_matches_gate_by_gate_expansion(case):
+    assert_closed_form_matches(*case)
+
+
+@settings(max_examples=100)
+@given(fragment_cases(bases=st.integers(200, 1000)))
+def test_closed_form_matches_at_wide_bit_ids(case):
+    # the expansion's first bit b0 lies past 210, so the hop-relative masks
+    # are shifted across several machine words before they reach the frame
+    circ = case[0]
+    assert min(g.bit for g in circ.all_gates() if g.kind == "meas") >= 200
+    assert_closed_form_matches(*case)
 
 
 def _fed_gates(monkeypatch):
