@@ -180,8 +180,7 @@ class Circuit:
     @staticmethod
     def from_json(doc: dict) -> "Circuit":
         check_keys(doc, frozenset({"qubits", "layers"}), "circuit")
-        layers = [[gate_from_json(g) for g in layer] for layer in json_layers(doc)]
-        return Circuit.from_layers(json_int(doc["qubits"], "qubit count"), layers)
+        return Circuit.from_layers(json_int(doc["qubits"], "qubit count"), json_layers(doc))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=None, separators=(",", ":"))
@@ -265,10 +264,19 @@ def json_list(value, what: str) -> list:
     return value
 
 
-def json_layers(doc: dict) -> list[list]:
-    """A circuit document's "layers", each checked to be a JSON array."""
-    layers = json_list(doc["layers"], '"layers"')
-    return [json_list(layer, f"layer {li}") for li, layer in enumerate(layers)]
+def json_layers(doc: dict) -> list[list[Gate]]:
+    """A circuit document's "layers", each a JSON array of gates read by
+    `gate_from_json`; a gate's fault is a ValueError("layer {i}: {reason}")."""
+    layers = []
+    for li, layer in enumerate(json_list(doc["layers"], '"layers"')):
+        gates = json_list(layer, f"layer {li}")
+        try:
+            layers.append([gate_from_json(g) for g in gates])
+        except KeyError as exc:
+            raise ValueError(f"layer {li}: missing key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"layer {li}: {exc}") from None
+    return layers
 
 
 def check_keys(doc, known: frozenset[str], what: str) -> None:

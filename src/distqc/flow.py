@@ -13,6 +13,7 @@ many ready commodities as possible per step, shortest paths first.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable
@@ -92,12 +93,13 @@ def metrics(sched: FlowSchedule) -> ScheduleMetrics:
 
 
 def check_feasible(sched: FlowSchedule, q: QuotientGraph, cs: CommoditySet) -> Violation | None:
-    """Verify demand, capacity, and both precedence families; None when sound."""
+    """Verify demand, capacity, and both precedence families; None when sound.
+    Of several overloads, the one on the least edge (u, v), then step, is named."""
     if sched.k != cs.k:
         return Violation("demand", message=f"{sched.k} assignments for {cs.k} commodities")
-    capacity = q.capacity
-    usage: dict[tuple[tuple[int, int], int], int] = {}
-    over: set[tuple[tuple[int, int], int]] = set()  # overloaded (edge, step) keys
+    caps = q.capacities
+    load = defaultdict(lambda: [0] * q.edge_count)  # per step, the links in use per edge id
+    over: set[tuple[int, int]] = set()  # overloaded (edge id, step) pairs
     for i, com in enumerate(cs.commodities):
         tau = sched.steps[i]
         path = sched.paths[i]
@@ -107,19 +109,19 @@ def check_feasible(sched: FlowSchedule, q: QuotientGraph, cs: CommoditySet) -> V
             return Violation("c2", commodity=i, message="path must run from source to target")
         if len(set(path)) != len(path):
             return Violation("simple", commodity=i, message="path revisits a node")
-        for u, v in zip(path, path[1:]):
-            e = (u, v) if u < v else (v, u)
-            cap = capacity.get(e)
-            if cap is None:
-                return Violation("c1", commodity=i, edge=(u, v), message="missing edge")
-            key = (e, tau)
-            used = usage.get(key, 0) + 1
-            usage[key] = used
-            if used > cap:
-                over.add(key)
+        try:
+            links = q.edge_ids(path)
+        except KeyError as missing:
+            return Violation("c1", commodity=i, edge=missing.args[0], message="missing edge")
+        used = load[tau]
+        for e in links:
+            used[e] += 1
+            if used[e] > caps[e]:
+                over.add((e, tau))
     if over:
-        e, tau = min(over)  # the first overload in (edge, step) order
-        return Violation("c3", edge=e, step=tau, message=f"{usage[e, tau]} > capacity {capacity[e]}")
+        e, tau = min(over, key=lambda pair: (q.edges[pair[0]], pair[1]))
+        u, v, cap = q.edges[e]
+        return Violation("c3", edge=(u, v), step=tau, message=f"{load[tau][e]} > capacity {cap}")
     for j, tau in enumerate(sched.steps):
         for i in cs.strict_succs[j]:
             if tau >= sched.steps[i]:
@@ -130,8 +132,8 @@ def check_feasible(sched: FlowSchedule, q: QuotientGraph, cs: CommoditySet) -> V
     return None
 
 
-def _simple_paths(q: QuotientGraph, s: int, t: int) -> list[tuple[int, ...]]:
-    """All simple s-t paths, shortest first then lexicographic."""
+def _simple_paths(q: QuotientGraph, s: int, t: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """All simple s-t paths with their edge ids, shortest first then lexicographic."""
     out: list[tuple[int, ...]] = []
     stack = [(s,)]
     while stack:
@@ -139,9 +141,8 @@ def _simple_paths(q: QuotientGraph, s: int, t: int) -> list[tuple[int, ...]]:
         if path[-1] == t:
             out.append(path)
             continue
-        stack.extend(path + (v,) for v in q.adjacency[path[-1]] if v not in path)
-    out.sort(key=lambda p: (len(p), p))
-    return out
+        stack.extend(path + (v,) for v, _ in q.neighbours[path[-1]] if v not in path)
+    return [(path, q.edge_ids(path)) for path in sorted(out, key=lambda p: (len(p), p))]
 
 
 def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule | None:
@@ -173,7 +174,7 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
     options = [_simple_paths(q, c.source, c.target) for c in cs.commodities]
     if not all(options):
         return None
-    lower = [len(opts[0]) - 1 for opts in options]
+    lower = [len(opts[0][1]) for opts in options]
     remaining_lb = [0] * (cs.k + 1)
     for i in range(cs.k - 1, -1, -1):
         remaining_lb[i] = remaining_lb[i + 1] + lower[i]
@@ -183,8 +184,8 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
     # entries at and above the commodity being assigned are stale
     steps = [0] * cs.k
     paths: list[tuple[int, ...]] = [()] * cs.k
-    usage: dict[tuple[tuple[int, int], int], int] = {}
-    capacity = q.capacity
+    load = defaultdict(lambda: [0] * q.edge_count)  # per step, the links in use per edge id
+    caps = q.capacities
     preds = cs.preds
 
     def assign(i: int, flow: int) -> None:
@@ -197,19 +198,19 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
         for j in preds[i]:
             earliest = max(earliest, steps[j] + (i not in qpar_succs[j]))
         for tau in range(earliest, d - tail[i] + 1):
-            for path in options[i]:
-                if flow + (len(path) - 1) + remaining_lb[i + 1] >= best_f:
+            used = load[tau]
+            for path, links in options[i]:
+                if flow + len(links) + remaining_lb[i + 1] >= best_f:
                     break  # paths are sorted by length
-                edges = [(min(u, v), max(u, v)) for u, v in zip(path, path[1:])]
-                if any(usage.get((e, tau), 0) >= capacity[e] for e in edges):
+                if any(used[e] >= caps[e] for e in links):
                     continue
-                for e in edges:
-                    usage[(e, tau)] = usage.get((e, tau), 0) + 1
+                for e in links:
+                    used[e] += 1
                 steps[i] = tau
                 paths[i] = path
-                assign(i + 1, flow + len(edges))
-                for e in edges:
-                    usage[(e, tau)] -= 1
+                assign(i + 1, flow + len(links))
+                for e in links:
+                    used[e] -= 1
 
     assign(0, 0)
     del assign  # the closure refers to itself: a reference cycle per call
@@ -286,7 +287,6 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     order = [(q.hops(c.source, c.target), i) for i, c in enumerate(commodities)]
     free = [q.shortest_path(c.source, c.target) for c in commodities]
     free_links = [q.edge_ids(path) for path in free]
-    capacities = [cap for _, _, cap in q.edges]
     waiting = [len(p) for p in cs.preds]
     steps: list[int] = [0] * cs.k
     paths: list[tuple[int, ...]] = [()] * cs.k
@@ -295,7 +295,7 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     tau = 0
     while placed < cs.k:
         tau += 1
-        residual = list(capacities)
+        residual = list(q.capacities)
         component: dict[int, dict[int, int]] = {}  # node -> latest failed component
         deferred: list[int] = []
         landed: list[int] = []

@@ -10,9 +10,10 @@ and ``distqc gen-topology`` writes one of the three lattice families below.
 ``QuotientGraph`` is the single owner of graph distances: one breadth-first
 search (``bfs``, memoised per source) backs the hop counts, shortest paths
 and the all-pairs distance matrix that the flow and Steiner backends use.
-Edges are named by their position in ``QuotientGraph.edges``: the search
-walks a per-node list of (neighbour, edge id) pairs, and a residual filter
-is a per-edge list of link counts indexed the same way.
+It is also the one owner of edge naming: ``edge_key`` names an edge (u, v)
+as (min, max), and ``QuotientGraph.edge_id`` gives its id, its position in
+``edges``.  Every scheduler counts load, and the search its residual, in
+per-edge lists indexed by edge id, against ``QuotientGraph.capacities``.
 The lattice generators list their edges in plain Python, so numpy is the
 only runtime dependency of the package.
 """
@@ -33,6 +34,11 @@ from .circuit import check_keys, json_int, json_list
 # of at most this many distance-matrix entries, which sizes that matrix's
 # integer type.
 EXACT_MAX_TERMINALS = 10
+
+
+def edge_key(u: int, v: int) -> tuple[int, int]:
+    """The name of the undirected edge or node pair {u, v}: (min, max)."""
+    return (u, v) if u < v else (v, u)
 
 
 def trace_path(parent: dict[int, int], t: int) -> tuple[int, ...]:
@@ -76,27 +82,28 @@ class QuotientGraph:
         return tuple(tuple(sorted(pairs)) for pairs in adj)
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        return {u: tuple(v for v, _ in pairs) for u, pairs in enumerate(self.neighbours)}
+    def capacities(self) -> tuple[int, ...]:
+        return tuple(cap for _, _, cap in self.edges)
 
     @cached_property
     def _edge_index(self) -> dict[tuple[int, int], int]:
-        return {(u, v): e for e, (u, v, _) in enumerate(self.edges)}
+        return {hop: e for e, (u, v, _) in enumerate(self.edges) for hop in ((u, v), (v, u))}
 
-    def edge_ids(self, path: tuple[int, ...]) -> list[int]:
-        """The positions in ``edges`` of the links of a node path."""
+    def edge_id(self, u: int, v: int) -> int | None:
+        """The position in ``edges`` of the edge {u, v}, or None when there is none."""
+        return self._edge_index.get((u, v))
+
+    def edge_ids(self, path: Sequence[int]) -> list[int]:
+        """The edge ids of the links of a node path.  A hop that is no edge
+        raises KeyError with that hop, (u, v) in path order, as its key."""
         index = self._edge_index
-        return [index[u, v] if u < v else index[v, u] for u, v in zip(path, path[1:])]
-
-    @cached_property
-    def capacity(self) -> dict[tuple[int, int], int]:
-        return {(u, v): c for u, v, c in self.edges}
+        return [index[hop] for hop in zip(path, path[1:])]
 
     def cap(self, u: int, v: int) -> int:
-        return self.capacity.get((min(u, v), max(u, v)), 0)
+        return 0 if (e := self.edge_id(u, v)) is None else self.capacities[e]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self.cap(u, v) > 0
+        return (u, v) in self._edge_index
 
     @cached_property
     def _bfs_memo(self) -> dict[int, tuple[dict[int, int], dict[int, int]]]:
@@ -120,7 +127,7 @@ class QuotientGraph:
         Unfiltered searches run in full once per source and are memoised;
         callers must not mutate the returned dicts.
         """
-        if s not in self.adjacency:
+        if not 0 <= s < self.node_count:
             raise ValueError(f"node {s} not in graph of {self.node_count} nodes")
         if usable is None:
             hit = self._bfs_memo.get(s)

@@ -11,6 +11,7 @@ are first re-expressed as at most n-1 fan-in layers by a greedy covering.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .circuit import (
     validate,
 )
 from .flow import schedule_json
-from .netmodel import EXACT_MAX_TERMINALS, QuotientGraph
+from .netmodel import EXACT_MAX_TERMINALS, QuotientGraph, edge_key
 from .telegate import CircuitExpander, ExtendedCircuit, _orient
 
 Edge = tuple[int, int]
@@ -46,10 +47,6 @@ class SteinerInstance:
         for t in self.terminals:
             if not 0 <= t < self.graph.node_count:
                 raise ValueError(f"terminal {t} not in graph")
-
-
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 def steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
@@ -84,7 +81,7 @@ def steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
     tree: set[Edge] = set()
     for v in reversed(parent):
         if v in kept and v != terms[0]:
-            tree.add(_norm(parent[v], v))
+            tree.add(edge_key(parent[v], v))
             kept.add(parent[v])
     return frozenset(tree)
 
@@ -194,7 +191,7 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
         mask, v = stack.pop()
         if not mask & (mask - 1):
             path = q.shortest_path(rest[mask.bit_length() - 1], v)
-            edges.update(_norm(a, b) for a, b in zip(path, path[1:]))
+            edges.update(edge_key(a, b) for a, b in zip(path, path[1:]))
             continue
         w = f[mask, v]
         if merged[mask, v] == w:
@@ -204,8 +201,8 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
             stack.append((mask ^ sub, v))
             stack.append((sub, v))
         else:
-            u = next(u for u in q.adjacency[v] if f[mask, u] == w - 1)
-            edges.add(_norm(u, v))
+            u = next(u for u, _ in q.neighbours[v] if f[mask, u] == w - 1)
+            edges.add(edge_key(u, v))
             stack.append((mask, u))
     if len(edges) != f[full, root]:
         raise AssertionError("Steiner reconstruction produced a non-tree edge multiset")
@@ -241,14 +238,8 @@ class FanInLayering:
     def to_circuit(self) -> Circuit:
         return Circuit.from_layers(self.num_qubits, self.layers)
 
-    def cz_multiset(self) -> dict[Edge, int]:
-        counts: dict[Edge, int] = {}
-        for layer in self.layers:
-            for g in layer:
-                for t in g.spokes:
-                    e = _norm(g.hub, t)
-                    counts[e] = counts.get(e, 0) + 1
-        return counts
+    def cz_multiset(self) -> Counter[Edge]:
+        return Counter(edge_key(g.hub, t) for layer in self.layers for g in layer for t in g.spokes)
 
 
 def cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) -> FanInLayering:
@@ -260,12 +251,10 @@ def cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) -> FanInLaye
     repeated pairs are preserved (each copy covered exactly once) and may
     need further passes unless `cancel_pairs` drops them modulo 2 first.
     """
-    counts: dict[Edge, int] = {}
     for g in circuit.all_gates():
         if g.kind != "cz":
             raise ValueError(f"densifier accepts CZ-only circuits, found {g.kind!r}")
-        e = _norm(*g.qubits)
-        counts[e] = counts.get(e, 0) + 1
+    counts = Counter(edge_key(*g.qubits) for g in circuit.all_gates())
     if cancel_pairs:
         counts = {e: 1 for e, c in counts.items() if c % 2}
     # uncovered[q][t]: the uncovered copies of pair (q, t), stored at both ends
@@ -293,20 +282,18 @@ def cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) -> FanInLaye
 def _pack_rounds(trees: list[frozenset[Edge]], graph: QuotientGraph, first_round: int) -> list[int]:
     """Assign each tree of one layer an entanglement round, splitting the
     layer into sequential sub-rounds when edge demand exceeds capacity.
-    Every tree edge is a graph edge (u, v), u < v, as `_orient` checked."""
-    capacity = graph.capacity
+    Every tree edge is a graph edge, as `_orient` checked."""
+    caps = graph.capacities
+    loads: list[list[int]] = []  # per round from first_round, the links in use per edge id
     rounds: list[int] = []
-    usage: dict[int, dict[Edge, int]] = {}
     for tree in trees:
-        r = first_round
-        while True:
-            load = usage.setdefault(r, {})
-            if all(load.get(e, 0) < capacity[e] for e in tree):
-                for e in tree:
-                    load[e] = load.get(e, 0) + 1
-                rounds.append(r)
-                break
-            r += 1
+        links = [graph.edge_id(u, v) for u, v in tree]
+        r = next((r for r, load in enumerate(loads) if all(load[e] < caps[e] for e in links)), len(loads))
+        if r == len(loads):
+            loads.append([0] * graph.edge_count)
+        for e in links:
+            loads[r][e] += 1
+        rounds.append(first_round + r)
     return rounds
 
 

@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, bell, cx, cz, fanin, meas
-from .circuit import check_keys, check_reads, gate_from_json, gate_to_json, json_int, json_layers
+from .circuit import check_keys, check_reads, gate_to_json, json_int, json_layers
 from .circuit import spokes_by_proc, unemitted_bit, yhalf
 from .netmodel import QuotientGraph
 from .pauli import PauliFrame, check_bit_id
@@ -87,7 +87,7 @@ class ExtendedCircuit:
         simulator would entangle whatever they hold), and a condition or
         frame entry reading a bit that no meas emits first."""
         check_keys(doc, EXTENDED_KEYS, "extended circuit")
-        layers = [[gate_from_json(g) for g in layer] for layer in json_layers(doc)]
+        layers = json_layers(doc)
         gates = tuple(g for layer in layers for g in layer)
         n, data = json_int(doc["qubits"], "qubit count"), json_int(doc["data"], "data qubit count")
         if data > n:
@@ -132,16 +132,13 @@ def _orient(
     orientation), a cycle, an edge not connected to root, and a terminal
     the tree does not reach.
     """
-    capacity = None if graph is None else graph.capacity
+    edges = list(edges)
     adj: dict[int, list[int]] = {}
-    seen: set[Hop] = set()
     for u, v in edges:
-        e = (u, v) if u < v else (v, u)
-        if capacity is not None and e not in capacity:
+        if graph is not None and not graph.has_edge(u, v):
             raise InvalidPathError(f"tree edge ({u},{v}) missing from graph")
-        if e in seen:
+        if v in adj.get(u, ()):
             raise InvalidPathError(f"tree edge ({u},{v}) repeated")
-        seen.add(e)
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     hops: list[Hop] = []
@@ -153,7 +150,7 @@ def _orient(
                 reached.add(v)
                 hops.append((u, v))
                 queue.append(v)
-    if len(hops) != len(seen):
+    if len(hops) != len(edges):
         if reached.issuperset(adj):
             raise InvalidPathError("edge set has a cycle")
         raise InvalidPathError(f"edge set is not connected to processor {root}")

@@ -46,10 +46,10 @@ from distqc.circuit import (
     yhalf,
 )
 from distqc.flow import FlowSchedule
-from distqc.netmodel import QuotientGraph
+from distqc.netmodel import QuotientGraph, edge_key
 from distqc.pauli import PauliFrame
 from distqc.stabsim import BranchDependentError, ResidualEntanglementError
-from distqc.steiner import EXACT_MAX_TERMINALS, Edge, FanInLayering, SteinerInstance, _norm
+from distqc.steiner import EXACT_MAX_TERMINALS, Edge, FanInLayering, SteinerInstance
 from distqc.telegate import CircuitExpander, Hop
 
 
@@ -210,7 +210,7 @@ def reference_steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
             w, v = heapq.heappop(heap)
             if w > best[v]:
                 continue
-            for u in q.adjacency[v]:
+            for u, _ in q.neighbours[v]:
                 if w + 1 < best[u]:
                     best[u] = w + 1
                     choice[(mask, u)] = ("grow", v)
@@ -228,9 +228,9 @@ def reference_steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
         kind, arg = choice[(mask, v)]
         if kind == "leaf":
             path = q.shortest_path(arg, v)
-            edges.update(_norm(a, b) for a, b in zip(path, path[1:]))
+            edges.update(edge_key(a, b) for a, b in zip(path, path[1:]))
         elif kind == "grow":
-            edges.add(_norm(arg, v))
+            edges.add(edge_key(arg, v))
             stack.append((mask, arg))
         else:
             stack.append((mask ^ arg, v))
@@ -246,7 +246,7 @@ def reference_cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) ->
     walking every pair count, once per qubit in every pass."""
     counts: dict[Edge, int] = {}
     for g in circuit.all_gates():
-        e = _norm(*g.qubits)
+        e = edge_key(*g.qubits)
         counts[e] = counts.get(e, 0) + 1
     if cancel_pairs:
         counts = {e: c % 2 for e, c in counts.items()}
@@ -265,7 +265,7 @@ def reference_cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) ->
             if not partners:
                 continue
             for t in partners:
-                counts[_norm(q, t)] -= 1
+                counts[edge_key(q, t)] -= 1
             layers.append((fanin(q, partners, basis="Z"),))
     return FanInLayering(circuit.num_qubits, tuple(layers))
 

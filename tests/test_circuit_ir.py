@@ -184,7 +184,7 @@ def test_malformed_gate_rejected_everywhere(tmp_path, capsys, gate, reason):
     circ.write_text(json.dumps({"qubits": 3, "layers": [[gate_to_json(gate)]]}))
     topo.write_text(json.dumps(gen_rect_low(2).to_json()))
     rc = main(["compile", "--circuit", str(circ), "--topology", str(topo), "--backend", "flow-greedy"])
-    assert rc == 2 and capsys.readouterr().err == f"distqc compile: error: {circ}: {reason}\n"
+    assert rc == 2 and capsys.readouterr().err == f"distqc compile: error: {circ}: layer 0: {reason}\n"
 
 
 class TestExtractCommodities:

@@ -193,9 +193,14 @@ class TestBadInput:
             ({"qubits": 4, "layers": [7]}, "layer 0 must be a JSON array, got 7"),
             ({"qubits": 4, "layers": [[], {"kind": "cz"}]},
              'layer 1 must be a JSON array, got {"kind": "cz"}'),
-            ({"qubits": 4, "layers": [[{"kind": "cz", "q": 5}]]}, 'cz gate "q" must be a JSON array, got 5'),
+            ({"qubits": 4, "layers": [[], [{"kind": "cz", "q": 5}]]},
+             'layer 1: cz gate "q" must be a JSON array, got 5'),
+            ({"qubits": 4, "layers": [[], [{"kind": "cz", "q": [0, 0.5]}]]},
+             "layer 1: cz gate qubit must be a non-negative integer, got 0.5"),
+            ({"qubits": 4, "layers": [[], [], [{"kind": "cz"}]]}, "layer 2: missing key 'q'"),
         ],
-        ids=["layers-number", "layer-number", "layer-object", "gate-q-number"],
+        ids=["layers-number", "layer-number", "layer-object", "gate-q-number", "gate-q-float",
+             "gate-no-q"],
     )
     def test_circuit_lists_checked(self, tmp_path, capsys, topo, doc, message):
         # iterating a number failed with Python's own 'int' object is not iterable
@@ -331,7 +336,7 @@ class TestBadInput:
              "frame entry q0 x reads bit 9, which no meas emits"),
             ([], {"q-1": {"x": ["1"]}}, "bad frame key 'q-1', expected q<qubit>"),
             ([], {"q7": {"z": ["1"]}}, "frame entry q7 of a 2-qubit circuit"),
-            ([[{"kind": "pauli", "q": [0], "basis": "X", "cond": [7]}]], {}, "bad xor token: 7"),
+            ([[{"kind": "pauli", "q": [0], "basis": "X", "cond": [7]}]], {}, "layer 0: bad xor token: 7"),
             ([[{"kind": "meas", "q": [1]}]], {}, "layer 0: meas on qubit 1 emits no bit"),
             ([], [], "frame must map q<qubit> keys to x and z token lists"),
             ([], {"q0": ["1"]}, "frame entry q0 must hold only x and z token lists"),
@@ -348,14 +353,16 @@ class TestBadInput:
             ([[], 4], {}, "layer 1 must be a JSON array, got 4"),
             # a string was iterated as its characters: "1" read as ["1"]
             ([[{"kind": "pauli", "q": [0], "basis": "X", "cond": "1"}]], {},
-             'pauli gate "cond" must be a JSON array, got "1"'),
+             'layer 0: pauli gate "cond" must be a JSON array, got "1"'),
             ([], {"q0": {"x": "1"}}, "frame entry q0 must hold only x and z token lists"),
+            ([[{"kind": "meas", "q": [1], "bit": 1}], [{"kind": "cz", "q": [0, 0.5]}]], {},
+             "layer 1: cz gate qubit must be a non-negative integer, got 0.5"),
         ],
         ids=["unemitted-cond", "unemitted-frame-bit", "negative-frame-key",
              "frame-qubit-out-of-range", "int-cond-token", "meas-without-bit",
              "frame-not-object", "frame-entry-not-object", "frame-entry-unknown-axis",
              "leading-zero-frame-key", "bit-emitted-twice", "leading-zero-cond-token",
-             "layers-number", "layer-number", "cond-string", "frame-tokens-string"],
+             "layers-number", "layer-number", "cond-string", "frame-tokens-string", "gate-float-qubit"],
     )
     def test_verify_malformed_extended(self, tmp_path, capsys, layers, frame, message):
         ext = tmp_path / "ext.json"
@@ -433,9 +440,9 @@ class TestBadInput:
             [{"kind": "pauli", "q": [1], "basis": "X", "cond": [7]}],
         ]}))
         rc, err = self.compile_rc(capsys, circ, topo)
-        assert rc == 2 and err == f"distqc compile: error: {circ}: bad xor token: 7\n"
+        assert rc == 2 and err == f"distqc compile: error: {circ}: layer 1: bad xor token: 7\n"
         rc, err = self.verify_rc(capsys, compiled_cx, circ)
-        assert rc == 2 and err == f"distqc verify: error: {circ}: bad xor token: 7\n"
+        assert rc == 2 and err == f"distqc verify: error: {circ}: layer 1: bad xor token: 7\n"
 
     def test_condition_token_above_bit_cap(self, tmp_path, capsys, topo, compiled_cx):
         circ = tmp_path / "cond.json"
@@ -445,9 +452,9 @@ class TestBadInput:
         ]}))
         message = "bit id 1048577 is above the cap 1048576"
         rc, err = self.compile_rc(capsys, circ, topo)
-        assert rc == 2 and err == f"distqc compile: error: {circ}: {message}\n"
+        assert rc == 2 and err == f"distqc compile: error: {circ}: layer 1: {message}\n"
         rc, err = self.verify_rc(capsys, compiled_cx, circ)
-        assert rc == 2 and err == f"distqc verify: error: {circ}: {message}\n"
+        assert rc == 2 and err == f"distqc verify: error: {circ}: layer 1: {message}\n"
         ext = tmp_path / "ext.json"
         ext.write_text(json.dumps({"qubits": 2, "data": 1, "layers": [],
                                    "frame": {"q0": {"z": ["b1048577"]}}}))
@@ -496,12 +503,12 @@ class TestBadInput:
         circ = tmp_path / "circ.json"
         circ.write_text(json.dumps({"qubits": 9, "layers": [[gate]]}))
         rc, err = self.compile_rc(capsys, circ, topo)
-        assert rc == 2 and err == f"distqc compile: error: {circ}: {message}\n"
+        assert rc == 2 and err == f"distqc compile: error: {circ}: layer 0: {message}\n"
         rc, err = self.verify_rc(capsys, compiled_cx, circ)
-        assert rc == 2 and err == f"distqc verify: error: {circ}: {message}\n"
+        assert rc == 2 and err == f"distqc verify: error: {circ}: layer 0: {message}\n"
         ext, logical = self.write_pair(tmp_path, gate, [])
         rc, err = self.verify_rc(capsys, ext, logical)
-        assert rc == 2 and err == f"distqc verify: error: {ext}: {message}\n"
+        assert rc == 2 and err == f"distqc verify: error: {ext}: layer 0: {message}\n"
 
     @pytest.mark.parametrize(
         "role,what",

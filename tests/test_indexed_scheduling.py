@@ -1,8 +1,14 @@
 """The indexed commodity extraction and counter-driven greedy scheduler
-against the plain quadratic reference versions in ``oracles``."""
+against the plain quadratic reference versions in ``oracles``, and the
+schedulers' edge-id load counts against a renumbering of the edges, which
+no output may depend on."""
 
+import json
 import random
 
+import pytest
+
+from distqc.bench import gen_random_cz_circuit
 from distqc.circuit import (
     Circuit,
     Commodity,
@@ -14,8 +20,9 @@ from distqc.circuit import (
     fanin,
     fanout,
 )
-from distqc.flow import check_feasible, iterative_greedy
-from distqc.netmodel import QuotientGraph, gen_hex, gen_rect_low
+from distqc.flow import FlowSchedule, check_feasible, compile_circuit_flow, iterative_greedy
+from distqc.netmodel import QuotientGraph, edge_key, gen_hex, gen_rect_high, gen_rect_low
+from distqc.steiner import compile_circuit_steiner, cz_to_dense_fanin
 from oracles import (
     commodity_set,
     random_connected_graph,
@@ -148,3 +155,59 @@ def test_failed_searches_not_repeated(monkeypatch):
     searches.clear()
     assert reference_iterative_greedy(graph, cs) == sched
     assert len(searches) == 10
+
+
+def edge_orders(q: QuotientGraph, seed: int) -> list[QuotientGraph]:
+    """`q` with its edges listed sorted, reversed and shuffled (seeded):
+    the same graph under three numberings of its edge ids."""
+    shuffled = list(q.edges)
+    random.Random(seed).shuffle(shuffled)
+    return [QuotientGraph(q.node_count, tuple(order)) for order in (sorted(q.edges), q.edges[::-1], shuffled)]
+
+
+def output_bytes(ext, sched) -> str:
+    return json.dumps([ext.to_json(), sched.to_json()], sort_keys=True)
+
+
+@pytest.mark.parametrize("make", [gen_rect_high, gen_hex], ids=["rect-high", "hex"])
+def test_edge_order_never_leaks_into_outputs(make):
+    rng = random.Random(27)
+    lattice = with_random_capacities(rng, make(3))
+    graphs = edge_orders(lattice, seed=5)
+    circuit = gen_random_cz_circuit(lattice.node_count, 80, rng)
+    placement = Placement.identity(lattice.node_count)
+    dense = cz_to_dense_fanin(circuit).to_circuit()
+    outputs = []
+    for graph in graphs:
+        ext, sched, cs = compile_circuit_flow(circuit, placement, graph, "greedy")
+        outputs.append([
+            output_bytes(ext, sched),
+            output_bytes(*compile_circuit_steiner(circuit, placement, graph)),
+            output_bytes(*compile_circuit_steiner(dense, placement, graph)),
+        ])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+    # two steps' worth of commodities squeezed onto alternate steps: the
+    # overload named is the least (u, v), then step, whatever the edge ids
+    squeezed = FlowSchedule(2, tuple(1 + i % 2 for i in range(cs.k)), sched.paths)
+    load: dict = {}
+    for tau, path in zip(squeezed.steps, squeezed.paths):
+        for u, v in zip(path, path[1:]):
+            load[edge_key(u, v), tau] = load.get((edge_key(u, v), tau), 0) + 1
+    (u, v), tau = min(key for key, used in load.items() if used > lattice.cap(*key[0]))
+    for graph in graphs:
+        bad = check_feasible(squeezed, graph, cs)
+        assert (bad.constraint, bad.edge, bad.step) == ("c3", (u, v), tau)
+        assert bad.message == f"{load[(u, v), tau]} > capacity {lattice.cap(u, v)}"
+
+
+def test_edge_order_never_leaks_into_exact_outputs():
+    rng = random.Random(9)
+    lattice = with_random_capacities(rng, gen_rect_low(2))
+    circuit = gen_random_cz_circuit(lattice.node_count, 8, rng)
+    placement = Placement.identity(lattice.node_count)
+    outputs = set()
+    for graph in edge_orders(lattice, seed=3):
+        ext, sched, cs = compile_circuit_flow(circuit, placement, graph, "exact")
+        outputs.add(output_bytes(ext, sched))
+    assert 1 <= cs.k <= 10 and len(outputs) == 1

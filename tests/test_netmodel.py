@@ -13,6 +13,7 @@ from distqc.flow import iterative_greedy
 from distqc.netmodel import (
     GENERATORS,
     QuotientGraph,
+    edge_key,
     edge_node_ratio,
     gen_hex,
     gen_rect_high,
@@ -61,7 +62,7 @@ class TestGenerators:
     @pytest.mark.parametrize("g", range(1, 13))
     def test_hex_degrees(self, g):
         q = gen_hex(g)
-        degs = {len(q.adjacency[u]) for u in range(q.node_count)}
+        degs = {len(pairs) for pairs in q.neighbours}
         assert degs <= {2, 3}
 
     def test_hex_euler_faces(self):
@@ -132,11 +133,15 @@ def test_neighbour_edge_ids(q):
     for u, nbrs in enumerate(q.neighbours):
         vs = [v for v, _ in nbrs]
         assert vs == sorted(set(vs))
-        assert tuple(vs) == q.adjacency[u]
         for v, e in nbrs:
-            assert q.edges[e][:2] == (min(u, v), max(u, v))
+            assert q.edges[e][:2] == edge_key(u, v) == edge_key(v, u) == (min(u, v), max(u, v))
+            assert q.edge_id(u, v) == q.edge_id(v, u) == e
+            assert q.cap(u, v) == q.capacities[e] == q.edges[e][2]
+        for v in set(range(q.node_count)) - set(vs):
+            assert q.edge_id(u, v) is None and not q.has_edge(u, v) and q.cap(u, v) == 0
         pairs += len(nbrs)
     assert pairs == 2 * q.edge_count  # every edge listed at both ends
+    assert len(q.capacities) == q.edge_count
     path = q.shortest_path(0, q.node_count - 1)
     assert q.edge_ids(path) == [
         next(e for e, (a, b, _) in enumerate(q.edges) if {a, b} == {u, v}) for u, v in zip(path, path[1:])
@@ -162,18 +167,18 @@ class TestDistanceService:
         rng = random.Random(3)
         q = gen_rect_low(5)
         for _ in range(40):
-            usable = {e: rng.choice((0, 0, 1, 2)) for e in q.capacity}
+            usable = [rng.choice((0, 0, 1, 2)) for _ in q.edges]
             sub = nx.Graph()
             sub.add_nodes_from(range(q.node_count))
-            sub.add_edges_from(e for e, c in usable.items() if c > 0)
+            sub.add_edges_from(q.edges[e][:2] for e, c in enumerate(usable) if c > 0)
             s, t = rng.sample(range(q.node_count), 2)
-            path = q.shortest_path(s, t, usable=[usable[u, v] for u, v, _ in q.edges])
+            path = q.shortest_path(s, t, usable=usable)
             if not nx.has_path(sub, s, t):
                 assert path is None
                 continue
             assert path[0] == s and path[-1] == t
             assert len(path) - 1 == nx.shortest_path_length(sub, s, t)
-            assert all(usable[(min(u, v), max(u, v))] > 0 for u, v in zip(path, path[1:]))
+            assert all(usable[e] > 0 for e in q.edge_ids(path))
 
     def test_residual_cut_gives_none(self):
         q = QuotientGraph(3, ((0, 1, 1), (1, 2, 1)))
@@ -215,9 +220,13 @@ class TestDistanceService:
         (partial(QuotientGraph, 2, ((0, 1, 1), (0, 1, 2))), "duplicate edge (0,1)"),
         *((partial(gen, 0), "generator factor must be >= 1") for gen in GENERATORS.values()),
         (partial(edge_node_ratio, QuotientGraph(0, ())), "graph must have at least one node"),
+        # the source check is a range check on the node id
+        (partial(QuotientGraph(3, ((0, 1, 1), (1, 2, 1))).bfs, -1), "node -1 not in graph of 3 nodes"),
+        (partial(QuotientGraph(3, ((0, 1, 1), (1, 2, 1))).bfs, 3), "node 3 not in graph of 3 nodes"),
+        (partial(QuotientGraph(3, ((0, 1, 1), (1, 2, 1))).hops, 3, 0), "node 3 not in graph of 3 nodes"),
     ],
     ids=["reversed-edge", "zero-capacity", "duplicate-edge", *(f"{kind}-g0" for kind in GENERATORS),
-         "ratio-no-nodes"],
+         "ratio-no-nodes", "bfs-negative-source", "bfs-source-n", "hops-source-n"],
 )
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

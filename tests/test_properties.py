@@ -194,13 +194,12 @@ def residual_queries(draw):
     """A small paper lattice, a residual map of 0-2 per link, two distinct
     nodes, and whether to free the links of their unfiltered shortest path."""
     graph = GENERATORS[draw(st.sampled_from(sorted(GENERATORS)))](draw(st.integers(1, 4)))
-    residual = {e: draw(st.integers(0, 2)) for e in sorted(graph.capacity)}
+    residual = [draw(st.integers(0, 2)) for _ in graph.edges]
     s = draw(st.integers(0, graph.node_count - 1))
     t = draw(st.integers(0, graph.node_count - 1).filter(lambda t: t != s))
     if draw(st.booleans()):
-        path = graph.shortest_path(s, t)
-        for u, v in zip(path, path[1:]):
-            residual[min(u, v), max(u, v)] = max(residual[min(u, v), max(u, v)], 1)
+        for e in graph.edge_ids(graph.shortest_path(s, t)):
+            residual[e] = max(residual[e], 1)
     return graph, residual, s, t
 
 
@@ -210,8 +209,8 @@ def test_free_shortest_path_is_the_residual_search_result(query):
     # iterative_greedy routes the free unfiltered path without a search
     graph, residual, s, t = query
     path = graph.shortest_path(s, t)
-    found = graph.shortest_path(s, t, [residual[u, v] for u, v, _ in graph.edges])
-    if all(residual[min(u, v), max(u, v)] >= 1 for u, v in zip(path, path[1:])):
+    found = graph.shortest_path(s, t, residual)
+    if all(residual[e] >= 1 for e in graph.edge_ids(path)):
         assert found == path
     else:
         assert found is None or (len(found) >= len(path) and found != path)
