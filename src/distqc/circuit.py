@@ -458,6 +458,19 @@ class CommoditySet:
         return tuple(map(tuple, preds))
 
     @cached_property
+    def tails(self) -> tuple[int, ...]:
+        """Per commodity i, the most strict-precedence pairs on one chain of
+        the relation that starts at i: the steps that must follow i's own.
+        A quasi-parallel pair on the chain adds 0."""
+        tail = [0] * self.k
+        for i in reversed(range(self.k)):  # successors have larger indices
+            tail[i] = max(
+                [tail[j] + 1 for j in self.strict_succs[i]] + [tail[j] for j in self.qpar_succs[i]],
+                default=0,
+            )
+        return tuple(tail)
+
+    @cached_property
     def prec(self) -> frozenset[tuple[int, int]]:
         """The relation as (j, i) pairs, j before i (in the same step when quasi-parallel)."""
         return frozenset(

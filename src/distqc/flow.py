@@ -24,6 +24,9 @@ from .telegate import CircuitExpander
 
 EXACT_MAX_COMMODITIES = 10
 EXACT_MAX_NODES = 25
+# links a greedy route may take beyond its shortest path before it waits a
+# step instead; the lattices are bipartite, so slack 1 would act as 0
+DETOUR_SLACK = 2
 
 
 @dataclass(frozen=True)
@@ -163,12 +166,7 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
         )
     if cs.k == 0:
         return FlowSchedule(0, (), ())
-    strict_succs, qpar_succs = cs.strict_succs, cs.qpar_succs
-    tail = [0] * cs.k
-    for i in reversed(range(cs.k)):
-        tail[i] = max(
-            [tail[j] + 1 for j in strict_succs[i]] + [tail[j] for j in qpar_succs[i]], default=0
-        )
+    qpar_succs, tail = cs.qpar_succs, cs.tails
     if max(tail) >= d:
         return None
     options = [_simple_paths(q, c.source, c.target) for c in cs.commodities]
@@ -256,35 +254,48 @@ def quickest_flow(
 def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     """One step at a time, route as many ready commodities as capacity allows.
 
-    Ready commodities are sorted by (shortest-path length, index) and routed
-    along their shortest path in the step's residual graph, in passes: a
-    commodity whose last quasi-parallel predecessor lands during a pass
-    becomes ready for the next pass of the same step, one whose last strict
-    predecessor lands becomes ready at the next step.  Readiness is kept as
-    counters of unplaced predecessors.  The residual is a list of link
-    counts per edge id (see ``QuotientGraph.bfs``); each commodity's sort
-    key and unfiltered shortest path, with that path's edge ids, are worked
-    out once, before the first step.
+    Ready commodities are taken in critical-path order, by (-tail, hops,
+    index): first those with the longest chain of strict successors still
+    to follow (``CommoditySet.tails``), which bound the steps the rest of
+    the schedule needs (Hu 1961), then the shortest.  Each is routed along
+    its shortest path in the step's residual graph if that path has at
+    most ``hops + DETOUR_SLACK`` links, and deferred to the next step
+    otherwise: a longer detour spends more Bell pairs than waiting does.
+    Routing goes in passes: a commodity whose last quasi-parallel
+    predecessor lands during a pass becomes ready for the next pass of the
+    same step, one whose last strict predecessor lands becomes ready at the
+    next step.  Readiness is kept as counters of unplaced predecessors.
+    The residual is a list of link counts per edge id (see
+    ``QuotientGraph.bfs``); each commodity's sort key and unfiltered
+    shortest path, with that path's edge ids, are worked out once, before
+    the first step.
 
     Residual capacity only shrinks within a step, so a commodity that found
-    no path stays unroutable until the step ends and is not retried.  For
-    the same reason a failed search, which ran to exhaustion, yields the
-    whole residual component R of its source, and R contains the source's
-    component for the rest of the step: a later commodity with its source in
-    R and its target outside R fails without a search.  Both rules skip only
-    searches that would fail, so the schedule is unchanged.  A third rule,
-    checked after them, skips searches that would succeed: when every link
-    of the unfiltered shortest path still has residual capacity, that path
-    is routed.  The residual search returns the lexicographically least
-    shortest path (see ``QuotientGraph.bfs``), and lowering capacities only
-    removes paths, so the surviving unfiltered path is still the shortest
-    and the least, the very path the search would return.  Always
-    terminates: the least unplaced commodity is ready, since its
-    predecessors have lower indices, and a fresh step offers it full
-    capacities and a path.
+    no short enough path stays deferred until the step ends and is not
+    retried.  The residual search is bounded by the detour limit
+    (``QuotientGraph.bfs``'s `limit`), and a failed search proves only
+    that no short enough path is left, unless it cut off no node: it then
+    ran to exhaustion and yields the whole residual component R of its
+    source, and R contains the source's component for the rest of the
+    step, so a later commodity with its source in R and its target outside
+    R fails without a search.  Only such exhausted searches are kept for
+    that rule; a search cut off at the limit says nothing about targets it
+    did not reach.  Both rules skip only searches that would fail, so the
+    schedule is unchanged.  A third rule, checked after them, skips
+    searches that would succeed: when every link of the unfiltered
+    shortest path still has residual capacity, that path is routed.  The
+    residual search returns the lexicographically least shortest path (see
+    ``QuotientGraph.bfs``), and lowering capacities only removes paths, so
+    the surviving unfiltered path is still the shortest and the least, the
+    very path the search would return.  Always terminates: the least
+    unplaced commodity is ready, since its predecessors have lower indices
+    and were placed in earlier steps, so a fresh step has a ready
+    commodity, and the first one taken finds every link free and is routed
+    along its unfiltered shortest path, within any detour limit.
     """
     commodities = cs.commodities
-    order = [(q.hops(c.source, c.target), i) for i, c in enumerate(commodities)]
+    hops = [q.hops(c.source, c.target) for c in commodities]
+    order = [(-tail, h, i) for i, (tail, h) in enumerate(zip(cs.tails, hops))]
     free = [q.shortest_path(c.source, c.target) for c in commodities]
     free_links = [q.edge_ids(path) for path in free]
     waiting = [len(p) for p in cs.preds]
@@ -296,7 +307,10 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     while placed < cs.k:
         tau += 1
         residual = list(q.capacities)
-        component: dict[int, dict[int, int]] = {}  # node -> latest failed component
+        # per node a component id: nodes with different ids have no residual path
+        label = [0] * q.node_count
+        stale = True  # a route landed since the residual's components were last labelled
+        wasted = 0
         deferred: list[int] = []
         landed: list[int] = []
         batch = ready
@@ -304,22 +318,29 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
             unlocked: list[int] = []
             for i in sorted(batch, key=order.__getitem__):
                 c = commodities[i]
-                seen = component.get(c.source)
-                if seen is not None and c.target not in seen:
+                if label[c.source] != label[c.target]:
                     deferred.append(i)
                     continue
                 path, links = free[i], free_links[i]
-                if not all(residual[e] for e in links):  # counts never drop below 0
-                    dist, parent = q.bfs(c.source, residual, stop=c.target)
+                if not all(map(residual.__getitem__, links)):  # counts never drop below 0
+                    dist, parent = q.bfs(c.source, residual, c.target, hops[i] + DETOUR_SLACK)
                     if c.target not in parent:
-                        for v in dist:
-                            component[v] = dist
+                        if len(parent) == len(dist):  # exhausted: dist is a whole component
+                            for v in dist:
+                                label[v] = -1 - c.source  # no labelling pass gives ids below 0
+                        else:  # cut off at the limit, which proves nothing
+                            wasted += len(dist)
+                            if stale and wasted >= q.node_count:
+                                label = q.components(residual)
+                                stale = False
+                                wasted = 0
                         deferred.append(i)
                         continue
                     path = trace_path(parent, c.target)
                     links = q.edge_ids(path)
                 for e in links:
                     residual[e] -= 1
+                stale = True
                 steps[i] = tau
                 paths[i] = path
                 landed.append(i)

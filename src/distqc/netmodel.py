@@ -114,6 +114,7 @@ class QuotientGraph:
         s: int,
         usable: Sequence[int] | None = None,
         stop: int | None = None,
+        limit: int | None = None,
     ) -> tuple[dict[int, int], dict[int, int]]:
         """Hop distances and parents (the source's parent is -1) from `s`.
 
@@ -126,14 +127,30 @@ class QuotientGraph:
         discovers `stop` (a search from `stop` itself runs in full).
         Unfiltered searches run in full once per source and are memoised;
         callers must not mutate the returned dicts.
+
+        With `limit` (and `stop`), the search looks only for s-`stop` paths
+        of at most `limit` links: a node v it reaches at distance d is cut
+        off, entered in `dist` but given no parent and not explored, when
+        d + hops(v, stop) > limit.  Every node of every shortest path to
+        `stop` passes that test when the path has at most `limit` links, and
+        a cut-off node lies on no such path, so `stop` is found exactly when
+        it is at most `limit` links away, along the same path as without
+        the limit.  A search that found no `stop` and cut off no node,
+        ``len(parent) == len(dist)``, ran to exhaustion: `dist` is then the
+        whole component of `s`.
         """
         if not 0 <= s < self.node_count:
             raise ValueError(f"node {s} not in graph of {self.node_count} nodes")
-        if usable is None:
+        memoised = usable is None and limit is None
+        if memoised:
             hit = self._bfs_memo.get(s)
             if hit is not None:
                 return hit
             stop = None
+        elif limit is not None:
+            to_stop = (self._bfs_memo.get(stop) or self.bfs(stop))[0]  # type: ignore[arg-type]
+            if s not in to_stop:
+                raise ValueError(f"no path between {s} and {stop}")
         dist = {s: 0}
         parent = {s: -1}
         queue = [s]
@@ -146,13 +163,33 @@ class QuotientGraph:
                 if usable is not None and usable[e] < 1:
                     continue
                 dist[v] = d
+                if limit is not None and d + to_stop[v] > limit:
+                    continue
                 parent[v] = u
                 if v == stop:
                     return dist, parent
                 queue.append(v)
-        if usable is None:
+        if memoised:
             self._bfs_memo[s] = (dist, parent)
         return dist, parent
+
+    def components(self, usable: Sequence[int]) -> list[int]:
+        """Per node, the least node of its connected component in the graph
+        of the edges e with ``usable[e]`` at least 1: one pass over the
+        graph, where a `bfs` per component would build two dicts each."""
+        label = [-1] * self.node_count
+        neighbours = self.neighbours
+        for root in range(self.node_count):
+            if label[root] >= 0:
+                continue
+            label[root] = root
+            members = [root]
+            for u in members:  # the list grows while it is walked
+                for v, e in neighbours[u]:
+                    if label[v] < 0 and usable[e] >= 1:
+                        label[v] = root
+                        members.append(v)
+        return label
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:

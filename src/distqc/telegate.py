@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, bell, cx, cz, fanin, meas
+from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, cx, cz, fanin
 from .circuit import check_keys, check_reads, gate_to_json, json_int, json_layers
 from .circuit import spokes_by_proc, unemitted_bit, yhalf
 from .netmodel import QuotientGraph
@@ -322,38 +322,39 @@ class CircuitExpander:
         i, and shifted to bit ids only as they reach the normalizer: a
         hop's XOR then costs the tree's width, not the largest bit id.
         """
-        interact = cx if kind == "cx" else cz
         normalizer = self.normalizer
         push, fix = (normalizer._cx, "X") if kind == "cx" else (normalizer._cz, "Z")
-        emit, add = normalizer.gates.append, normalizer.add
+        gates, add = normalizer.gates, normalizer.add
+        emit = gates.append
+        new = tuple.__new__  # a Gate record without the NamedTuple constructor's frame
         for tq in targets_by_proc.get(root, ()):
-            emit(interact(control_qubit, tq))
+            emit(new(Gate, (kind, (control_qubit, tq), "", -1, None, "")))
             push(control_qubit, tq)
         # hop i uses qubits q0 + 2i (near) and q0 + 2i + 1 (far), and bits
         # b0 + 2i (Z basis) and b0 + 2i + 1 (X basis)
+        n = len(hops)
         q0, b0 = self.next_qubit, self.next_bit
-        self.next_qubit += 2 * len(hops)
-        self.next_bit += 2 * len(hops)
-        for i in range(len(hops)):
-            emit(bell(q0 + 2 * i, q0 + 2 * i + 1))
+        self.next_qubit += 2 * n
+        self.next_bit += 2 * n
+        gates += [new(Gate, ("bell", (q, q + 1), "", -1, None, "phi+")) for q in range(q0, q0 + 2 * n, 2)]
         shift = b0 + 1  # a mask's bit b + 1 stands for bit id b (bit 0: the constant)
         proxy = {root: control_qubit}
         z_bits = {root: 0}  # per processor, the Z-basis bits from root, relative to b0
         for i, (u, v) in enumerate(hops):
-            near, far = q0 + 2 * i, q0 + 2 * i + 1
-            emit(cx(proxy[u], near))
-            emit(meas(near, "Z", b0 + 2 * i))
+            near = q0 + 2 * i
+            emit(new(Gate, ("cx", (proxy[u], near), "", -1, None, "")))
+            emit(new(Gate, ("meas", (near,), "Z", b0 + 2 * i, None, "")))
             z_bits[v] = z_bits[u] ^ (1 << 2 * i)
+            proxy[v] = far = near + 1
             for tq in targets_by_proc.get(v, ()):
-                emit(interact(far, tq))
+                emit(new(Gate, (kind, (far, tq), "", -1, None, "")))
                 push(control_qubit, tq)
                 add(tq, fix, z_bits[v] << shift)
-            proxy[v] = far
-        x_bits = 0
-        for i in range(len(hops)):
-            emit(meas(q0 + 2 * i + 1, "X", b0 + 2 * i + 1))
-            x_bits ^= 2 << 2 * i
-        add(control_qubit, "Z", x_bits << shift)
+        gates += [
+            new(Gate, ("meas", (q,), "X", q - q0 + b0, None, "")) for q in range(q0 + 1, q0 + 2 * n, 2)
+        ]
+        # the X-basis bits 1, 3, ..., 2n - 1: the mask 0b1010...10
+        add(control_qubit, "Z", ((1 << 2 * n) - 1) // 3 * 2 << shift)
 
     def emit_mirror_layer(self, qubits: tuple[int, ...]) -> None:
         """Basis-exchange layer: Z then Y^{1/2} per qubit acts as a Hadamard

@@ -45,7 +45,7 @@ from distqc.circuit import (
     meas,
     yhalf,
 )
-from distqc.flow import FlowSchedule
+from distqc.flow import DETOUR_SLACK, FlowSchedule
 from distqc.netmodel import QuotientGraph, edge_key
 from distqc.pauli import PauliFrame
 from distqc.stabsim import BranchDependentError, ResidualEntanglementError
@@ -363,13 +363,35 @@ def reference_extract_commodities(circuit: Circuit, placement: Placement) -> Com
     return commodity_set(*reference_order_relation(circuit, placement))
 
 
+def reference_tails(cs: CommoditySet) -> list[int]:
+    """Per commodity j, the most strict pairs on one chain of ``cs.prec``
+    that starts at j, by recursion over the pair set; a quasi-parallel pair
+    adds 0.  Each commodity's result is kept once found, so a chain shared
+    by many is followed once."""
+    succs: dict[int, list[int]] = {j: [] for j in range(cs.k)}
+    for j, i in cs.prec:
+        succs[j].append(i)
+    tails: dict[int, int] = {}
+
+    def tail(j: int) -> int:
+        if j not in tails:
+            tails[j] = max((tail(i) + (frozenset({j, i}) not in cs.qpar) for i in succs[j]), default=0)
+        return tails[j]
+
+    return [tail(j) for j in reversed(range(cs.k))][::-1]
+
+
 def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     """Greedy scheduling that re-tests readiness of every remaining commodity
-    by scanning all of prec, and retries failed commodities, on every pass."""
+    by scanning all of prec, and searches afresh for every ready commodity,
+    on every pass.  Ready commodities go in (-tail, hops, index) order, and
+    each takes its shortest residual path unless that path has more than
+    hops + ``DETOUR_SLACK`` links."""
     steps: dict[int, int] = {}
     paths: dict[int, tuple[int, ...]] = {}
     preds = {i: sorted(j for (j, i2) in cs.prec if i2 == i) for i in range(cs.k)}
     sp_len = {i: q.hops(c.source, c.target) for i, c in enumerate(cs.commodities)}
+    tails = reference_tails(cs)
     remaining = set(range(cs.k))
     tau = 0
     while remaining:
@@ -389,11 +411,11 @@ def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedu
         progress = True
         while progress:
             progress = False
-            batch = sorted((i for i in remaining if ready(i)), key=lambda i: (sp_len[i], i))
+            batch = sorted((i for i in remaining if ready(i)), key=lambda i: (-tails[i], sp_len[i], i))
             for i in batch:
                 c = cs.commodities[i]
                 path = q.shortest_path(c.source, c.target, usable=residual)
-                if path is None:
+                if path is None or len(path) - 1 > sp_len[i] + DETOUR_SLACK:
                     continue
                 for e in q.edge_ids(path):
                     residual[e] -= 1

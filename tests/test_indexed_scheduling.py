@@ -30,6 +30,7 @@ from oracles import (
     reference_extract_commodities,
     reference_iterative_greedy,
     reference_order_relation,
+    reference_tails,
 )
 
 
@@ -140,21 +141,99 @@ def test_failed_searches_not_repeated(monkeypatch):
     searches = []
     bfs = QuotientGraph.bfs
 
-    def counting_bfs(self, s, usable=None, stop=None):
+    def counting_bfs(self, s, usable=None, stop=None, limit=None):
         if usable is not None:
             searches.append(s)
-        return bfs(self, s, usable, stop)
+        return bfs(self, s, usable, stop, limit)
 
     monkeypatch.setattr(QuotientGraph, "bfs", counting_bfs)
     sched = iterative_greedy(graph, cs)
     assert sched.steps == (2, 1, 1, 3)
     # step 1: one failed search; step 2: 0->2 routes with no search, the
     # second 0->2 fails; step 3: it routes with no search.  Without the
-    # component rule the second 0->2 of step 1 would search too: 3.
+    # component rule the second 0->2 of step 1 would search too: 3.  The
+    # detour limit (4 links) cuts nothing off here, since node 0's one link
+    # is in use: both failures exhaust {0}, so the counts are those of the
+    # unbounded search.
     assert len(searches) == 2
     searches.clear()
+    # the reference searches for every ready commodity in every pass, a
+    # last pass finding nothing new: 4 + 2 in step 1, 2 + 1 in step 2, 1
     assert reference_iterative_greedy(graph, cs) == sched
     assert len(searches) == 10
+
+
+def test_search_cut_at_the_limit_caches_nothing():
+    # capacity 1 everywhere.  1->2 takes link (1, 2) first; 0->2 then has
+    # only the detour 0-3-4-5-6-2, five links against its limit of 2 + 2,
+    # so its search is cut off at nodes 4 and 7 and it waits for step 2.
+    # 0->9 (three hops, so taken last) routes in step 1: the cut search
+    # reached 0, 1, 3, 4, 7 and 8 but not 9, and caching that as 0's
+    # component would defer it too
+    graph = QuotientGraph(10, tuple((u, v, 1) for u, v in (
+        (0, 1), (0, 3), (0, 8), (1, 2), (2, 6), (3, 4), (4, 5), (5, 6), (7, 8), (7, 9))))
+    comms = tuple(Commodity(s, t, 0, (1,), cz(0, 1)) for s, t in ((1, 2), (0, 2), (0, 9)))
+    cs = commodity_set(comms, (), ())
+    dist, parent = graph.bfs(0, [1, 1, 1, 0, 1, 1, 1, 1, 1, 1], 2, 4)
+    assert sorted(dist) == [0, 1, 3, 4, 7, 8] and sorted(parent) == [0, 1, 3, 8]
+    sched = iterative_greedy(graph, cs)
+    assert sched.steps == (1, 2, 1)
+    assert sched.paths == ((1, 2), (0, 1, 2), (0, 8, 7, 9))
+    assert reference_iterative_greedy(graph, cs) == sched
+
+
+@pytest.mark.parametrize("make", [gen_rect_high, gen_hex], ids=["rect-high", "hex"])
+@pytest.mark.parametrize("cx_share", [0.0, 0.5])
+def test_congested_steps_match_reference(monkeypatch, make, cx_share):
+    # enough commodities per step that searches are cut off at the limit
+    # and the residual's components are labelled afresh
+    graph = make(4)
+    circuit = gen_random_cz_circuit(graph.node_count, 160, random.Random(f"{make.__name__}:{cx_share}"))
+    if cx_share:
+        rng = random.Random(cx_share)
+        circuit = Circuit.from_layers(circuit.num_qubits, [
+            [cx(*g.qubits) if rng.random() < cx_share else g for g in layer] for layer in circuit.layers
+        ])
+    cs = extract_commodities(circuit, Placement.identity(graph.node_count))
+    labellings = []
+    components = QuotientGraph.components
+
+    def counting_components(self, usable):
+        labellings.append(sum(usable))
+        return components(self, usable)
+
+    monkeypatch.setattr(QuotientGraph, "components", counting_components)
+    sched = iterative_greedy(graph, cs)
+    assert labellings and check_feasible(sched, graph, cs) is None
+    assert sched == reference_iterative_greedy(graph, cs)
+
+
+def brute_tails(cs: CommoditySet) -> list[int]:
+    """The most strict pairs on any chain of prec from each commodity, by
+    walking every chain."""
+    best = [0] * cs.k
+    chains = [(j, j, 0) for j in range(cs.k)]  # (start, last, strict pairs so far)
+    while chains:
+        start, last, strict = chains.pop()
+        best[start] = max(best[start], strict)
+        chains += [(start, i, strict + (frozenset({last, i}) not in cs.qpar))
+                   for j, i in cs.prec if j == last]
+    return best
+
+
+def test_tails_are_the_longest_strict_chains():
+    rng = random.Random(11)
+    for _ in range(60):
+        graph = random_connected_graph(rng, rng.randint(3, 6), max_cap=2)
+        cs = commodity_set(*random_order_relation(rng, graph, rng.randint(1, 9), qpar_prob=rng.random()))
+        assert list(cs.tails) == brute_tails(cs) == reference_tails(cs)
+    # a chain of quasi-parallel pairs only may share one step: tail 0
+    comms = tuple(Commodity(0, 1, 0, (1,), cz(0, 1)) for _ in range(4))
+    chain = [(0, 1), (1, 2), (2, 3)]
+    qpar_only = commodity_set(comms, chain, [frozenset(p) for p in chain])
+    assert qpar_only.tails == (0, 0, 0, 0) and brute_tails(qpar_only) == [0, 0, 0, 0]
+    mixed = commodity_set(comms, chain + [(0, 3)], [frozenset(p) for p in chain[1:]])
+    assert mixed.tails == (1, 0, 0, 0) and brute_tails(mixed) == [1, 0, 0, 0]
 
 
 def edge_orders(q: QuotientGraph, seed: int) -> list[QuotientGraph]:

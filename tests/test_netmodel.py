@@ -224,9 +224,11 @@ class TestDistanceService:
         (partial(QuotientGraph(3, ((0, 1, 1), (1, 2, 1))).bfs, -1), "node -1 not in graph of 3 nodes"),
         (partial(QuotientGraph(3, ((0, 1, 1), (1, 2, 1))).bfs, 3), "node 3 not in graph of 3 nodes"),
         (partial(QuotientGraph(3, ((0, 1, 1), (1, 2, 1))).hops, 3, 0), "node 3 not in graph of 3 nodes"),
+        # a limit needs the unfiltered hops to stop, which a disconnected pair lacks
+        (partial(QuotientGraph(4, ((0, 1, 1), (2, 3, 1))).bfs, 0, [1, 1], 2, 5), "no path between 0 and 2"),
     ],
     ids=["reversed-edge", "zero-capacity", "duplicate-edge", *(f"{kind}-g0" for kind in GENERATORS),
-         "ratio-no-nodes", "bfs-negative-source", "bfs-source-n", "hops-source-n"],
+         "ratio-no-nodes", "bfs-negative-source", "bfs-source-n", "hops-source-n", "bfs-limit-disconnected"],
 )
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -36,14 +36,14 @@ from distqc.circuit import (
     gate_to_json,
     yhalf,
 )
-from distqc.flow import FlowSchedule, check_feasible, compile_circuit_flow
-from distqc.netmodel import GENERATORS
+from distqc.flow import DETOUR_SLACK, FlowSchedule, check_feasible, compile_circuit_flow, iterative_greedy
+from distqc.netmodel import GENERATORS, trace_path
 from distqc.pauli import MAX_BIT_ID, ONE, XorExpr
 from distqc.pushing import FrameNormalizer
 from distqc.stabsim import channel_equivalent
 from distqc.steiner import SteinerInstance, compile_circuit_steiner, cz_to_dense_fanin, steiner_tree_approx
 from distqc.telegate import ExtendedCircuit
-from oracles import random_connected_graph, reference_cz_to_dense_fanin
+from oracles import commodity_set, random_connected_graph, random_order_relation, reference_cz_to_dense_fanin
 
 PROPERTY_SETTINGS = settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 
@@ -214,6 +214,48 @@ def test_free_shortest_path_is_the_residual_search_result(query):
         assert found == path
     else:
         assert found is None or (len(found) >= len(path) and found != path)
+
+
+@PROPERTY_SETTINGS
+@given(residual_queries(), st.integers(0, 3))
+def test_limited_search_finds_exactly_the_short_enough_path(query, slack):
+    graph, residual, s, t = query
+    limit = graph.hops(s, t) + slack
+    found = graph.shortest_path(s, t, residual)
+    dist, parent = graph.bfs(s, residual, t, limit)
+    if found is not None and len(found) - 1 <= limit:
+        assert trace_path(parent, t) == found
+    else:
+        assert t not in parent
+    label = graph.components(residual)
+    component = graph.bfs(s, residual)[0]
+    assert [label[v] == label[s] for v in range(graph.node_count)] == [
+        v in component for v in range(graph.node_count)
+    ]
+    if len(parent) == len(dist) and t not in parent:  # exhausted
+        assert dist.keys() == component.keys()
+
+
+@st.composite
+def ordered_instances(draw):
+    """A paper lattice at g 1-4 and random commodities with a random order
+    relation on it."""
+    graph = GENERATORS[draw(st.sampled_from(sorted(GENERATORS)))](draw(st.integers(1, 4)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 40))
+    cs = commodity_set(*random_order_relation(rng, graph, k, qpar_prob=draw(st.sampled_from([0.0, 0.3, 1.0]))))
+    return graph, cs
+
+
+@PROPERTY_SETTINGS
+@given(ordered_instances())
+def test_greedy_detours_are_bounded_and_its_horizon_covers_every_chain(instance):
+    graph, cs = instance
+    sched = iterative_greedy(graph, cs)
+    assert check_feasible(sched, graph, cs) is None
+    for c, path in zip(cs.commodities, sched.paths):
+        assert len(path) - 1 <= graph.hops(c.source, c.target) + DETOUR_SLACK
+    assert sched.horizon >= 1 + max(cs.tails)
 
 
 # -- Steiner approximation and CZ densifier ---------------------------------------

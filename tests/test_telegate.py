@@ -269,8 +269,10 @@ def random_mixed_circuit(n, k, rng):
 
 
 # sha256 of the outputs below, taken when flow and steiner each drove
-# CircuitExpander through their own walk over the layers
-FLOW_EXTENDED_SHA256 = "76fe0012c0acef38753f503085f2b384b90893abe369d1f7c6abbcfd86edfaa9"
+# CircuitExpander through their own walk over the layers; the flow pin was
+# taken again when greedy first bounded detours and took ready commodities
+# in critical-path order
+FLOW_EXTENDED_SHA256 = "525f672e316970b472312a80e2c2cbe8c9cc32a3c22ddf5bc1426024940b1b12"
 STEINER_SCHEDULE_SHA256 = "dfb1878f9c1811c36f6a8ad55544158552d90675b7ebd62e203db5ad735cbf45"
 STEINER_EXTENDED_SHA256 = "2ad9593d5cff5c2f520fc440a37ec24bbaabacb98fd2aa2e6458464f026e653d"
 
@@ -345,8 +347,9 @@ def classical_logical_circuit():
 
 
 # sha256 of the outputs below, taken before the Pauli frame was normalized as
-# the expansion emits its gates
-HALF_CX_FLOW_SHA256 = "5863b9cdb3d3ff93c8297cec93c44fe8dfc187ceda98838b9d77c3d06dae0637"
+# the expansion emits its gates; the half-CX pin was taken again when greedy
+# first bounded detours and took ready commodities in critical-path order
+HALF_CX_FLOW_SHA256 = "f3ab9b63f4407ba7b764aca4ca68636877fe536e5a287c8b06ac0af79bcba8d2"
 CLASSICAL_LOGICAL_SHA256 = "df514c3ad6e2cc186c5033b109d298c9441807858bd83715ccd681b63a790846"
 # sha256 of the fragments below, taken before the teleport, entanglement-swap
 # and Bell-variant fragment builders were deleted
