@@ -463,11 +463,11 @@ class CommoditySet:
         the relation that starts at i: the steps that must follow i's own.
         A quasi-parallel pair on the chain adds 0."""
         tail = [0] * self.k
+        get = tail.__getitem__
         for i in reversed(range(self.k)):  # successors have larger indices
-            tail[i] = max(
-                [tail[j] + 1 for j in self.strict_succs[i]] + [tail[j] for j in self.qpar_succs[i]],
-                default=0,
-            )
+            strict, qpar = self.strict_succs[i], self.qpar_succs[i]
+            if strict or qpar:
+                tail[i] = max(max(map(get, strict), default=-1) + 1, max(map(get, qpar), default=0))
         return tuple(tail)
 
     @cached_property

@@ -7,7 +7,8 @@ dependent pairs, and relaxed (same-step allowed) ordering for
 quasi-parallel pairs.  Three solvers are provided: a feasibility/optimality
 checker, an exact branch-and-bound for small instances minimizing the total
 link count at a fixed horizon, and a greedy iterative compiler that packs as
-many ready commodities as possible per step, shortest paths first.
+many ready commodities as possible per step, critical path first, on routes
+at most ``DETOUR_SLACK`` links longer than their shortest paths.
 """
 
 from __future__ import annotations
@@ -154,10 +155,11 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
     Branch and bound over (step, path) choices in commodity index order,
     which puts every predecessor first (see ``CommoditySet``), pruned with
     shortest-path lower bounds on the remaining flow.
-    A commodity's step is bounded from above by its tail, the longest chain
-    of strict successors below it (a quasi-parallel successor may share its
-    step), which prunes only branches with no complete schedule.  Intended
-    for small instances; guarded against larger ones.
+    A commodity's step is bounded from above by its tail
+    (``CommoditySet.tails``), the longest chain of strict successors below
+    it (a quasi-parallel successor may share its step), which prunes only
+    branches with no complete schedule.  Intended for small instances;
+    guarded against larger ones.
     """
     if cs.k > EXACT_MAX_COMMODITIES or q.node_count > EXACT_MAX_NODES:
         raise InstanceTooLarge(
@@ -260,38 +262,42 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     the schedule needs (Hu 1961), then the shortest.  Each is routed along
     its shortest path in the step's residual graph if that path has at
     most ``hops + DETOUR_SLACK`` links, and deferred to the next step
-    otherwise: a longer detour spends more Bell pairs than waiting does.
-    Routing goes in passes: a commodity whose last quasi-parallel
-    predecessor lands during a pass becomes ready for the next pass of the
-    same step, one whose last strict predecessor lands becomes ready at the
-    next step.  Readiness is kept as counters of unplaced predecessors.
-    The residual is a list of link counts per edge id (see
-    ``QuotientGraph.bfs``); each commodity's sort key and unfiltered
-    shortest path, with that path's edge ids, are worked out once, before
-    the first step.
+    otherwise: a detour spends one more Bell pair per extra link, where
+    waiting a step may spend none.  Routing goes in passes: a commodity
+    whose last quasi-parallel predecessor lands during a pass becomes ready
+    for the next pass of the same step, one whose last strict predecessor
+    lands becomes ready at the next step.  Readiness is kept as counters of
+    unplaced predecessors.  The residual is a list of link counts per edge
+    id (see ``QuotientGraph.bfs``); each commodity's sort key and
+    unfiltered shortest path, with that path's edge ids, are worked out
+    once, before the first step.
 
     Residual capacity only shrinks within a step, so a commodity that found
     no short enough path stays deferred until the step ends and is not
-    retried.  The residual search is bounded by the detour limit
-    (``QuotientGraph.bfs``'s `limit`), and a failed search proves only
-    that no short enough path is left, unless it cut off no node: it then
-    ran to exhaustion and yields the whole residual component R of its
-    source, and R contains the source's component for the rest of the
-    step, so a later commodity with its source in R and its target outside
-    R fails without a search.  Only such exhausted searches are kept for
-    that rule; a search cut off at the limit says nothing about targets it
-    did not reach.  Both rules skip only searches that would fail, so the
-    schedule is unchanged.  A third rule, checked after them, skips
-    searches that would succeed: when every link of the unfiltered
-    shortest path still has residual capacity, that path is routed.  The
-    residual search returns the lexicographically least shortest path (see
-    ``QuotientGraph.bfs``), and lowering capacities only removes paths, so
-    the surviving unfiltered path is still the shortest and the least, the
-    very path the search would return.  Always terminates: the least
-    unplaced commodity is ready, since its predecessors have lower indices
-    and were placed in earlier steps, so a fresh step has a ready
-    commodity, and the first one taken finds every link free and is routed
-    along its unfiltered shortest path, within any detour limit.
+    retried.  For the same reason the residual's components only split
+    within a step, and a label per node that gives two nodes different
+    ids only when no residual path joins them stays true until the step
+    ends: a commodity whose ends have different ids is deferred without a
+    search.  Ids come from two places.  A failed search that cut off no
+    node (see ``QuotientGraph.bfs``'s `limit`) ran to exhaustion, so its
+    nodes, the source's whole component, get the id -1 - source, below
+    every id of a labelling pass.  A search cut off at the detour limit
+    proves only that no short enough path is left, not that none is, so it
+    names no component; once such searches have visited as many nodes as
+    the graph has, which is what one labelling pass costs,
+    ``QuotientGraph.components`` labels every component afresh, at most
+    once between two routes.  These rules skip only searches that would
+    fail, so the schedule is unchanged.  A third rule, checked after them,
+    skips searches that would succeed: when every link of the unfiltered
+    shortest path still has residual capacity, that path is routed.  The residual search returns the
+    lexicographically least shortest path (see ``QuotientGraph.bfs``), and
+    lowering capacities only removes paths, so the surviving unfiltered
+    path is still the shortest and the least, the very path the search
+    would return.  Always terminates: the least unplaced commodity is
+    ready, since its predecessors have lower indices and were placed in
+    earlier steps, so a fresh step has a ready commodity, and the first one
+    taken finds every link free and is routed along its unfiltered
+    shortest path, within any detour limit.
     """
     commodities = cs.commodities
     hops = [q.hops(c.source, c.target) for c in commodities]

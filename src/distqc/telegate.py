@@ -321,6 +321,13 @@ class CircuitExpander:
         relative to b0, with bit 2i (Z basis) or 2i + 1 (X basis) for hop
         i, and shifted to bit ids only as they reach the normalizer: a
         hop's XOR then costs the tree's width, not the largest bit id.
+
+        The gates are built in bulk, as plain `Gate` tuples with no helper
+        call per gate: the Bell preparations (qubits q0, q0 + 2, ...) and
+        the X-basis measurements (qubits q0 + 1, q0 + 3, ... with bits
+        b0 + 1, b0 + 3, ...) are arithmetic progressions, one comprehension
+        each, and the control's X-bit mask over h hops, bits 1, 3, ...,
+        2h - 1, is ``((1 << 2h) - 1) // 3 * 2``.
         """
         normalizer = self.normalizer
         push, fix = (normalizer._cx, "X") if kind == "cx" else (normalizer._cz, "Z")
@@ -336,7 +343,9 @@ class CircuitExpander:
         q0, b0 = self.next_qubit, self.next_bit
         self.next_qubit += 2 * n
         self.next_bit += 2 * n
-        gates += [new(Gate, ("bell", (q, q + 1), "", -1, None, "phi+")) for q in range(q0, q0 + 2 * n, 2)]
+        gates.extend([
+            new(Gate, ("bell", (q, q + 1), "", -1, None, "phi+")) for q in range(q0, q0 + 2 * n, 2)
+        ])
         shift = b0 + 1  # a mask's bit b + 1 stands for bit id b (bit 0: the constant)
         proxy = {root: control_qubit}
         z_bits = {root: 0}  # per processor, the Z-basis bits from root, relative to b0
@@ -350,9 +359,9 @@ class CircuitExpander:
                 emit(new(Gate, (kind, (far, tq), "", -1, None, "")))
                 push(control_qubit, tq)
                 add(tq, fix, z_bits[v] << shift)
-        gates += [
+        gates.extend([
             new(Gate, ("meas", (q,), "X", q - q0 + b0, None, "")) for q in range(q0 + 1, q0 + 2 * n, 2)
-        ]
+        ])
         # the X-basis bits 1, 3, ..., 2n - 1: the mask 0b1010...10
         add(control_qubit, "Z", ((1 << 2 * n) - 1) // 3 * 2 << shift)
 

@@ -1,7 +1,8 @@
 """The indexed commodity extraction and counter-driven greedy scheduler
-against the plain quadratic reference versions in ``oracles``, and the
-schedulers' edge-id load counts against a renumbering of the edges, which
-no output may depend on."""
+against the plain quadratic reference versions in ``oracles`` (greedy's
+skipped searches and chain lengths included), and the schedulers' edge-id
+load counts against a renumbering of the edges, which no output may
+depend on."""
 
 import json
 import random
@@ -185,10 +186,12 @@ def test_search_cut_at_the_limit_caches_nothing():
 @pytest.mark.parametrize("make", [gen_rect_high, gen_hex], ids=["rect-high", "hex"])
 @pytest.mark.parametrize("cx_share", [0.0, 0.5])
 def test_congested_steps_match_reference(monkeypatch, make, cx_share):
-    # enough commodities per step that searches are cut off at the limit
-    # and the residual's components are labelled afresh
-    graph = make(4)
-    circuit = gen_random_cz_circuit(graph.node_count, 160, random.Random(f"{make.__name__}:{cx_share}"))
+    # links of 1-3 capacity and enough commodities per step that searches
+    # are cut off at the limit and the residual's components are labelled
+    # afresh
+    rng = random.Random(f"{make.__name__}:{cx_share}")
+    graph = with_random_capacities(rng, make(4))
+    circuit = gen_random_cz_circuit(graph.node_count, 240, rng)
     if cx_share:
         rng = random.Random(cx_share)
         circuit = Circuit.from_layers(circuit.num_qubits, [

@@ -4,9 +4,14 @@ outputs that verify against their source, and extended circuits that
 round-trip through JSON unchanged; listing a fan gate's spokes in another
 order must not change a compile.  On a lattice with random residual
 capacities, a residual search whose unfiltered shortest path is still free
-must return that path.  The Steiner approximation must return
-a tree whose leaves are terminals, and the CZ densifier must keep the CZ
-multiset (in at most n - 1 layers when it has no repeated pair).
+must return that path, a search with a limit must return the unbounded
+search's path exactly when it is short enough, and the component labels
+must group the nodes as the searches do.  On the paper lattices with
+random order relations, greedy's paths must stay within the detour limit
+and its horizon must cover every strict chain.  The Steiner
+approximation must return a tree whose leaves are terminals, and the CZ
+densifier must keep the CZ multiset (in at most n - 1 layers when it has
+no repeated pair).
 `XorExpr`, and the frame normalizer's rewrite of its masks, must agree with
 a plain frozenset model of an affine GF(2) expression.  Every gate kind,
 every layered circuit, placement, connected capacitated graph and flow
