@@ -275,29 +275,31 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     Residual capacity only shrinks within a step, so a commodity that found
     no short enough path stays deferred until the step ends and is not
     retried.  For the same reason the residual's components only split
-    within a step, and a label per node that gives two nodes different
-    ids only when no residual path joins them stays true until the step
-    ends: a commodity whose ends have different ids is deferred without a
-    search.  Ids come from two places.  A failed search that cut off no
-    node (see ``QuotientGraph.bfs``'s `limit`) ran to exhaustion, so its
-    nodes, the source's whole component, get the id -1 - source, below
-    every id of a labelling pass.  A search cut off at the detour limit
-    proves only that no short enough path is left, not that none is, so it
-    names no component; once such searches have visited as many nodes as
-    the graph has, which is what one labelling pass costs,
+    within a step: a label per node that gives two nodes different ids only
+    when no residual path joins them stays true until the step ends, and a
+    commodity whose ends have different ids is deferred without a search.
+    Ids come from two places.  A failed search that cut off no node (see
+    ``QuotientGraph.bfs``'s `limit`) ran to exhaustion, so its nodes, the
+    source's whole component, get the id -1 - source, below every id of a
+    labelling pass.  A search cut off at the detour limit proves only that
+    no short enough path is left, not that none is, so it names no
+    component; once such searches have visited as many nodes as the graph
+    has, which is what one labelling pass costs,
     ``QuotientGraph.components`` labels every component afresh, at most
     once between two routes.  These rules skip only searches that would
     fail, so the schedule is unchanged.  A third rule, checked after them,
     skips searches that would succeed: when every link of the unfiltered
-    shortest path still has residual capacity, that path is routed.  The residual search returns the
-    lexicographically least shortest path (see ``QuotientGraph.bfs``), and
-    lowering capacities only removes paths, so the surviving unfiltered
-    path is still the shortest and the least, the very path the search
-    would return.  Always terminates: the least unplaced commodity is
-    ready, since its predecessors have lower indices and were placed in
-    earlier steps, so a fresh step has a ready commodity, and the first one
-    taken finds every link free and is routed along its unfiltered
-    shortest path, within any detour limit.
+    shortest path still has residual capacity, that path is routed.  The
+    residual search returns the lexicographically least shortest path (see
+    ``QuotientGraph.bfs``), and lowering capacities only removes paths, so
+    the surviving unfiltered path is still the shortest and the least, the
+    very path the search would return.
+
+    Always terminates: the least unplaced commodity is ready, since its
+    predecessors have lower indices and were placed in earlier steps, so a
+    fresh step has a ready commodity, and the first one taken, whatever its
+    tail, finds every link free and is routed along its unfiltered shortest
+    path, within any detour limit.
     """
     commodities = cs.commodities
     hops = [q.hops(c.source, c.target) for c in commodities]

@@ -148,7 +148,7 @@ class QuotientGraph:
                 return hit
             stop = None
         elif limit is not None:
-            to_stop = (self._bfs_memo.get(stop) or self.bfs(stop))[0]  # type: ignore[arg-type]
+            to_stop = self.bfs(stop)[0]  # type: ignore[arg-type]
             if s not in to_stop:
                 raise ValueError(f"no path between {s} and {stop}")
         dist = {s: 0}
