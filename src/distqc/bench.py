@@ -116,25 +116,20 @@ def instance_seed(master: int, topology: str, g: int, size: int, sample: int) ->
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-def compile_backend(
-    backend: str,
-    circuit: Circuit,
-    placement: Placement,
-    graph: QuotientGraph,
-    cancel_pairs: bool = False,
-):
+def compile_backend(backend: str, circuit: Circuit, placement: Placement, graph: QuotientGraph):
     """Run one backend (it checks the placement); returns (extended, schedule),
     whose E-count is `extended.e_count` and E-depth `schedule.horizon`.
 
-    Steiner first densifies a non-empty CZ-only circuit into fan-in layers
-    (`cancel_pairs` drops repeated pairs modulo 2); no other input is densified.
+    Steiner first densifies a non-empty CZ-only circuit into at most n-1
+    fan-in layers (`cz_to_dense_fanin`, which drops repeated pairs modulo 2);
+    no other input is densified.
     """
     if backend in ("flow-greedy", "flow-exact"):
         ext, sched, _cs = compile_circuit_flow(circuit, placement, graph, backend.removeprefix("flow-"))
     elif backend == "steiner":
         source = circuit
         if circuit.all_gates() and all(g.kind == "cz" for g in circuit.all_gates()):
-            source = cz_to_dense_fanin(circuit, cancel_pairs=cancel_pairs).to_circuit()
+            source = cz_to_dense_fanin(circuit).to_circuit()
         ext, sched = compile_circuit_steiner(source, placement, graph)
     else:
         raise ValueError(f"unknown backend {backend!r}")

@@ -72,9 +72,7 @@ def cmd_compile(args) -> int:
         placement = _load(args.placement, Placement.from_json)
     else:
         placement = Placement.round_robin(circuit.num_qubits, graph.node_count)
-    extended, sched = compile_backend(
-        args.backend, circuit, placement, graph, cancel_pairs=args.cancel_pairs
-    )
+    extended, sched = compile_backend(args.backend, circuit, placement, graph)
     if args.out:
         _write_json(args.out, sched.to_json())
     if args.extended_out:
@@ -147,11 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", required=True)
     p.add_argument("--placement", help="placement JSON; default round-robin")
     p.add_argument("--backend", choices=BACKENDS, required=True)
-    p.add_argument(
-        "--cancel-pairs",
-        action="store_true",
-        help="steiner densifies a CZ-only circuit; drop repeated CZ pairs modulo 2 when it does",
-    )
     p.add_argument("--out", help="schedule JSON output")
     p.add_argument("--extended-out", help="extended circuit JSON output")
     p.set_defaults(func=cmd_compile)

@@ -4,8 +4,9 @@ A fan-in over m targets spread across processors needs one Bell pair per
 edge of any tree spanning the involved processors, so minimizing the link
 count per gate is a minimum Steiner tree problem with unit edge weights.
 Small terminal sets get the exact Dreyfus-Wagner dynamic program; larger
-ones the metric-closure 2(1-1/l)-approximation.  Dense commuting circuits
-are first re-expressed as at most n-1 fan-in layers by a greedy covering.
+ones the metric-closure 2(1-1/l)-approximation.  Dense CZ-only circuits
+are first reduced modulo 2 and re-expressed as at most n-1 fan-in layers
+by a greedy covering.
 """
 
 from __future__ import annotations
@@ -87,42 +88,26 @@ def steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
 
 
 @functools.cache
-def _splits(r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per mask over r terminals, its two-part splits as read-only index
-    arrays (sub, mask ^ sub), each split once (sub < mask ^ sub) and `sub`
-    descending from (mask - 1) & mask: the order in which ties go to the
-    first split."""
-    table = []
-    for mask in range(1 << r):
-        subs = []
-        sub = (mask - 1) & mask
-        while sub:
-            if sub < mask ^ sub:
-                subs.append(sub)
-            sub = (sub - 1) & mask
-        subs_arr = np.array(subs, dtype=np.intp)
-        pair = (subs_arr, mask ^ subs_arr)
-        for a in pair:
-            a.flags.writeable = False
-        table.append(pair)
-    return tuple(table)
-
-
-@functools.cache
 def _levels(r: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per popcount p = 2..r, the masks over r terminals with p bits, in
     ascending order, and their splits stacked as read-only (M, S) index
-    arrays (subs, others), each row in `_splits(r)` order.  Every such mask
-    has S = 2^(p - 1) - 1 splits."""
-    splits = _splits(r)
+    arrays (subs, others): each split once (sub < mask ^ sub), `sub`
+    descending from (mask - 1) & mask, the order in which ties go to the
+    first split.  Every such mask has S = 2^(p - 1) - 1 splits."""
     table = []
     for p in range(2, r + 1):
-        masks = [m for m in range(1 << r) if m.bit_count() == p]
-        level = (
-            np.array(masks, dtype=np.intp),
-            np.stack([splits[m][0] for m in masks]),
-            np.stack([splits[m][1] for m in masks]),
-        )
+        masks = np.array([m for m in range(1 << r) if m.bit_count() == p], dtype=np.intp)
+        rows = []
+        for mask in masks.tolist():
+            row = []
+            sub = (mask - 1) & mask
+            while sub:
+                if sub < mask ^ sub:
+                    row.append(sub)
+                sub = (sub - 1) & mask
+            rows.append(row)
+        subs = np.array(rows, dtype=np.intp)
+        level = (masks, subs, masks[:, None] ^ subs)
         for a in level:
             a.flags.writeable = False
         table.append(level)
@@ -163,13 +148,13 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
         if dist[root, t] == n:
             raise ValueError(f"no path between {root} and {t}")
     full = (1 << len(rest)) - 1
-    splits = _splits(len(rest))
+    levels = _levels(len(rest))
     f = np.empty((full + 1, n), dtype=dist.dtype)
     merged = np.empty_like(f)  # a row before its grow step
     for i, t in enumerate(rest):
         f[1 << i] = dist[t]
     row_bytes = f.strides[0]
-    for masks, subs, others in _levels(len(rest)):
+    for masks, subs, others in levels:
         step = max(1, _CHUNK_BYTES // (subs.shape[1] * row_bytes))
         for lo in range(0, len(masks), step):
             part = slice(lo, lo + step)
@@ -195,9 +180,10 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
             continue
         w = f[mask, v]
         if merged[mask, v] == w:
-            subs, others = splits[mask]
+            masks, subs, others = levels[mask.bit_count() - 2]
+            i = int(masks.searchsorted(mask))
             col = f[:, v]
-            sub = int(subs[(col.take(subs) + col.take(others)).argmin()])
+            sub = int(subs[i][(col[subs[i]] + col[others[i]]).argmin()])
             stack.append((mask ^ sub, v))
             stack.append((sub, v))
         else:
@@ -242,40 +228,31 @@ class FanInLayering:
         return Counter(edge_key(g.hub, t) for layer in self.layers for g in layer for t in g.spokes)
 
 
-def cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) -> FanInLayering:
+def cz_to_dense_fanin(circuit: Circuit) -> FanInLayering:
     """Greedy reduction of a commuting (CZ-only) circuit to fan-in layers.
 
-    Count incidences per qubit, enumerate qubits by decreasing count, and
-    give each qubit one maximal fan-in over its not-yet-covered interactions.
-    Duplicate-free circuits finish in one pass, hence at most n-1 layers;
-    repeated pairs are preserved (each copy covered exactly once) and may
-    need further passes unless `cancel_pairs` drops them modulo 2 first.
+    CZ gates commute and each is its own inverse, so only the pairs that
+    occur an odd number of times are kept.  Qubits are taken by decreasing
+    count of kept partners, and each gives one Z-basis fan-in over its
+    partners not yet covered, in ascending order.  One pass covers every
+    pair with at most one fan-in per qubit, and the last qubit in the order
+    has no partner left, so there are at most n-1 layers.
     """
+    odd: set[Edge] = set()
     for g in circuit.all_gates():
         if g.kind != "cz":
             raise ValueError(f"densifier accepts CZ-only circuits, found {g.kind!r}")
-    counts = Counter(edge_key(*g.qubits) for g in circuit.all_gates())
-    if cancel_pairs:
-        counts = {e: 1 for e, c in counts.items() if c % 2}
-    # uncovered[q][t]: the uncovered copies of pair (q, t), stored at both ends
-    uncovered: dict[int, dict[int, int]] = {q: {} for q in range(circuit.num_qubits)}
-    for (u, v), c in counts.items():
-        uncovered[u][v] = uncovered[v][u] = c
-    left = sum(counts.values())
-    order = sorted(range(circuit.num_qubits), key=lambda q: (-sum(uncovered[q].values()), q))
+        odd ^= {edge_key(*g.qubits)}
+    partners: list[set[int]] = [set() for _ in range(circuit.num_qubits)]
+    for u, v in odd:
+        partners[u].add(v)
+        partners[v].add(u)
     layers: list[tuple[Gate, ...]] = []
-    while left:
-        for q in order:
-            partners = sorted(uncovered[q])
-            if not partners:
-                continue
-            for t in partners:
-                c = uncovered[q].pop(t) - 1
-                del uncovered[t][q]
-                if c:
-                    uncovered[q][t] = uncovered[t][q] = c
-            left -= len(partners)
-            layers.append((fanin(q, partners, basis="Z"),))
+    for q in sorted(range(circuit.num_qubits), key=lambda q: (-len(partners[q]), q)):
+        if partners[q]:
+            for t in partners[q]:
+                partners[t].remove(q)
+            layers.append((fanin(q, sorted(partners[q]), basis="Z"),))
     return FanInLayering(circuit.num_qubits, tuple(layers))
 
 

@@ -241,16 +241,15 @@ def reference_steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     return frozenset(edges)
 
 
-def reference_cz_to_dense_fanin(circuit: Circuit, cancel_pairs: bool = False) -> FanInLayering:
-    """The densifier as a plain scan: each qubit's partners are found by
-    walking every pair count, once per qubit in every pass."""
+def reference_cz_to_dense_fanin(circuit: Circuit) -> FanInLayering:
+    """The densifier as a plain scan: pair counts modulo 2, and each
+    qubit's partners found by walking every pair count, once per qubit in
+    every pass."""
     counts: dict[Edge, int] = {}
     for g in circuit.all_gates():
         e = edge_key(*g.qubits)
         counts[e] = counts.get(e, 0) + 1
-    if cancel_pairs:
-        counts = {e: c % 2 for e, c in counts.items()}
-    counts = {e: c for e, c in counts.items() if c}
+    counts = {e: c % 2 for e, c in counts.items() if c % 2}
     incidence = {q: 0 for q in range(circuit.num_qubits)}
     for (u, v), c in counts.items():
         incidence[u] += c

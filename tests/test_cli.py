@@ -127,8 +127,21 @@ class TestCompileAndVerify:
         circ = tmp_path / "cx.json"
         circ.write_text(json.dumps(Circuit.from_layers(9, [[cx(0, 4)], [cz(4, 8)]]).to_json()))
         rc = run(["compile", "--circuit", str(circ), "--topology", str(topo),
-                  "--backend", "steiner", "--cancel-pairs"])
+                  "--backend", "steiner"])
         assert rc == 0
+
+    def test_steiner_cancels_repeated_cz_pair(self, tmp_path, topo):
+        circ = tmp_path / "twice.json"
+        layers = [[cz(0, 4)], [cz(0, 4)], [cz(4, 8)]]
+        circ.write_text(json.dumps(Circuit.from_layers(9, layers).to_json()))
+        sched = tmp_path / "s.json"
+        ext = tmp_path / "e.json"
+        rc = run(["compile", "--circuit", str(circ), "--topology", str(topo),
+                  "--backend", "steiner", "--out", str(sched), "--extended-out", str(ext)])
+        assert rc == 0
+        # the two cz(0, 4) cancel: one fan-in, cz(4, 8), is left
+        assert len(json.loads(sched.read_text())["assignments"]) == 1
+        assert run(["verify", "--extended", str(ext), "--logical", str(circ)]) == 0
 
 
 class TestBadInput:

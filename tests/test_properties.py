@@ -301,31 +301,28 @@ def one_cz_per_layer(n, pairs):
 @given(CZ_PAIRS)
 def test_densifier_keeps_duplicate_free_cz_within_n_minus_1_layers(case):
     n, pairs = case
-    edges = {(min(a, b), max(a, b)) for a, b in pairs}
-    fl = cz_to_dense_fanin(one_cz_per_layer(n, sorted(edges)))
+    pairs += pairs[: len(pairs) // 2]  # repeat the first half, so most cases hold repeated pairs
+    fl = cz_to_dense_fanin(one_cz_per_layer(n, pairs))
     assert len(fl.layers) <= n - 1
-    assert fl.cz_multiset() == dict.fromkeys(edges, 1)
+    assert all(v == 1 for v in fl.cz_multiset().values())
 
 
 @PROPERTY_SETTINGS
-@given(CZ_PAIRS, st.booleans())
-def test_densifier_keeps_cz_multiset(case, cancel_pairs):
+@given(CZ_PAIRS)
+def test_densifier_keeps_cz_multiset(case):
     n, pairs = case
     counts = Counter((min(a, b), max(a, b)) for a, b in pairs)
-    if cancel_pairs:
-        counts = Counter({e: c % 2 for e, c in counts.items() if c % 2})
-    fl = cz_to_dense_fanin(one_cz_per_layer(n, pairs), cancel_pairs=cancel_pairs)
-    assert fl.cz_multiset() == counts
+    fl = cz_to_dense_fanin(one_cz_per_layer(n, pairs))
+    assert fl.cz_multiset() == {e: 1 for e, c in counts.items() if c % 2}
 
 
 @PROPERTY_SETTINGS
-@given(CZ_PAIRS, st.booleans())
-def test_densifier_matches_reference_scan(case, cancel_pairs):
+@given(CZ_PAIRS)
+def test_densifier_matches_reference_scan(case):
     n, pairs = case
     pairs += pairs[: len(pairs) // 2]  # repeat the first half, so most cases hold repeated pairs
     circuit = one_cz_per_layer(n, pairs)
-    expected = reference_cz_to_dense_fanin(circuit, cancel_pairs=cancel_pairs)
-    assert cz_to_dense_fanin(circuit, cancel_pairs=cancel_pairs) == expected
+    assert cz_to_dense_fanin(circuit) == reference_cz_to_dense_fanin(circuit)
 
 
 # -- XorExpr against a frozenset model --------------------------------------------
