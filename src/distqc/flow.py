@@ -181,7 +181,7 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
 
     best_f = math.inf
     best: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
-    # entries at and above the commodity being assigned are stale
+    # entries at and above the commodity being assigned are left over from other branches
     steps = [0] * cs.k
     paths: list[tuple[int, ...]] = [()] * cs.k
     load = defaultdict(lambda: [0] * q.edge_count)  # per step, the links in use per edge id
@@ -278,16 +278,11 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     within a step: a label per node that gives two nodes different ids only
     when no residual path joins them stays true until the step ends, and a
     commodity whose ends have different ids is deferred without a search.
-    Ids come from two places.  A failed search that cut off no node (see
-    ``QuotientGraph.bfs``'s `limit`) ran to exhaustion, so its nodes, the
-    source's whole component, get the id -1 - source, below every id of a
-    labelling pass.  A search cut off at the detour limit proves only that
-    no short enough path is left, not that none is, so it names no
-    component; once such searches have visited as many nodes as the graph
-    has, which is what one labelling pass costs,
-    ``QuotientGraph.components`` labels every component afresh, at most
-    once between two routes.  These rules skip only searches that would
-    fail, so the schedule is unchanged.  A third rule, checked after them,
+    Once failed searches have visited as many nodes as the graph has, which
+    is what one labelling pass costs, ``QuotientGraph.components`` labels
+    every component afresh, so labelling costs at most a constant times the
+    failed searches before it.  This rule skips only searches that would
+    fail, so the schedule is unchanged.  A second rule, checked after it,
     skips searches that would succeed: when every link of the unfiltered
     shortest path still has residual capacity, that path is routed.  The
     residual search returns the lexicographically least shortest path (see
@@ -317,7 +312,6 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
         residual = list(q.capacities)
         # per node a component id: nodes with different ids have no residual path
         label = [0] * q.node_count
-        stale = True  # a route landed since the residual's components were last labelled
         wasted = 0
         deferred: list[int] = []
         landed: list[int] = []
@@ -333,22 +327,16 @@ def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
                 if not all(map(residual.__getitem__, links)):  # counts never drop below 0
                     dist, parent = q.bfs(c.source, residual, c.target, hops[i] + DETOUR_SLACK)
                     if c.target not in parent:
-                        if len(parent) == len(dist):  # exhausted: dist is a whole component
-                            for v in dist:
-                                label[v] = -1 - c.source  # no labelling pass gives ids below 0
-                        else:  # cut off at the limit, which proves nothing
-                            wasted += len(dist)
-                            if stale and wasted >= q.node_count:
-                                label = q.components(residual)
-                                stale = False
-                                wasted = 0
+                        wasted += len(dist)
+                        if wasted >= q.node_count:
+                            label = q.components(residual)
+                            wasted = 0
                         deferred.append(i)
                         continue
                     path = trace_path(parent, c.target)
                     links = q.edge_ids(path)
                 for e in links:
                     residual[e] -= 1
-                stale = True
                 steps[i] = tau
                 paths[i] = path
                 landed.append(i)

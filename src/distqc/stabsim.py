@@ -421,7 +421,9 @@ def channel_equivalent(
     register raises ResidualEntanglementError.
 
     `trials`, `branches` and `rng` are ignored: the check samples nothing.
-    They remain only for callers that still pass them (ROADMAP open item 1).
+    They remain only for the callers that still pass them: acceptance
+    criterion 9, ``test_verdict_ignores_sampling_settings`` and the
+    verify-corpus workload of ``perfbench`` (ROADMAP open item 1).
     """
     n = logical.num_qubits
     if extended.num_data != n:

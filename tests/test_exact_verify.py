@@ -32,7 +32,7 @@ CORPUS = _corpus()
 
 
 def exact(ext, circ, drop_frame=False):
-    return channel_equivalent(ext, circ, rng=random.Random(0), drop_frame=drop_frame)
+    return channel_equivalent(ext, circ, drop_frame=drop_frame)
 
 
 def touches_data(ext):

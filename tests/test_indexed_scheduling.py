@@ -132,8 +132,7 @@ def test_strict_and_quasi_parallel_predecessor():
 
 def test_failed_searches_not_repeated(monkeypatch):
     # path 0-1-2 of capacity 1; step 1 routes 0->1 and 1->2 on their free
-    # shortest paths with no search, after which 0->2 fails (component {0})
-    # and the second 0->2 fails with no search
+    # shortest paths with no search, after which 0->2 fails twice
     graph = QuotientGraph(3, ((0, 1, 1), (1, 2, 1)))
     comms = tuple(
         Commodity(s, t, 0, (1,), cz(0, 1)) for s, t in ((0, 2), (0, 1), (1, 2), (0, 2))
@@ -150,18 +149,44 @@ def test_failed_searches_not_repeated(monkeypatch):
     monkeypatch.setattr(QuotientGraph, "bfs", counting_bfs)
     sched = iterative_greedy(graph, cs)
     assert sched.steps == (2, 1, 1, 3)
-    # step 1: one failed search; step 2: 0->2 routes with no search, the
-    # second 0->2 fails; step 3: it routes with no search.  Without the
-    # component rule the second 0->2 of step 1 would search too: 3.  The
-    # detour limit (4 links) cuts nothing off here, since node 0's one link
-    # is in use: both failures exhaust {0}, so the counts are those of the
-    # unbounded search.
-    assert len(searches) == 2
+    # step 1: each failed 0->2 visits only {0}, so the two failures visit 2
+    # of the graph's 3 nodes, short of the budget that buys a labelling, and
+    # both search; step 2: 0->2 routes with no search, the second 0->2
+    # fails; step 3: it routes with no search
+    assert len(searches) == 3
     searches.clear()
     # the reference searches for every ready commodity in every pass, a
     # last pass finding nothing new: 4 + 2 in step 1, 2 + 1 in step 2, 1
     assert reference_iterative_greedy(graph, cs) == sched
     assert len(searches) == 10
+
+
+def test_labelling_waits_for_a_node_count_of_failed_visits(monkeypatch):
+    # path 0-1-2 of capacity 1 with 0->1, 1->2 and ten copies of 0->2: in
+    # each step, once the failed 0->2 searches have visited 3 nodes, one
+    # labelling splits {0} from {1, 2} and the other copies wait with no
+    # search.  Steps 9 and 10 have too few failures left to reach the budget
+    graph = QuotientGraph(3, ((0, 1, 1), (1, 2, 1)))
+    pairs = ((0, 1), (1, 2)) + ((0, 2),) * 10
+    cs = commodity_set(tuple(Commodity(s, t, 0, (1,), cz(0, 1)) for s, t in pairs), (), ())
+    calls = []
+    bfs, components = QuotientGraph.bfs, QuotientGraph.components
+
+    def counting_bfs(self, s, usable=None, stop=None, limit=None):
+        if usable is not None:
+            calls.append("S")
+        return bfs(self, s, usable, stop, limit)
+
+    def counting_components(self, usable):
+        calls.append("C")
+        return components(self, usable)
+
+    monkeypatch.setattr(QuotientGraph, "bfs", counting_bfs)
+    monkeypatch.setattr(QuotientGraph, "components", counting_components)
+    sched = iterative_greedy(graph, cs)
+    assert sched.steps == (1, 1, *range(2, 12))
+    assert "".join(calls) == "SSSC" * 8 + "SS" + "S"
+    assert reference_iterative_greedy(graph, cs) == sched
 
 
 def test_search_cut_at_the_limit_caches_nothing():

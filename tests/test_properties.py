@@ -91,7 +91,7 @@ def instances(draw):
 
 
 def assert_verifies_and_round_trips(ext, circ):
-    assert channel_equivalent(ext, circ, rng=random.Random(0))
+    assert channel_equivalent(ext, circ)
     doc = json.loads(json.dumps(ext.to_json()))
     assert ExtendedCircuit.from_json(doc).to_json() == ext.to_json()
 

@@ -224,43 +224,41 @@ class TestChannelEquivalent:
     def test_telegate_against_logical(self):
         frag = expand_telegate_cx(0, 1, [0, 1])
         logical = Circuit.from_layers(2, [[cx(0, 1)]])
-        assert channel_equivalent(frag, logical, trials=20, branches=10, rng=random.Random(10))
+        assert channel_equivalent(frag, logical)
 
     def test_dropped_corrections_detected(self):
         frag = expand_telegate_cx(0, 1, [0, 1])
         logical = Circuit.from_layers(2, [[cx(0, 1)]])
-        assert not channel_equivalent(
-            frag, logical, trials=20, branches=10, rng=random.Random(11), drop_frame=True
-        )
+        assert not channel_equivalent(frag, logical, drop_frame=True)
 
     def test_identity_extended_vs_empty(self):
         ext = ExtendedCircuit(2, 2, (), PauliFrame())
         empty = Circuit.from_layers(2, [])
-        assert channel_equivalent(ext, empty, trials=10, branches=3, rng=random.Random(12))
+        assert channel_equivalent(ext, empty)
 
     def test_distinguishes_close_channels(self):
         # cx vs cz on the same operands must be told apart
         ext = ExtendedCircuit(2, 2, (cz(0, 1),), PauliFrame())
         logical = Circuit.from_layers(2, [[cx(0, 1)]])
-        assert not channel_equivalent(ext, logical, trials=20, branches=2, rng=random.Random(13))
+        assert not channel_equivalent(ext, logical)
 
     def test_wrong_single_qubit_gate_detected(self):
         ext = ExtendedCircuit(1, 1, (Gate("xhalf", (0,)),), PauliFrame())
         logical = Circuit.from_layers(1, [[yhalf(0)]])
-        assert not channel_equivalent(ext, logical, trials=20, branches=2, rng=random.Random(14))
+        assert not channel_equivalent(ext, logical)
 
     def test_residual_entanglement_counts_data_qubits(self):
         # the communication qubit keeps a copy of the data qubit
         ext = ExtendedCircuit(1, 2, (cx(0, 1),), PauliFrame())
         empty = Circuit.from_layers(1, [])
         with pytest.raises(ResidualEntanglementError, match="with the 1 data qubits"):
-            channel_equivalent(ext, empty, rng=random.Random(16))
+            channel_equivalent(ext, empty)
 
     def test_branch_dependent_result_rejected(self):
         # measuring a data qubit leaves its state depending on the outcome
         ext = ExtendedCircuit(1, 1, (Gate("meas", (0,), basis="Z", bit=1),), PauliFrame())
         empty = Circuit.from_layers(1, [])
-        assert not channel_equivalent(ext, empty, rng=random.Random(17))
+        assert not channel_equivalent(ext, empty)
 
     def test_wide_tableau(self):
         # 557 qubits: each column int holds 1114 row bits, so every row mask
@@ -270,8 +268,8 @@ class TestChannelEquivalent:
         logical = half_cx_circuit(n, 128, random.Random(5))
         ext, _, _ = compile_circuit_flow(logical, Placement.identity(n), graph, "greedy")
         assert ext.num_qubits == 557
-        assert channel_equivalent(ext, logical, rng=random.Random(1))
-        assert not channel_equivalent(ext, logical, rng=random.Random(1), drop_frame=True)
+        assert channel_equivalent(ext, logical)
+        assert not channel_equivalent(ext, logical, drop_frame=True)
 
 
 SINGLE_QUBIT_OPS = ("h", "s", "xhalf", "yhalf", "zhalf", "pauli_x", "pauli_z")

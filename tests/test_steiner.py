@@ -260,7 +260,7 @@ class TestHardestFanIn:
         n = 5
         circ = gen_hardest_fanin(n)
         ext, _ = compile_circuit_steiner(circ, Placement.identity(n), path_graph(n))
-        assert channel_equivalent(ext, circ, trials=5, branches=5, rng=random.Random(0))
+        assert channel_equivalent(ext, circ)
 
     def test_n4_on_star_graph(self):
         # hub at the last node: layer trees weigh 3, 2, 1
@@ -279,7 +279,7 @@ class TestHardestFanIn:
         place = Placement((0, 1, 1))
         ext, sched = compile_circuit_steiner(circ, place, path_graph(2))
         assert ext.e_count == 1
-        assert channel_equivalent(ext, circ, trials=5, branches=5, rng=random.Random(1))
+        assert channel_equivalent(ext, circ)
 
     def test_single_gate_spanning_path_is_one_round(self):
         g = path_graph(4)
@@ -295,7 +295,7 @@ class TestHardestFanIn:
         ext, sched = compile_circuit_steiner(circ, Placement.identity(4), g)
         assert sched.horizon == 2
         assert sorted(sched.rounds) == [1, 2]
-        assert channel_equivalent(ext, circ, trials=5, branches=5, rng=random.Random(5))
+        assert channel_equivalent(ext, circ)
 
 
 class TestFanOutCompile:
@@ -304,14 +304,14 @@ class TestFanOutCompile:
         circ = Circuit.from_layers(3, [[fanout(0, [1, 2])]])
         ext, sched = compile_circuit_steiner(circ, Placement.identity(3), g)
         assert ext.e_count == 2
-        assert channel_equivalent(ext, circ, trials=6, branches=6, rng=random.Random(2))
+        assert channel_equivalent(ext, circ)
 
     def test_z_basis_fanout_needs_no_mirror(self):
         g = path_graph(3)
         circ = Circuit.from_layers(3, [[fanout(0, [1, 2], basis="Z")]])
         ext, _ = compile_circuit_steiner(circ, Placement.identity(3), g)
         assert not any(gate.kind == "yhalf" for gate in ext.gates)
-        assert channel_equivalent(ext, circ, trials=6, branches=6, rng=random.Random(3))
+        assert channel_equivalent(ext, circ)
 
 
 class TestDensifier:
@@ -384,7 +384,7 @@ class TestGeneralSteinerBackend:
         g = gen_rect_low(3)
         circ = Circuit.from_layers(6, [[cx(0, 5)], [yhalf(2)], [cz(1, 4)], [fanin(0, [2, 3])]])
         ext, sched = compile_circuit_steiner(circ, Placement.identity(6), g)
-        assert channel_equivalent(ext, circ, trials=6, branches=5, rng=random.Random(4))
+        assert channel_equivalent(ext, circ)
         assert sched.horizon == 3  # three layers carry remote interactions
 
     def test_off_lattice_tree_rejected(self, monkeypatch):

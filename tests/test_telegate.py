@@ -68,7 +68,7 @@ class TestTelegateCx:
     @pytest.mark.parametrize("hops", range(1, 6))
     def test_channel_equivalence(self, hops):
         frag = expand_telegate_cx(0, hops, path(hops))
-        assert channel_equivalent(frag, CX2, trials=6, branches=6, rng=random.Random(hops))
+        assert channel_equivalent(frag, CX2)
 
     def test_invalid_path_rejected(self):
         g = QuotientGraph(3, ((0, 1, 1), (1, 2, 1)))
@@ -104,7 +104,7 @@ class TestEntanglementSwap:
         # routing through the middle with an explicit path equals the
         # combined protocol by channel equivalence
         frag = expand_telegate_cx(0, 2, [0, 1, 2])
-        assert channel_equivalent(frag, CX2, trials=8, branches=8, rng=random.Random(7))
+        assert channel_equivalent(frag, CX2)
 
 
 class TestTelegateCz:
@@ -117,14 +117,14 @@ class TestTelegateCz:
     def test_symmetric_channel(self):
         a = expand_telegate_cz(0, 1, [0, 1])
         swapped = Circuit.from_layers(2, [[cz(1, 0)]])
-        assert channel_equivalent(a, swapped, trials=8, branches=5, rng=random.Random(0))
+        assert channel_equivalent(a, swapped)
 
     @pytest.mark.parametrize("hops", (1, 2, 3))
     def test_multi_hop(self, hops):
         frag = expand_telegate_cz(0, hops, path(hops))
         assert frag.e_count == hops
         assert frag.depth() == 4
-        assert channel_equivalent(frag, CZ2, trials=6, branches=6, rng=random.Random(hops))
+        assert channel_equivalent(frag, CZ2)
 
 
 class TestFanInTree:
@@ -135,7 +135,7 @@ class TestFanInTree:
         assert frag.frame.x_of(1) == XorExpr.of(1)
         assert frag.frame.x_of(2) == XorExpr.of(1, 3)
         logical = Circuit.from_layers(3, [[fanin(0, [1, 2])]])
-        assert channel_equivalent(frag, logical, trials=8, branches=6, rng=random.Random(1))
+        assert channel_equivalent(frag, logical)
 
     def test_single_target_degenerates_to_telegate(self):
         frag = expand_fanin_tree(0, {1}, {(0, 1)})
@@ -149,14 +149,14 @@ class TestFanInTree:
         frag = expand_fanin_tree(0, {1, 2, 3, 4}, {(0, i) for i in range(1, 5)})
         assert frag.e_count == 4
         logical = Circuit.from_layers(5, [[fanin(0, [1, 2, 3, 4])]])
-        assert channel_equivalent(frag, logical, trials=5, branches=5, rng=random.Random(2))
+        assert channel_equivalent(frag, logical)
 
     def test_branching_tree_equivalence(self):
         tree = {(0, 1), (1, 2), (1, 3), (0, 4)}
         frag = expand_fanin_tree(0, {2, 3, 4}, tree)
         assert frag.e_count == 4
         logical = Circuit.from_layers(4, [[fanin(0, [1, 2, 3])]])
-        assert channel_equivalent(frag, logical, trials=6, branches=6, rng=random.Random(3))
+        assert channel_equivalent(frag, logical)
 
     @pytest.mark.parametrize("basis", ["X", "Z"])
     def test_target_on_control_processor(self, basis):
@@ -203,7 +203,7 @@ class TestExtendedCircuitProperties:
         back = ExtendedCircuit.from_json(doc)
         assert back.frame.to_json() == frag.frame.to_json()
         assert back.num_qubits == frag.num_qubits
-        assert channel_equivalent(back, CX2, trials=5, branches=5, rng=random.Random(8))
+        assert channel_equivalent(back, CX2)
 
     def test_conditioned_pauli_sliced_after_its_meas(self):
         # qubit 0 is free from the start, but its correction reads qubit 1's bit
@@ -231,7 +231,7 @@ class TestFanOutExpansion:
             (((0, 1),), (1,)),
         ]}
         out = CircuitExpander(circ, Placement.identity(4)).expand(routes)
-        assert channel_equivalent(out, circ, trials=8, branches=6, rng=random.Random(9))
+        assert channel_equivalent(out, circ)
         assert not any(g.kind == "pauli" for g in out.gates)
 
 
