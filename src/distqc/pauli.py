@@ -196,10 +196,20 @@ class PauliFrame:
         return PauliFrame(dict(self.x), dict(self.z))
 
     def to_json(self) -> dict:
-        out: dict[str, dict[str, list[str]]] = {}
-        for q in sorted(self.qubits()):
-            out[f"q{q}"] = {"x": self.x_of(q).tokens(), "z": self.z_of(q).tokens()}
-        return out
+        """Each entry's x and z lists as `XorExpr.tokens()` writes them, with
+        one ``"b<id>"`` string per bit, shared by every entry that names the
+        bit: a large compile's entries name each bit many times over."""
+        name: dict[int, str] = {}
+
+        def tokens(e: XorExpr) -> list[str]:
+            toks = [name.get(b) or name.setdefault(b, f"b{b}") for b in set_bits(e.mask >> 1)]
+            if e.mask & 1:
+                toks.append("1")
+            return toks
+
+        return {
+            f"q{q}": {"x": tokens(self.x_of(q)), "z": tokens(self.z_of(q))} for q in sorted(self.qubits())
+        }
 
     @staticmethod
     def from_json(doc: dict, num_qubits: int) -> "PauliFrame":

@@ -14,8 +14,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .circuit import (
     FAN_KINDS,
@@ -31,6 +30,9 @@ from .circuit import (
 from .flow import schedule_json
 from .netmodel import EXACT_MAX_TERMINALS, QuotientGraph, edge_key
 from .telegate import CircuitExpander, ExtendedCircuit, _orient
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Edge = tuple[int, int]
 
@@ -64,16 +66,18 @@ def steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
     terms = sorted(inst.terminals)
     if len(terms) == 1:
         return frozenset()
-    # Prim over the metric closure (hops raises when a terminal is cut off)
-    in_tree = {terms[0]}
+    # Prim over the metric closure, keyed: each terminal outside the tree
+    # keeps its nearest tree terminal as (hops, u), and the next to join is
+    # the least (hops, u, v) (hops raises when a terminal is cut off)
+    best = {v: (q.hops(terms[0], v), terms[0]) for v in terms[1:]}
     usable = [0] * q.edge_count
-    while len(in_tree) < len(terms):
-        _, u, v = min(
-            (q.hops(u, v), u, v) for u in sorted(in_tree) for v in terms if v not in in_tree
-        )
+    while best:
+        (_, u), v = min((key, v) for v, key in best.items())
+        del best[v]
         for e in q.edge_ids(q.shortest_path(u, v)):
             usable[e] = 1
-        in_tree.add(v)
+        for w, key in best.items():
+            best[w] = min(key, (q.hops(v, w), v))
     # The tree can end in a non-terminal leaf where two paths cross a cycle
     # in opposite directions.  A parent map lists children after their
     # parents, so one reverse pass keeps exactly the edges above a terminal.
@@ -94,6 +98,8 @@ def _levels(r: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     arrays (subs, others): each split once (sub < mask ^ sub), `sub`
     descending from (mask - 1) & mask, the order in which ties go to the
     first split.  Every such mask has S = 2^(p - 1) - 1 splits."""
+    import numpy as np
+
     table = []
     for p in range(2, r + 1):
         masks = np.array([m for m in range(1 << r) if m.bit_count() == p], dtype=np.intp)
@@ -135,6 +141,8 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     another component at least n, so such a candidate never wins or ties,
     and the rebuild visits only the root's component.
     """
+    import numpy as np
+
     q = inst.graph
     terms = sorted(inst.terminals)
     if len(terms) > EXACT_MAX_TERMINALS:

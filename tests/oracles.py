@@ -7,7 +7,9 @@ reference commodity extraction and greedy scheduler are the plain quadratic
 versions that the indexed library code must match output for output, and
 the scalar Dreyfus-Wagner program (dict rows, a heap Dijkstra grow step and
 a recorded choice per entry) is the reference the vectorized one must match
-tree for tree.  The sampled channel check runs concrete inputs and
+tree for tree; the Steiner approximation's Prim step, which rescans every
+pair of tree and outside terminals for each terminal it adds, is the
+reference its keyed Prim must match tree for tree.  The sampled channel check runs concrete inputs and
 measurement branches, where the library's check runs one symbolic Choi
 state, and it runs them on the numpy tableau (`ReferenceStabilizerState`)
 that the library's bit-packed tableau must match outcome for outcome and
@@ -239,6 +241,34 @@ def reference_steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     if len(edges) != weight:
         raise AssertionError("Steiner reconstruction produced a non-tree edge multiset")
     return frozenset(edges)
+
+
+def reference_steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
+    """The metric-closure approximation with a plain Prim step: each terminal
+    joins by the least (hops, u, v) over every tree terminal u and outside
+    terminal v, rescanned for each terminal added.  The union of the paths
+    is then pruned as the library does."""
+    q = inst.graph
+    terms = sorted(inst.terminals)
+    if len(terms) == 1:
+        return frozenset()
+    in_tree = {terms[0]}
+    usable = [0] * q.edge_count
+    while len(in_tree) < len(terms):
+        _, u, v = min(
+            (q.hops(u, v), u, v) for u in sorted(in_tree) for v in terms if v not in in_tree
+        )
+        for e in q.edge_ids(q.shortest_path(u, v)):
+            usable[e] = 1
+        in_tree.add(v)
+    parent = q.bfs(terms[0], usable)[1]
+    kept = set(terms)
+    tree: set[Edge] = set()
+    for v in reversed(parent):
+        if v in kept and v != terms[0]:
+            tree.add(edge_key(parent[v], v))
+            kept.add(parent[v])
+    return frozenset(tree)
 
 
 def reference_cz_to_dense_fanin(circuit: Circuit) -> FanInLayering:

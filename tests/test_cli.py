@@ -647,10 +647,41 @@ class TestBenchCommand:
         assert rc == 0 and len(out.read_text().strip().splitlines()) == 1 + 4
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # numpy is the only runtime dependency; networkx is a test reference only
+def _checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's distqc."""
     src = str(Path(distqc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, distqc.cli; print('networkx' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # networkx is a test reference only; numpy, the one runtime dependency,
+    # is loaded only by the exact Steiner program and the distance matrix,
+    # so a flow run and its JSON leave it unloaded and a steiner run loads it
+    code = """
+import random, sys
+import distqc.cli
+from distqc.bench import compile_backend, gen_random_cz_circuit
+from distqc.circuit import Placement
+from distqc.netmodel import gen_rect_low
+print('networkx' in sys.modules, 'numpy' in sys.modules)
+graph, placement = gen_rect_low(3), Placement.identity(9)
+circuit = gen_random_cz_circuit(9, 30, random.Random(1))
+extended, _ = compile_backend('flow-greedy', circuit, placement, graph)
+assert extended.to_json()['frame']
+print('numpy' in sys.modules)
+compile_backend('steiner', circuit, placement, graph)
+print('numpy' in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_checkout_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False", "False", "True"]
+
+
+def test_module_entry_runs_the_cli():
+    out = subprocess.run(
+        [sys.executable, "-m", "distqc", "--help"], env=_checkout_env(), capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: distqc ")
+    assert "gen-topology" in out.stdout

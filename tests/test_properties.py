@@ -9,7 +9,8 @@ search's path exactly when it is short enough, and the component labels
 must group the nodes as the searches do.  On the paper lattices with
 random order relations, greedy's paths must stay within the detour limit
 and its horizon must cover every strict chain.  The Steiner
-approximation must return a tree whose leaves are terminals, and the CZ
+approximation must return a tree whose leaves are terminals, the same tree
+as the reference's plain Prim step on the paper lattices, and the CZ
 densifier must keep the CZ multiset (in at most n - 1 layers when it has
 no repeated pair).
 `XorExpr`, and the frame normalizer's rewrite of its masks, must agree with
@@ -48,7 +49,13 @@ from distqc.pushing import FrameNormalizer
 from distqc.stabsim import channel_equivalent
 from distqc.steiner import SteinerInstance, compile_circuit_steiner, cz_to_dense_fanin, steiner_tree_approx
 from distqc.telegate import ExtendedCircuit
-from oracles import commodity_set, random_connected_graph, random_order_relation, reference_cz_to_dense_fanin
+from oracles import (
+    commodity_set,
+    random_connected_graph,
+    random_order_relation,
+    reference_cz_to_dense_fanin,
+    reference_steiner_tree_approx,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 
@@ -283,6 +290,18 @@ def test_steiner_approx_is_a_tree_with_terminal_leaves(nodes, seed, data):
         reached |= {v for e in tree if set(e) & reached for v in e}
     assert reached == set(degree)  # connected, and spans the terminals
     assert all(v in terms for v, d in degree.items() if d == 1)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["rect-low", "hex", "rect-high"]), st.integers(2, 6), st.data())
+def test_keyed_prim_gives_the_reference_tree(kind, g, data):
+    # lattices have many tied hop distances, so equal trees pin the
+    # (hops, u, v) tie-break
+    graph = GENERATORS[kind](g)
+    n = graph.node_count
+    terms = data.draw(st.frozensets(st.integers(0, n - 1), min_size=2, max_size=min(20, n)))
+    inst = SteinerInstance(graph, terms)
+    assert steiner_tree_approx(inst) == reference_steiner_tree_approx(inst)
 
 
 CZ_PAIRS = st.integers(2, 10).flatmap(

@@ -219,6 +219,23 @@ class TestExtendedCircuitProperties:
         assert doc["q0"] == {"x": [], "z": ["b2"]}
         assert doc["q1"] == {"x": ["b1"], "z": []}
 
+    def test_frame_json_shares_one_string_per_bit(self):
+        frame = PauliFrame()
+        frame.add(0, "X", XorExpr.of(3, 70000))
+        frame.add(0, "Z", XorExpr.of(3, const=True))
+        frame.add(1, "X", XorExpr.of(5, 70000))
+        frame.add(1, "Z", XorExpr.of(3, 5, 70000, const=True))
+        doc = frame.to_json()
+        entries = [
+            (doc[f"q{q}"][axis], e) for q in (0, 1) for axis, e in zip("xz", (frame.x_of(q), frame.z_of(q)))
+        ]
+        assert all(tokens == e.tokens() for tokens, e in entries)
+        first: dict[str, str] = {}
+        for tokens, _ in entries:
+            for tok in tokens:
+                assert first.setdefault(tok, tok) is tok, tok
+        assert [len(tokens) for tokens, _ in entries] == [2, 2, 2, 4]
+
 
 class TestFanOutExpansion:
     def test_fanout_compiles_through_mirror_layers(self):
