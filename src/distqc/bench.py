@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass, fields
 from itertools import product
 
-from .circuit import Circuit, Placement, cz, fanin
-from .flow import EXACT_MAX_COMMODITIES, EXACT_MAX_NODES, compile_circuit_flow
+from .circuit import Circuit, Placement, asap_layers, cz, fanin
+from .flow import InstanceTooLarge, check_exact_size, compile_circuit_flow
 from .netmodel import GENERATORS, QuotientGraph
 from .steiner import compile_circuit_steiner, cz_to_dense_fanin
 
@@ -33,16 +33,8 @@ def gen_random_cz_circuit(n_qubits: int, k_gates: int, rng: random.Random) -> Ci
         raise ValueError("need at least two qubits")
     if k_gates < 0:
         raise ValueError(f"gate count must be non-negative, got {k_gates}")
-    layers: list[list] = []
-    last: dict[int, int] = {}
-    for _ in range(k_gates):
-        a, b = rng.sample(range(n_qubits), 2)
-        at = max(last.get(a, -1), last.get(b, -1)) + 1
-        while len(layers) <= at:
-            layers.append([])
-        layers[at].append(cz(a, b))
-        last[a] = last[b] = at
-    return Circuit.from_layers(n_qubits, layers)
+    gates = [cz(*rng.sample(range(n_qubits), 2)) for _ in range(k_gates)]
+    return Circuit.from_layers(n_qubits, asap_layers(gates))
 
 
 def gen_hardest_fanin(n: int) -> Circuit:
@@ -84,12 +76,10 @@ class BenchConfig:
         for t, g in product(self.topologies, self.g_values):
             nodes = GENERATORS[t](g).node_count
             for size in self.sizes:
-                if size > EXACT_MAX_COMMODITIES or nodes > EXACT_MAX_NODES:
-                    raise ValueError(
-                        f"flow-exact cell {t} g={g} size {size}: exact solver limited to "
-                        f"{EXACT_MAX_COMMODITIES} commodities on {EXACT_MAX_NODES} nodes "
-                        f"(got k={size}, nodes={nodes})"
-                    )
+                try:
+                    check_exact_size(size, nodes)
+                except InstanceTooLarge as exc:
+                    raise InstanceTooLarge(f"flow-exact cell {t} g={g} size {size}: {exc}") from None
 
 
 @dataclass(frozen=True)

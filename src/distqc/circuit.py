@@ -363,6 +363,27 @@ def check_reads(layers: Iterable[Iterable[Gate]]) -> int:
     return emitted
 
 
+def asap_layers(gates: Iterable[Gate]) -> list[list[Gate]]:
+    """Greedy ASAP layering: each gate goes one layer past the last layer of
+    its qubits, and a conditioned gate also one past that of each meas whose
+    bit it reads."""
+    layers: list[list[Gate]] = []
+    last: dict[int, int] = {}
+    measured_at: dict[int, int] = {}
+    for g in gates:
+        at = max((last.get(q, -1) for q in g.qubits), default=-1) + 1
+        if g.cond is not None:
+            at = max([at, *(measured_at.get(b, -1) + 1 for b in g.cond.bits)])
+        while len(layers) <= at:
+            layers.append([])
+        layers[at].append(g)
+        for q in g.qubits:
+            last[q] = at
+        if g.kind == "meas":
+            measured_at[g.bit] = at
+    return layers
+
+
 def validate(circuit: Circuit, placement: Placement, graph: QuotientGraph) -> None:
     """Reject a placement missing a qubit of `circuit` or a processor outside
     `graph`, with a ValueError naming the fault; a `Circuit` checks itself."""
@@ -506,15 +527,15 @@ def spokes_by_proc(g: Gate, placement: Placement) -> dict[int, list[int]]:
     return out
 
 
-def _gate_commodities(g: Gate, li: int, placement: Placement) -> list[Commodity]:
+def remote_spokes(g: Gate, placement: Placement) -> dict[int, list[int]]:
+    """`spokes_by_proc` without the hub's processor: per processor, the
+    operands a two-qubit or fan gate reaches remotely.  Empty for any other
+    gate and for a gate on one processor."""
     if g.kind not in TWO_QUBIT_KINDS | FAN_KINDS:
-        return []
-    hub_proc = placement.proc(g.hub)
-    return [
-        Commodity(hub_proc, p, li, tuple(qs), g)
-        for p, qs in spokes_by_proc(g, placement).items()
-        if p != hub_proc
-    ]
+        return {}
+    out = spokes_by_proc(g, placement)
+    out.pop(placement.proc(g.hub), None)
+    return out
 
 
 def extract_commodities(circuit: Circuit, placement: Placement) -> CommoditySet:
@@ -534,7 +555,8 @@ def extract_commodities(circuit: Circuit, placement: Placement) -> CommoditySet:
     for li, layer in enumerate(circuit.layers):
         layer_comms: list[Commodity] = []
         for g in layer:
-            layer_comms.extend(_gate_commodities(g, li, placement))
+            for p, qs in remote_spokes(g, placement).items():
+                layer_comms.append(Commodity(placement.proc(g.hub), p, li, tuple(qs), g))
         layer_comms.sort(key=lambda c: (min(c.gate.qubits), min(c.target_qubits)))
         commodities.extend(layer_comms)
 

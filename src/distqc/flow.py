@@ -45,17 +45,6 @@ class FlowSchedule:
     def to_json(self) -> dict:
         return schedule_json(self.horizon, self.steps, [zip(p, p[1:]) for p in self.paths])
 
-    @staticmethod
-    def from_json(doc: dict) -> "FlowSchedule":
-        assignments = sorted(doc["assignments"], key=lambda a: a["i"])
-        steps = tuple(a["tau"] for a in assignments)
-        paths = []
-        for a in assignments:
-            hops = a["path"]
-            nodes = [hops[0][0]] + [v for _u, v in hops] if hops else []
-            paths.append(tuple(nodes))
-        return FlowSchedule(doc["d"], steps, tuple(paths))
-
 
 def schedule_json(
     horizon: int, steps: Iterable[int], links: Iterable[Iterable[tuple[int, int]]]
@@ -88,6 +77,16 @@ class Violation:
 
 class InstanceTooLarge(ValueError):
     pass
+
+
+def check_exact_size(k: int, nodes: int) -> None:
+    """Refuse, with InstanceTooLarge, k commodities on a graph of `nodes`
+    nodes beyond the exact solver's limits."""
+    if k > EXACT_MAX_COMMODITIES or nodes > EXACT_MAX_NODES:
+        raise InstanceTooLarge(
+            f"exact solver limited to {EXACT_MAX_COMMODITIES} commodities on "
+            f"{EXACT_MAX_NODES} nodes (got k={k}, nodes={nodes})"
+        )
 
 
 def metrics(sched: FlowSchedule) -> ScheduleMetrics:
@@ -161,11 +160,7 @@ def solve_mcf_exact(q: QuotientGraph, cs: CommoditySet, d: int) -> FlowSchedule 
     branches with no complete schedule.  Intended for small instances;
     guarded against larger ones.
     """
-    if cs.k > EXACT_MAX_COMMODITIES or q.node_count > EXACT_MAX_NODES:
-        raise InstanceTooLarge(
-            f"exact solver limited to {EXACT_MAX_COMMODITIES} commodities on "
-            f"{EXACT_MAX_NODES} nodes (got k={cs.k}, nodes={q.node_count})"
-        )
+    check_exact_size(cs.k, q.node_count)
     if cs.k == 0:
         return FlowSchedule(0, (), ())
     qpar_succs, tail = cs.qpar_succs, cs.tails

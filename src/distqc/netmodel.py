@@ -246,6 +246,8 @@ class QuotientGraph:
                 raise ValueError(f"edge {i} must be a JSON array [u, v, capacity], got {json.dumps(e)}")
             edges.append(tuple(json_int(x, "edge entry") for x in e))
         q = QuotientGraph(json_int(doc["nodes"], "node count"), tuple(edges))
+        if not q.node_count:
+            raise ValueError("topology has no processors")
         if not q.is_connected():
             raise ValueError("processor-level graph is disconnected")
         return q

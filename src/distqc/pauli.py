@@ -9,8 +9,8 @@ the circuit has finished.
 An expression is one int, ``mask``: bit 0 is the constant and bit ``b + 1``
 is measurement bit ``b`` (logical ``meas`` gates may emit bit 0), the layout
 of the symbolic signs in ``stabsim``.  XOR of two expressions is one int XOR.
-``telegate.CircuitExpander`` normalizes its frame as it emits gates
-(``pushing.FrameNormalizer``): local gates are pushed one by one, each
+``telegate.CircuitExpander``, a ``pushing.FrameNormalizer``, normalizes
+its frame as it emits gates: local gates are pushed one by one, each
 target of a remote gate by its logical interaction's push rule, and the
 textbook protocols' closed-form corrections go straight into per-qubit
 masks, so they never become inline ``pauli`` gates.  A mask is as wide as its
@@ -46,6 +46,16 @@ def set_bits(mask: int) -> list[int]:
         out.append(i)
         i = s.find("1", i + 1)
     return out
+
+
+def _tokens(mask: int, names: dict[int, str]) -> list[str]:
+    """The JSON tokens of an expression mask: ``"b<id>"`` per bit, ascending,
+    then ``"1"`` for the constant.  `names` keeps the string written for each
+    bit, so masks that share it also share one string per bit."""
+    toks = [names.get(b) or names.setdefault(b, f"b{b}") for b in set_bits(mask >> 1)]
+    if mask & 1:
+        toks.append("1")
+    return toks
 
 
 class XorExpr:
@@ -114,10 +124,7 @@ class XorExpr:
         return value
 
     def tokens(self) -> list[str]:
-        toks = [f"b{b}" for b in set_bits(self.mask >> 1)]
-        if self.mask & 1:
-            toks.append("1")
-        return toks
+        return _tokens(self.mask, {})
 
     @staticmethod
     def from_tokens(tokens: list[str]) -> "XorExpr":
@@ -199,16 +206,10 @@ class PauliFrame:
         """Each entry's x and z lists as `XorExpr.tokens()` writes them, with
         one ``"b<id>"`` string per bit, shared by every entry that names the
         bit: a large compile's entries name each bit many times over."""
-        name: dict[int, str] = {}
-
-        def tokens(e: XorExpr) -> list[str]:
-            toks = [name.get(b) or name.setdefault(b, f"b{b}") for b in set_bits(e.mask >> 1)]
-            if e.mask & 1:
-                toks.append("1")
-            return toks
-
+        names: dict[int, str] = {}
         return {
-            f"q{q}": {"x": tokens(self.x_of(q)), "z": tokens(self.z_of(q))} for q in sorted(self.qubits())
+            f"q{q}": {"x": _tokens(self.x_of(q).mask, names), "z": _tokens(self.z_of(q).mask, names)}
+            for q in sorted(self.qubits())
         }
 
     @staticmethod

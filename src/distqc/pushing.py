@@ -53,10 +53,8 @@ class FrameNormalizer:
     the pending masks; unitary gates conjugate them by the rules in the
     module docstring; a measurement stores the anticommuting mask as its
     bit's flip and drops the rest, and a prep or bell drops its qubits'
-    masks.  Every gate but `pauli` goes to `gates`.  `telegate` appends a
-    remote interaction's gates to `gates` itself and calls `_cx`/`_cz` once
-    per target, since the fragment moves the frame as that one interaction
-    does.
+    masks.  Every gate but `pauli` goes to `gates`.  Its subclass
+    `telegate.CircuitExpander` adds the remote-gate protocols.
     """
 
     def __init__(self) -> None:

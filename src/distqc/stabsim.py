@@ -39,7 +39,7 @@ if TYPE_CHECKING:
 
 
 class StabilizerState:
-    """n-qubit stabilizer state, initialized to |0...0>.
+    """n-qubit stabilizer state, initialized to |0...0>; n = 0 is the empty state.
 
     `x`, `z` and `r` hold the tableau columns and constant signs described in
     the module docstring, `sym[i]` the symbol part of row i's sign and
@@ -47,8 +47,8 @@ class StabilizerState:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one qubit")
+        if n < 0:
+            raise ValueError(f"qubit count must be non-negative, got {n}")
         self.n = n
         self.x = [1 << q for q in range(n)]  # destabilizer q = X_q
         self.z = [1 << (n + q) for q in range(n)]  # stabilizer q = Z_q

@@ -16,17 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .circuit import (
-    FAN_KINDS,
-    TWO_QUBIT_KINDS,
-    Circuit,
-    Gate,
-    Placement,
-    fanin,
-    gc_paused,
-    spokes_by_proc,
-    validate,
-)
+from .circuit import Circuit, Gate, Placement, fanin, gc_paused, remote_spokes, validate
 from .flow import schedule_json
 from .netmodel import EXACT_MAX_TERMINALS, QuotientGraph, edge_key
 from .telegate import CircuitExpander, ExtendedCircuit, _orient
@@ -306,12 +296,10 @@ def compile_circuit_steiner(
     for li, layer in enumerate(circuit.layers):
         layer_trees = []
         for g in layer:
-            if g.kind not in TWO_QUBIT_KINDS | FAN_KINDS:
-                continue
-            hub_proc = placement.proc(g.hub)
-            procs = tuple(sorted(spokes_by_proc(g, placement).keys() - {hub_proc}))
+            procs = tuple(sorted(remote_spokes(g, placement)))
             if not procs:
-                continue  # every operand on one processor: a local gate
+                continue  # not an interaction, or every operand on one processor
+            hub_proc = placement.proc(g.hub)
             tree = steiner_tree(SteinerInstance(graph, frozenset((hub_proc, *procs))))
             layer_trees.append(tree)
             routes[(li, g)] = [(_orient(hub_proc, tree, procs, graph), procs)]

@@ -3,13 +3,13 @@
 A remote interaction between processors connected by an entanglement path
 (or tree) becomes: Bell preparations on every link, one layer of local
 injection gates, one simultaneous measurement layer, and deferred Pauli
-corrections.  `CircuitExpander` feeds local gates to the pushing rewriter as
-it goes.  A remote gate's own gates skip it: the fragment moves the pending
-frame exactly as the logical interaction does, so the rewriter's push rule
-for that interaction is applied once per target, and the protocols'
-closed-form corrections are added to the frame directly.  Every correction
-thus lands in the terminal Pauli frame without ever becoming an inline
-conditioned Pauli gate.  That keeps the quantum part of a fragment at depth
+corrections.  `CircuitExpander` is a `pushing.FrameNormalizer`: it feeds
+itself each local gate as it goes.  A remote gate's own gates are not fed:
+the fragment moves the pending frame exactly as the logical interaction
+does, so that interaction's push rule is applied once per target, and the
+protocols' closed-form corrections are added to the frame directly.  Every
+correction thus lands in the terminal Pauli frame without ever becoming an
+inline conditioned Pauli gate.  That keeps the quantum part of a fragment at depth
 3 (preparation, injection, measurement) plus one classical correction slot,
 for any path length.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, cx, cz, fanin
+from .circuit import FAN_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, Placement, asap_layers, cx, cz, fanin
 from .circuit import check_keys, check_reads, gate_to_json, json_int, json_layers
 from .circuit import spokes_by_proc, unemitted_bit, yhalf
 from .netmodel import QuotientGraph
@@ -48,24 +48,8 @@ class ExtendedCircuit:
         return sum(1 for g in self.gates if g.kind == "bell")
 
     def time_slices(self) -> list[list[Gate]]:
-        """Greedy ASAP layering of the quantum gates.  A conditioned gate
-        goes after the slice of each meas whose bit it reads, the order
-        ``from_json`` requires."""
-        slices: list[list[Gate]] = []
-        last: dict[int, int] = {}
-        measured_at: dict[int, int] = {}
-        for g in self.gates:
-            at = max((last.get(q, -1) for q in g.qubits), default=-1) + 1
-            if g.cond is not None:
-                at = max([at, *(measured_at.get(b, -1) + 1 for b in g.cond.bits)])
-            while len(slices) <= at:
-                slices.append([])
-            slices[at].append(g)
-            for q in g.qubits:
-                last[q] = at
-            if g.kind == "meas":
-                measured_at[g.bit] = at
-        return slices
+        """The quantum gates in `circuit.asap_layers`, the order ``from_json`` requires."""
+        return asap_layers(self.gates)
 
     def depth(self) -> int:
         """Quantum slice count plus one terminal slot for frame corrections."""
@@ -219,27 +203,27 @@ def expand_fanin_tree(
     return _expand_gate(g, (control_proc, *targets), (hops, served))
 
 
-class CircuitExpander:
+class CircuitExpander(FrameNormalizer):
     """Expands a whole placed circuit, gate by gate, into one extended circuit.
 
     Local gates pass through; remote interactions are handed routes (paths or
     trees on the quotient graph) by the scheduling backend.  Fan-outs are
-    compiled as fan-ins conjugated by basis-exchange layers.  A
-    `FrameNormalizer` moves every correction into the frame: local gates and
-    the basis-exchange layers are fed to it gate by gate; each target of a
-    remote interaction costs it one logical push (and, off the control's
+    compiled as fan-ins conjugated by basis-exchange layers.  As a
+    `FrameNormalizer` it moves every correction into the frame: local gates
+    and the basis-exchange layers are fed to it gate by gate; each target
+    of a remote interaction costs one logical push (and, off the control's
     processor, one closed-form correction), and each route one closed-form
     correction on the control (see `emit_tree`).
     """
 
     def __init__(self, circuit: Circuit, placement: Placement):
+        super().__init__()
         self.circuit = circuit
         self.placement = placement
         self.next_qubit = circuit.num_qubits
         # expansion bits follow the logical circuit's own measurement bits
         last_bit = max((g.bit for g in circuit.all_gates() if g.kind == "meas"), default=0)
         self.next_bit = last_bit + 1
-        self.normalizer = FrameNormalizer()
 
     def expand(self, routes: dict[tuple[int, Gate], list[Route]]) -> ExtendedCircuit:
         """Emit every layer in its gate order; the frame is normalized as it goes.
@@ -250,15 +234,14 @@ class CircuitExpander:
         last bit is above `pauli.MAX_BIT_ID`, which ``from_json`` could not
         read back.
         """
-        feed = self.normalizer.feed
         for li, layer in enumerate(self.circuit.layers):
             for g in layer:
                 if (li, g) in routes:
                     self.emit_remote(g, routes[(li, g)])
                 else:
-                    feed(g)
+                    self.feed(g)
         check_bit_id(self.next_bit - 1)
-        gates, frame = self.normalizer.finish()
+        gates, frame = self.finish()
         return ExtendedCircuit(self.circuit.num_qubits, self.next_qubit, gates, frame)
 
     def emit_remote(self, g: Gate, routes: list[Route]) -> None:
@@ -271,12 +254,9 @@ class CircuitExpander:
         once, in order of its lowest target processor (a route serving none
         goes first).
         """
-        if g.kind in TWO_QUBIT_KINDS:
-            kind = g.kind
-        elif g.kind in FAN_KINDS:
-            kind = "cz" if g.basis == "Z" else "cx"
-        else:
+        if g.kind not in TWO_QUBIT_KINDS | FAN_KINDS:
             raise ValueError(f"gate kind {g.kind!r} is not a remote interaction")
+        kind = "cz" if g.is_diagonal() else "cx"
         hub = g.hub
         hub_proc = self.placement.proc(hub)
         mirror = g.kind == "fanout" and kind == "cx"
@@ -311,16 +291,16 @@ class CircuitExpander:
 
         Targets on root interact with the control directly: the zero-hop
         case, with no Bell pair and no correction.  The fragment's gates go
-        straight to the normalizer's gate list, none through `feed`: its
-        communication qubits are fresh and all measured inside it, so on the
-        pending frame it acts as the logical interaction does, applied once
-        per target by the normalizer's push rule, plus the protocol's
-        closed-form corrections.  A target at v gets X (cx) or Z (cz) with
-        the XOR of the Z-basis bits on the hops from root to v; the control
-        gets Z with the XOR of every X-basis bit.  Those masks are built
-        relative to b0, with bit 2i (Z basis) or 2i + 1 (X basis) for hop
-        i, and shifted to bit ids only as they reach the normalizer: a
-        hop's XOR then costs the tree's width, not the largest bit id.
+        straight to `gates`, none through `feed`: its communication qubits
+        are fresh and all measured inside it, so on the pending frame it
+        acts as the logical interaction does, applied once per target by
+        that interaction's push rule, plus the protocol's closed-form
+        corrections.  A target at v gets X (cx) or Z (cz) with the XOR of
+        the Z-basis bits on the hops from root to v; the control gets Z
+        with the XOR of every X-basis bit.  Those masks are built relative
+        to b0, with bit 2i (Z basis) or 2i + 1 (X basis) for hop i, and
+        shifted to bit ids only as they reach the frame: a hop's XOR then
+        costs the tree's width, not the largest bit id.
 
         The gates are built in bulk, as plain `Gate` tuples with no helper
         call per gate: the Bell preparations (qubits q0, q0 + 2, ...) and
@@ -329,9 +309,8 @@ class CircuitExpander:
         each, and the control's X-bit mask over h hops, bits 1, 3, ...,
         2h - 1, is ``((1 << 2h) - 1) // 3 * 2``.
         """
-        normalizer = self.normalizer
-        push, fix = (normalizer._cx, "X") if kind == "cx" else (normalizer._cz, "Z")
-        gates, add = normalizer.gates, normalizer.add
+        push, fix = (self._cx, "X") if kind == "cx" else (self._cz, "Z")
+        gates, add = self.gates, self.add
         emit = gates.append
         new = tuple.__new__  # a Gate record without the NamedTuple constructor's frame
         for tq in targets_by_proc.get(root, ()):
@@ -369,5 +348,5 @@ class CircuitExpander:
         """Basis-exchange layer: Z then Y^{1/2} per qubit acts as a Hadamard
         up to global phase; the Z constants end up in the frame."""
         for q in qubits:
-            self.normalizer.add(q, "Z", 1)
-            self.normalizer.feed(yhalf(q))
+            self.add(q, "Z", 1)
+            self.feed(yhalf(q))

@@ -38,13 +38,13 @@ from distqc.circuit import (
     CommoditySet,
     Gate,
     Placement,
-    _gate_commodities,
     bell,
     cx,
     cz,
     default_qpar,
     fanin,
     meas,
+    remote_spokes,
     yhalf,
 )
 from distqc.flow import DETOUR_SLACK, FlowSchedule
@@ -366,7 +366,8 @@ def reference_order_relation(
     for li, layer in enumerate(circuit.layers):
         layer_comms: list[Commodity] = []
         for g in layer:
-            layer_comms.extend(_gate_commodities(g, li, placement))
+            for p, qs in remote_spokes(g, placement).items():
+                layer_comms.append(Commodity(placement.proc(g.hub), p, li, tuple(qs), g))
         layer_comms.sort(key=lambda c: (min(c.gate.qubits), min(c.target_qubits)))
         commodities.extend(layer_comms)
 
@@ -461,12 +462,12 @@ def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedu
 
 
 class GateByGateExpander(CircuitExpander):
-    """`CircuitExpander` with every fragment gate fed to the normalizer: the
+    """`CircuitExpander` with every fragment gate fed to `feed`: the
     textbook protocol's corrections are handed over as each bit is measured,
     after the flip its measurement recorded is consumed."""
 
     def correct(self, q: int, axis: str, bit: int) -> None:
-        self.normalizer.add(q, axis, (2 << bit) ^ self.normalizer.flips.pop(bit, 0))
+        self.add(q, axis, (2 << bit) ^ self.flips.pop(bit, 0))
 
     def emit_tree(
         self,
@@ -477,7 +478,7 @@ class GateByGateExpander(CircuitExpander):
         kind: str,
     ) -> None:
         interact = cx if kind == "cx" else cz
-        feed, correct = self.normalizer.feed, self.correct
+        feed, correct = self.feed, self.correct
         for tq in targets_by_proc.get(root, ()):
             feed(interact(control_qubit, tq))
         q0, b0 = self.next_qubit, self.next_bit

@@ -123,6 +123,19 @@ class TestCompileAndVerify:
         assert rc == 1 and out.count("\n") == 1
         assert out.startswith("NOT equivalent: ") and "with the 1 data qubits" in out
 
+    @pytest.mark.parametrize("backend", ["flow-greedy", "steiner"])
+    def test_empty_circuit_compiles_and_verifies(self, tmp_path, capsys, topo, backend):
+        circ = tmp_path / "empty.json"
+        circ.write_text(json.dumps({"qubits": 0, "layers": []}))
+        ext = tmp_path / "e.json"
+        rc = run(["compile", "--circuit", str(circ), "--topology", str(topo),
+                  "--backend", backend, "--extended-out", str(ext)])
+        assert rc == 0
+        assert json.loads(ext.read_text()) == {"qubits": 0, "data": 0, "layers": [], "frame": {}}
+        capsys.readouterr()
+        assert run(["verify", "--extended", str(ext), "--logical", str(circ)]) == 0
+        assert capsys.readouterr().out == "equivalent\n"
+
     def test_steiner_keeps_cx_circuit(self, tmp_path, topo):
         circ = tmp_path / "cx.json"
         circ.write_text(json.dumps(Circuit.from_layers(9, [[cx(0, 4)], [cz(4, 8)]]).to_json()))
@@ -173,6 +186,12 @@ class TestBadInput:
         topo.write_text(json.dumps({"nodes": 9, "edges": [[0, 1, 1], [2, 3, 1]]}))
         rc, err = self.compile_rc(capsys, circ, topo)
         assert rc == 2 and "disconnected" in err
+
+    def test_topology_without_processors(self, tmp_path, capsys, circ):
+        topo = tmp_path / "nonodes.json"
+        topo.write_text(json.dumps({"nodes": 0, "edges": []}))
+        rc, err = self.compile_rc(capsys, circ, topo)
+        assert rc == 2 and err == f"distqc compile: error: {topo}: topology has no processors\n"
 
     def test_topology_without_edges(self, tmp_path, capsys, circ):
         topo = tmp_path / "noedges.json"

@@ -15,8 +15,8 @@ densifier must keep the CZ multiset (in at most n - 1 layers when it has
 no repeated pair).
 `XorExpr`, and the frame normalizer's rewrite of its masks, must agree with
 a plain frozenset model of an affine GF(2) expression.  Every gate kind,
-every layered circuit, placement, connected capacitated graph and flow
-schedule must read back from its JSON as an equal value."""
+every layered circuit, placement and connected capacitated graph must read
+back from its JSON as an equal value."""
 
 import json
 import random
@@ -42,7 +42,7 @@ from distqc.circuit import (
     gate_to_json,
     yhalf,
 )
-from distqc.flow import DETOUR_SLACK, FlowSchedule, check_feasible, compile_circuit_flow, iterative_greedy
+from distqc.flow import DETOUR_SLACK, check_feasible, compile_circuit_flow, iterative_greedy
 from distqc.netmodel import GENERATORS, trace_path
 from distqc.pauli import MAX_BIT_ID, ONE, XorExpr
 from distqc.pushing import FrameNormalizer
@@ -482,14 +482,3 @@ def test_placement_json_round_trip(procs):
 def test_quotient_graph_json_round_trip(nodes, max_cap, seed):
     g = random_connected_graph(random.Random(seed), nodes, max_cap)
     assert json_round_trip(g) == g
-
-
-@PROPERTY_SETTINGS
-@given(st.integers(1, 20).flatmap(lambda d: st.tuples(
-    st.just(d),
-    st.lists(st.tuples(st.integers(1, d), st.lists(st.integers(0, 30), min_size=2, max_size=7)), max_size=12),
-)))
-def test_flow_schedule_json_round_trip(case):
-    horizon, assignments = case
-    s = FlowSchedule(horizon, tuple(tau for tau, _ in assignments), tuple(tuple(p) for _, p in assignments))
-    assert json_round_trip(s) == s

@@ -129,6 +129,29 @@ class TestMeasurement:
             first = s.measure(0, basis)
             assert first == 0b10 and s.measure(1, basis) == first
 
+    @pytest.mark.parametrize("state", [StabilizerState, ReferenceStabilizerState], ids=["bit-packed", "reference"])
+    @pytest.mark.parametrize(
+        "variant,zz,xx", [("phi+", 0, 0), ("phi-", 0, 1), ("psi+", 1, 0), ("psi-", 1, 1)]
+    )
+    def test_bell_variant_parities(self, state, variant, zz, xx):
+        # cx leaves the ZZ parity on qubit 1 and the XX parity on qubit 0,
+        # where h turns it into a Z measurement; 1 is a -1 sign
+        s = state(2)
+        s.bell(0, 1, variant)
+        s.cx(0, 1)
+        s.h(0)
+        assert (s.measure(1, "Z"), s.measure(0, "Z")) == (zz, xx)
+
+    def test_bell_variant_read_from_extended_json(self):
+        doc = {"qubits": 2, "data": 0, "layers": [[{"kind": "bell", "q": [0, 1], "variant": "psi-"}]]}
+        ext = ExtendedCircuit.from_json(doc)
+        assert ext.gates == (Gate("bell", (0, 1), variant="psi-"),)
+        s = StabilizerState(2)
+        s.apply_gate(ext.gates[0])
+        s.cx(0, 1)
+        s.h(0)
+        assert (s.measure(1, "Z"), s.measure(0, "Z")) == (1, 1)
+
     def test_x_measurement_uniform(self):
         # a fresh symbol with no constant: 0 on half the branches, 1 on the rest
         s = StabilizerState(1)
@@ -377,9 +400,9 @@ def test_data_register_mismatch_refused():
         # a Gate checks nothing when built, so a direct caller can apply any kind
         (lambda: StabilizerState(2).apply_gate(Gate("swap", (0, 1))), "cannot apply gate kind 'swap'"),
         (lambda: StabilizerState(1).measure(0, "Y"), "unsupported measurement basis 'Y'"),
-        (lambda: StabilizerState(0), "need at least one qubit"),
+        (lambda: StabilizerState(-1), "qubit count must be non-negative, got -1"),
     ],
-    ids=["flip-axis", "apply-unknown-kind", "measure-basis", "zero-qubits"],
+    ids=["flip-axis", "apply-unknown-kind", "measure-basis", "negative-qubits"],
 )
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -466,9 +466,9 @@ def assert_closed_form_matches(circ, placement, routes):
     got, want = fast.expand(routes), slow.expand(routes)
     assert got.gates == want.gates
     assert (got.frame.x, got.frame.z) == (want.frame.x, want.frame.z)
-    assert fast.normalizer.flips == slow.normalizer.flips
+    assert fast.flips == slow.flips
     logical_bits = {g.bit for g in circ.all_gates() if g.kind == "meas"}
-    assert set(fast.normalizer.flips) <= logical_bits
+    assert set(fast.flips) <= logical_bits
 
 
 @settings(max_examples=300)
