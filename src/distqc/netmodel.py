@@ -9,15 +9,18 @@ and ``distqc gen-topology`` writes one of the three lattice families below.
 
 ``QuotientGraph`` is the single owner of graph distances: one breadth-first
 search (``bfs``, memoised per source) backs the hop counts, shortest paths
-and the all-pairs distance matrix that the flow and Steiner backends use.
+and the all-pairs distances that the flow and Steiner backends use, as
+tuples (``hop_rows``) or as a numpy matrix (``distance_matrix``).
 It is also the one owner of edge naming: ``edge_key`` names an edge (u, v)
 as (min, max), and ``QuotientGraph.edge_id`` gives its id, its position in
 ``edges``.  Every scheduler counts load, and the search its residual, in
 per-edge lists indexed by edge id, against ``QuotientGraph.capacities``.
 The lattice generators list their edges in plain Python, so numpy is the
 only runtime dependency of the package, and only ``distance_matrix`` and
-the exact Steiner program import it, inside the function: flow-backend
-runs never load it.  On a 2-core machine that keeps ``import distqc.cli``
+the exact Steiner program's numpy engine import it, inside the function:
+flow-backend runs never load it, nor do steiner runs whose exact trees
+all have at most two terminals or fit the program's list engine, which
+reads ``hop_rows``.  On a 2-core machine that keeps ``import distqc.cli``
 at about 0.07 s and 20 MB of peak RSS, against 0.20 s and 33 MB with
 numpy loaded at start-up.
 """
@@ -196,6 +199,14 @@ class QuotientGraph:
                         label[v] = root
                         members.append(v)
         return label
+
+    @cached_property
+    def hop_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per node s, the hop distances from ``bfs`` to every node in
+        order, and n where no path exists: ``distance_matrix`` as tuples,
+        for callers on small graphs that would not load numpy."""
+        n = self.node_count
+        return tuple(tuple(self.bfs(s)[0].get(t, n) for t in range(n)) for s in range(n))
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import TYPE_CHECKING
 
 from .circuit import Circuit, Gate, Placement, fanin, gc_paused, remote_spokes, validate
@@ -81,28 +82,41 @@ def steiner_tree_approx(inst: SteinerInstance) -> frozenset[Edge]:
     return frozenset(tree)
 
 
+# Exact instances with at most this many nodes and terminals fill their
+# tables in plain lists, which beat the numpy passes up to there.  Per tree
+# on a 2-core machine, lists against numpy: 3 terminals on 6 nodes 13
+# against 25 us, 4 on 9 nodes 46 against 46 us, but 5 on 9 nodes 123
+# against 70 us and 4 on 16 nodes 84 against 48 us.
+LIST_MAX_NODES = 9
+LIST_MAX_TERMINALS = 4
+
+
+@functools.cache
+def _splits(mask: int) -> tuple[int, ...]:
+    """The splits {sub, mask ^ sub} of a mask of two or more bits, each once
+    (sub < mask ^ sub), `sub` descending from (mask - 1) & mask: the order
+    in which ties go to the first split."""
+    subs = []
+    sub = (mask - 1) & mask
+    while sub:
+        if sub < mask ^ sub:
+            subs.append(sub)
+        sub = (sub - 1) & mask
+    return tuple(subs)
+
+
 @functools.cache
 def _levels(r: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per popcount p = 2..r, the masks over r terminals with p bits, in
-    ascending order, and their splits stacked as read-only (M, S) index
-    arrays (subs, others): each split once (sub < mask ^ sub), `sub`
-    descending from (mask - 1) & mask, the order in which ties go to the
-    first split.  Every such mask has S = 2^(p - 1) - 1 splits."""
+    ascending order, and their splits (``_splits``) stacked as read-only
+    (M, S) index arrays (subs, others).  Every such mask has
+    S = 2^(p - 1) - 1 splits."""
     import numpy as np
 
     table = []
     for p in range(2, r + 1):
         masks = np.array([m for m in range(1 << r) if m.bit_count() == p], dtype=np.intp)
-        rows = []
-        for mask in masks.tolist():
-            row = []
-            sub = (mask - 1) & mask
-            while sub:
-                if sub < mask ^ sub:
-                    row.append(sub)
-                sub = (sub - 1) & mask
-            rows.append(row)
-        subs = np.array(rows, dtype=np.intp)
+        subs = np.array([_splits(mask) for mask in masks.tolist()], dtype=np.intp)
         level = (masks, subs, masks[:, None] ^ subs)
         for a in level:
             a.flags.writeable = False
@@ -110,29 +124,55 @@ def _levels(r: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     return tuple(table)
 
 
+def _list_tables(q: QuotientGraph, rest: list[int]) -> tuple[list, list]:
+    """The tables f and merged of ``steiner_tree_exact`` as lists of rows,
+    from ``QuotientGraph.hop_rows``, masks in ascending order (a mask's
+    splits are below it).  Rows of single-bit masks in merged are None."""
+    dist = q.hop_rows
+    full = (1 << len(rest)) - 1
+    f: list = [None] * (full + 1)
+    merged: list = [None] * (full + 1)
+    for i, t in enumerate(rest):
+        f[1 << i] = dist[t]
+    for mask in range(3, full + 1):
+        if mask & (mask - 1):
+            first, *others = _splits(mask)
+            row = list(map(add, f[first], f[mask ^ first]))
+            for sub in others:
+                row = list(map(min, row, map(add, f[sub], f[mask ^ sub])))
+            merged[mask] = row
+            f[mask] = [min(map(add, row, col)) for col in dist]  # dist is symmetric
+    return f, merged
+
+
 def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     """Minimum Steiner tree by the Dreyfus-Wagner subset dynamic program.
 
     Unit edge weights (each edge is one Bell pair).  Guarded to at most
     EXACT_MAX_TERMINALS terminals; exponential in the terminal count only.
+    Raises ValueError when a terminal cannot reach the lowest one.  One
+    terminal gives no edges, and two the edges of the ``shortest_path``
+    from the higher to the lower, the path the rebuild's leaf step gives,
+    before any table is built.
+
     Row f[mask] holds, per node v, the weight of a cheapest tree joining v
     to the terminals in mask.  A mask's row is the minimum over its splits
     of f[sub] + f[mask ^ sub], then grown along shortest paths: with unit
-    weights that is a min-plus product with the hop-distance matrix.  The
-    rows are filled one popcount level at a time, each level's merges and
-    grow steps as a few numpy passes in row chunks of about _CHUNK_BYTES.
-    Raises ValueError when a terminal cannot reach the others.
+    weights that is a min-plus product with the hop distances.  Instances
+    of at most LIST_MAX_NODES nodes and LIST_MAX_TERMINALS terminals fill
+    the tables in lists (``_list_tables``); the rest fill them one
+    popcount level at a time, each level's merges and grow steps as a few
+    numpy passes in row chunks of about _CHUNK_BYTES.  Both give the same
+    entries, which ``_rebuild`` reads.
 
-    The tables take the distance matrix's type.  A leaf row is at most n
-    (the matrix's no-path entry), so a row of p terminals is at most p * n,
+    The numpy tables take the distance matrix's type.  A leaf row is at
+    most n (the no-path entry), so a row of p terminals is at most p * n,
     and with r terminals besides the root a grow step sums at most
     (r + 1) * n <= EXACT_MAX_TERMINALS * n, which that type holds.  On the
     root's component a real entry is at most n - 1 and a candidate through
     another component at least n, so such a candidate never wins or ties,
     and the rebuild visits only the root's component.
     """
-    import numpy as np
-
     q = inst.graph
     terms = sorted(inst.terminals)
     if len(terms) > EXACT_MAX_TERMINALS:
@@ -140,19 +180,25 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
     if len(terms) == 1:
         return frozenset()
     root, rest = terms[0], terms[1:]
+    reach = q.bfs(root)[0]
+    for t in rest:
+        if t not in reach:
+            raise ValueError(f"no path between {root} and {t}")
+    if len(rest) == 1:
+        path = q.shortest_path(rest[0], root)
+        return frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
+    if q.node_count <= LIST_MAX_NODES and len(terms) <= LIST_MAX_TERMINALS:
+        return _rebuild(q, root, rest, *_list_tables(q, rest))
+    import numpy as np
+
     n = q.node_count
     dist = q.distance_matrix
-    for t in rest:
-        if dist[root, t] == n:
-            raise ValueError(f"no path between {root} and {t}")
-    full = (1 << len(rest)) - 1
-    levels = _levels(len(rest))
-    f = np.empty((full + 1, n), dtype=dist.dtype)
-    merged = np.empty_like(f)  # a row before its grow step
+    f = np.empty((1 << len(rest), n), dtype=dist.dtype)
+    merged = np.empty_like(f)  # a row before its grow step; unset on leaves
     for i, t in enumerate(rest):
         f[1 << i] = dist[t]
     row_bytes = f.strides[0]
-    for masks, subs, others in levels:
+    for masks, subs, others in _levels(len(rest)):
         step = max(1, _CHUNK_BYTES // (subs.shape[1] * row_bytes))
         for lo in range(0, len(masks), step):
             part = slice(lo, lo + step)
@@ -161,13 +207,20 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
         for lo in range(0, len(masks), step):
             part = masks[lo : lo + step]
             f[part] = (merged[part, :, None] + dist).min(axis=1)
+    return _rebuild(q, root, rest, f, merged)
 
-    # Rebuild the tree depth first, a merge's `sub` part before the rest,
-    # working out each visited entry's choice again, with the tie-breaks of
-    # a heap Dijkstra that keeps a choice unless strictly improved: a leaf
-    # row's BFS path; else, when the grow step did not lower the entry, the
-    # first split attaining it; else a grow step from the lowest-numbered
-    # neighbour one hop cheaper.
+
+def _rebuild(q: QuotientGraph, root: int, rest: list[int], f, merged) -> frozenset[Edge]:
+    """The tree of entry f[full][root], from either engine's tables.
+
+    Depth first, a merge's `sub` part before the rest, working out each
+    visited entry's choice again, with the tie-breaks of a heap Dijkstra
+    that keeps a choice unless strictly improved: a leaf row's BFS path;
+    else, when the grow step did not lower the entry, the first split
+    attaining it; else a grow step from the lowest-numbered neighbour one
+    hop cheaper.
+    """
+    full = len(f) - 1
     edges: set[Edge] = set()
     stack = [(full, root)]
     while stack:
@@ -176,19 +229,18 @@ def steiner_tree_exact(inst: SteinerInstance) -> frozenset[Edge]:
             path = q.shortest_path(rest[mask.bit_length() - 1], v)
             edges.update(edge_key(a, b) for a, b in zip(path, path[1:]))
             continue
-        w = f[mask, v]
-        if merged[mask, v] == w:
-            masks, subs, others = levels[mask.bit_count() - 2]
-            i = int(masks.searchsorted(mask))
-            col = f[:, v]
-            sub = int(subs[i][(col[subs[i]] + col[others[i]]).argmin()])
+        row = f[mask]
+        w = row[v]
+        if merged[mask][v] == w:
+            sub = next(s for s in _splits(mask) if f[s][v] + f[mask ^ s][v] == w)
             stack.append((mask ^ sub, v))
             stack.append((sub, v))
         else:
-            u = next(u for u, _ in q.neighbours[v] if f[mask, u] == w - 1)
+            w -= 1
+            u = next(u for u, _ in q.neighbours[v] if row[u] == w)
             edges.add(edge_key(u, v))
             stack.append((mask, u))
-    if len(edges) != f[full, root]:
+    if len(edges) != f[full][root]:
         raise AssertionError("Steiner reconstruction produced a non-tree edge multiset")
     return frozenset(edges)
 

@@ -674,13 +674,16 @@ def _checkout_env() -> dict:
 
 def test_cli_import_leaves_networkx_unloaded():
     # networkx is a test reference only; numpy, the one runtime dependency,
-    # is loaded only by the exact Steiner program and the distance matrix,
-    # so a flow run and its JSON leave it unloaded and a steiner run loads it
+    # is loaded only by the exact Steiner program's numpy tables and the
+    # distance matrix, so a flow run and its JSON leave it unloaded, and so
+    # does a steiner run whose trees are all base cases or small enough for
+    # list tables (verify-corpus's cx, cz and 3-qubit fan-ins on rect-low
+    # g = 2); a steiner run with a larger tree loads it
     code = """
 import random, sys
 import distqc.cli
 from distqc.bench import compile_backend, gen_random_cz_circuit
-from distqc.circuit import Placement
+from distqc.circuit import Circuit, Placement, cx, cz, fanin
 from distqc.netmodel import gen_rect_low
 print('networkx' in sys.modules, 'numpy' in sys.modules)
 graph, placement = gen_rect_low(3), Placement.identity(9)
@@ -688,13 +691,17 @@ circuit = gen_random_cz_circuit(9, 30, random.Random(1))
 extended, _ = compile_backend('flow-greedy', circuit, placement, graph)
 assert extended.to_json()['frame']
 print('numpy' in sys.modules)
+small = Circuit.from_layers(6, [[cx(0, 5), fanin(1, [2, 4])], [cz(3, 1), fanin(5, [0, 2])]])
+extended, _ = compile_backend('steiner', small, Placement.identity(6), gen_rect_low(2))
+assert extended.e_count == 10
+print('numpy' in sys.modules)
 compile_backend('steiner', circuit, placement, graph)
 print('numpy' in sys.modules)
 """
     out = subprocess.run(
         [sys.executable, "-c", code], env=_checkout_env(), capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "False", "False", "True"]
+    assert out.stdout.split() == ["False", "False", "False", "False", "True"]
 
 
 def test_module_entry_runs_the_cli():

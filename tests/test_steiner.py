@@ -1,15 +1,29 @@
 import gc
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distqc import steiner
 from distqc.bench import gen_hardest_fanin, gen_random_cz_circuit
 from distqc.circuit import Circuit, Placement, cz, fanin, fanout, validate_layers
-from distqc.netmodel import EXACT_MAX_TERMINALS, QuotientGraph, gen_hex, gen_rect_high, gen_rect_low
+from distqc.netmodel import (
+    EXACT_MAX_TERMINALS,
+    GENERATORS,
+    QuotientGraph,
+    gen_hex,
+    gen_rect_high,
+    gen_rect_low,
+)
 from distqc.stabsim import (
     StabilizerState,
     canonical_tableau,
@@ -44,6 +58,55 @@ def path_graph(n):
     return QuotientGraph(n, tuple((i, i + 1, 1) for i in range(n - 1)))
 
 
+# settings of the engine rule that send every exact table to one engine
+ENGINES = {
+    "lists": {"LIST_MAX_NODES": sys.maxsize, "LIST_MAX_TERMINALS": EXACT_MAX_TERMINALS},
+    "numpy": {"LIST_MAX_NODES": 0},
+}
+
+
+def forced(engine):
+    """A context in which every exact tree's tables come from `engine`."""
+    return mock.patch.multiple(steiner, **ENGINES[engine])
+
+
+@pytest.fixture
+def numpy_engine():
+    with forced("numpy"):
+        yield
+
+
+def solve_with_tables(inst, engine=None):
+    """The exact tree of `inst`, on `engine` (None: by the rule), and the
+    tables (f, merged) its rebuild read, or None for a base case."""
+    seen = []
+    rebuild = steiner._rebuild
+
+    def recording(q, root, rest, f, merged):
+        seen.append((f, merged))
+        return rebuild(q, root, rest, f, merged)
+
+    with mock.patch.multiple(steiner, _rebuild=recording, **ENGINES.get(engine, {})):
+        tree = steiner_tree_exact(inst)
+    return tree, (seen[0] if seen else None)
+
+
+def assert_engines_agree(inst):
+    """Both engines give equal trees, and equal f and merged entries on the
+    root's component, the only part the rebuild reads."""
+    (tree, tables), (np_tree, np_tables) = (solve_with_tables(inst, engine) for engine in ENGINES)
+    assert tree == np_tree
+    if tables is None or np_tables is None:  # a base case builds no table
+        assert tables is np_tables is None
+        return
+    (f, merged), (np_f, np_merged) = tables, np_tables
+    comp = sorted(inst.graph.bfs(min(inst.terminals))[0])
+    for mask in range(1, len(f)):
+        assert [f[mask][v] for v in comp] == np_f[mask, comp].tolist(), mask
+        if mask & (mask - 1):  # merged has no leaf rows
+            assert [merged[mask][v] for v in comp] == np_merged[mask, comp].tolist(), mask
+
+
 def reference_cases():
     """Random terminal sets of 2-10 on the three lattices at g = 2-11."""
     rng = random.Random(61)
@@ -62,32 +125,63 @@ def reference_cases():
 class TestExactSteiner:
     def test_three_corners_of_3x3(self):
         g = gen_rect_low(3)
-        t = steiner_tree_exact(SteinerInstance(g, frozenset({0, 2, 6})))
-        assert tree_weight(t) == 4
+        for engine in ENGINES:
+            with forced(engine):
+                t = steiner_tree_exact(SteinerInstance(g, frozenset({0, 2, 6})))
+            assert tree_weight(t) == 4, engine
 
     def test_collinear_terminals(self):
         g = path_graph(6)
-        t = steiner_tree_exact(SteinerInstance(g, frozenset({1, 3, 5})))
-        assert tree_weight(t) == 4  # span length
+        for engine in ENGINES:
+            with forced(engine):
+                t = steiner_tree_exact(SteinerInstance(g, frozenset({1, 3, 5})))
+            assert tree_weight(t) == 4, engine  # span length
 
     def test_two_terminals_shortest_path(self):
         g = gen_rect_low(3)
         t = steiner_tree_exact(SteinerInstance(g, frozenset({0, 8})))
         assert tree_weight(t) == 4
+        # here BFS from 2 reaches 1 by 2-4-5-0-1, and from 1 reaches 2 by
+        # 1-0-3-6-2; the tree is the path from the higher terminal, the one
+        # the table program's leaf rebuild gives
+        edges = ((0, 1), (0, 3), (0, 5), (2, 4), (2, 6), (3, 6), (4, 5), (4, 7), (6, 7))
+        inst = SteinerInstance(QuotientGraph(8, tuple((u, v, 1) for u, v in edges)), frozenset({1, 2}))
+        expected = {(0, 1), (0, 5), (4, 5), (2, 4)}
+        assert steiner_tree_exact(inst) == reference_steiner_tree_exact(inst) == expected
 
     def test_leaves_no_reference_cycle(self):
         # a cycle would keep the DP tables alive until a full collection
         g = gen_rect_high(4)
         inst = SteinerInstance(g, frozenset({0, 7, 13, 21, 24}))
-        steiner_tree_exact(inst)  # fills the graph's distance cache
-        gc.collect()
-        gc.disable()
-        try:
-            tree = steiner_tree_exact(inst)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
-        assert tree_weight(tree) >= 4
+        for engine in ENGINES:
+            with forced(engine):
+                steiner_tree_exact(inst)  # fills the graph's distance caches
+                gc.collect()
+                gc.disable()
+                try:
+                    tree = steiner_tree_exact(inst)
+                    assert gc.collect() == 0, engine
+                finally:
+                    gc.enable()
+            assert tree_weight(tree) >= 4
+
+    def test_two_terminals_leave_numpy_unloaded_on_any_lattice(self):
+        # the base cases return before any table, so lattice size is moot
+        code = (
+            "import sys\n"
+            "from distqc.netmodel import edge_key, gen_rect_high\n"
+            "from distqc.steiner import SteinerInstance, steiner_tree_exact\n"
+            "g = gen_rect_high(11)\n"
+            "path = g.shortest_path(140, 3)\n"
+            "tree = steiner_tree_exact(SteinerInstance(g, frozenset({3, 140})))\n"
+            "print(g.node_count, tree == {edge_key(a, b) for a, b in zip(path, path[1:])},"
+            " 'numpy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(steiner.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["144", "True", "False"]
 
     def test_single_terminal(self):
         g = path_graph(3)
@@ -108,24 +202,56 @@ class TestExactSteiner:
             g = random_connected_graph(rng, rng.randint(3, 8), max_cap=1)
             nt = rng.randint(2, min(5, g.node_count))
             terms = frozenset(rng.sample(range(g.node_count), nt))
-            t = steiner_tree_exact(SteinerInstance(g, terms))
-            assert tree_weight(t) == brute_steiner_weight(g, set(terms))
+            weight = brute_steiner_weight(g, set(terms))
+            for engine in ENGINES:
+                with forced(engine):
+                    t = steiner_tree_exact(SteinerInstance(g, terms))
+                assert tree_weight(t) == weight, engine
 
     @pytest.mark.parametrize("solve", [steiner_tree_exact, steiner_tree_approx])
     @pytest.mark.parametrize("terms", [{0, 2}, {0, 1, 2}])
     def test_unreachable_terminal_raises(self, solve, terms):
         g = QuotientGraph(4, ((0, 1, 1), (2, 3, 1)))
-        with pytest.raises(ValueError, match="no path between 0 and 2"):
-            solve(SteinerInstance(g, frozenset(terms)))
+        for engine in ENGINES:
+            with forced(engine), pytest.raises(ValueError, match="no path between 0 and 2"):
+                solve(SteinerInstance(g, frozenset(terms)))
 
     def test_matches_reference_program(self):
         # grids have many tied optima, so equal edge sets pin the tie-breaks:
         # first split in order, then the lowest-numbered neighbour
         for g, terms in reference_cases():
             inst = SteinerInstance(g, frozenset(terms))
-            assert steiner_tree_exact(inst) == reference_steiner_tree_exact(inst), terms
+            expected = reference_steiner_tree_exact(inst)
+            for engine in ENGINES:
+                with forced(engine):
+                    assert steiner_tree_exact(inst) == expected, (engine, terms)
 
-    def test_wide_distance_type_gives_the_same_trees(self, monkeypatch):
+    @settings(max_examples=80)
+    @given(st.sampled_from(sorted(GENERATORS)), st.integers(1, 6), st.data())
+    def test_engines_fill_equal_tables(self, kind, g, data):
+        graph = GENERATORS[kind](g)
+        n = graph.node_count
+        terms = data.draw(st.frozensets(st.integers(0, n - 1), min_size=2, max_size=min(10, n)))
+        assert_engines_agree(SteinerInstance(graph, terms))
+
+    @pytest.mark.parametrize(
+        "kind, g, count, engine",
+        [
+            ("rect-low", 2, 4, "lists"),  # 6 nodes
+            ("rect-high", 2, 4, "lists"),  # 9 nodes
+            ("rect-high", 2, 5, "numpy"),
+            ("hex", 2, 3, "numpy"),  # 10 nodes
+            ("rect-low", 4, 3, "numpy"),  # 12 nodes
+        ],
+    )
+    def test_rule_takes_lists_up_to_its_bounds(self, kind, g, count, engine):
+        graph = GENERATORS[kind](g)
+        inst = SteinerInstance(graph, frozenset(random.Random(count).sample(range(graph.node_count), count)))
+        _, (f, _) = solve_with_tables(inst)
+        assert isinstance(f, list) == (engine == "lists")
+        assert_engines_agree(inst)
+
+    def test_wide_distance_type_gives_the_same_trees(self, monkeypatch, numpy_engine):
         cases = [SteinerInstance(g, frozenset(terms)) for g, terms in reference_cases()]
         narrow = [steiner_tree_exact(inst) for inst in cases]
         cached = QuotientGraph.distance_matrix
@@ -146,9 +272,12 @@ class TestExactSteiner:
         for _ in range(10):
             nodes = range(n) if side == 0 else range(n, n + 10)
             inst = SteinerInstance(g, frozenset(rng.sample(nodes, rng.randint(2, 8))))
-            assert steiner_tree_exact(inst) == reference_steiner_tree_exact(inst)
+            expected = reference_steiner_tree_exact(inst)
+            for engine in ENGINES:
+                with forced(engine):
+                    assert steiner_tree_exact(inst) == expected, engine
 
-    def test_long_path_reaches_the_largest_entries(self):
+    def test_long_path_reaches_the_largest_entries(self, numpy_engine):
         g = path_graph(300)
         terms = frozenset({0, 1, 2, 3, 150, 151, 296, 297, 298, 299})
         inst = SteinerInstance(g, terms)
