@@ -22,8 +22,16 @@ from .stabsim import ResidualEntanglementError, channel_equivalent
 from .telegate import ExtendedCircuit
 
 
+def _open(path: str, mode: str = "r"):
+    """Open a file the command line names; an OSError becomes a ValueError naming it."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+
+
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
+    with _open(path, "w") as fh:
         json.dump(doc, fh, separators=(",", ":"))
         fh.write("\n")
 
@@ -33,10 +41,8 @@ def _load(path: str, parse):
     key, a value of the wrong type or a malformed value becomes a ValueError
     that names the file."""
     try:
-        with open(path) as fh:
+        with _open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON: {exc}") from None
     try:
@@ -104,6 +110,7 @@ def cmd_bench(args) -> int:
         out=args.out,
         timing=not args.no_timing,
     )
+    _open(args.out, "w").close()  # refuse an unwritable path before compiling anything
     records = run_bench(cfg)
     print(f"{len(records)} rows -> {args.out}")
     return 0

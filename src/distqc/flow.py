@@ -6,7 +6,8 @@ Constraints: per-step edge capacities, strict ordering for logically
 dependent pairs, and relaxed (same-step allowed) ordering for
 quasi-parallel pairs.  Three solvers are provided: a feasibility/optimality
 checker, an exact branch-and-bound for small instances minimizing the total
-link count at a fixed horizon, and a greedy iterative compiler that packs as
+link count at a fixed horizon, asked at ascending horizons until one is
+feasible (the quickest flow), and a greedy iterative compiler that packs as
 many ready commodities as possible per step, critical path first, on routes
 at most ``DETOUR_SLACK`` links longer than their shortest paths.
 """
@@ -222,30 +223,21 @@ def quickest_flow(
     cs: CommoditySet,
     subsolver: SubSolver = solve_mcf_exact,
 ) -> FlowSchedule:
-    """Binary search for the minimum horizon with a feasible schedule.
+    """The sub-solver's schedule at the least horizon where it finds one.
 
-    The horizon is at most k (all commodities in sequence), so the search
-    runs ceil(log2 k) + O(1) calls of the sub-solver.  Feasibility is
-    monotone in the horizon (append an idle step), which makes the bisection
-    sound.  `subsolver` stays a parameter because tests pass a solver that
-    logs the horizons it is asked for, and the benchmark's span tracer finds
-    `solve_mcf_exact` through this default.
+    Horizons go up from ``max(cs.tails) + 1``, the steps the longest chain of
+    strict successors needs, to k (all commodities in sequence).  The first
+    schedule found ends at its horizon, or it would have fitted the one
+    before.  Tests pass a `subsolver` that logs the horizons it is asked
+    for; the benchmark's span tracer finds `solve_mcf_exact` as the default.
     """
     if cs.k == 0:
         return FlowSchedule(0, (), ())
-    lo, hi = 1, cs.k
-    best: FlowSchedule | None = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        sched = subsolver(q, cs, mid)
+    for d in range(max(cs.tails) + 1, cs.k + 1):
+        sched = subsolver(q, cs, d)
         if sched is not None:
-            best = sched
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best is None:
-        raise ValueError("no feasible schedule up to horizon k; instance is malformed")
-    return FlowSchedule(max(best.steps, default=0), best.steps, best.paths)
+            return sched
+    raise ValueError("no feasible schedule up to horizon k; instance is malformed")
 
 
 def iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
@@ -362,7 +354,7 @@ def compile_circuit_flow(
     """Schedule a placed circuit and expand it into an extended circuit.
 
     mode "greedy" runs the iterative compiler; "exact" runs the quickest-flow
-    binary search over the exact sub-solver (small instances only).  Raises
+    horizon scan over the exact sub-solver (small instances only).  Raises
     ValueError on a placement that does not fit (``circuit.validate``).  Returns
     (extended circuit, schedule, commodity set).  The cyclic collector is
     paused for the whole compile (``circuit.gc_paused``); that state is

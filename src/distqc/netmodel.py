@@ -235,11 +235,9 @@ class QuotientGraph:
             raise ValueError(f"no path between {s} and {t}")
         return d
 
-    def shortest_path(
-        self, s: int, t: int, usable: Sequence[int] | None = None
-    ) -> tuple[int, ...] | None:
+    def shortest_path(self, s: int, t: int) -> tuple[int, ...] | None:
         """The BFS shortest s-t path as a node tuple, or None when there is none."""
-        parent = self.bfs(s, usable, stop=t)[1]
+        parent = self.bfs(s)[1]
         return trace_path(parent, t) if t in parent else None
 
     def is_connected(self) -> bool:

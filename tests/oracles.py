@@ -48,7 +48,7 @@ from distqc.circuit import (
     yhalf,
 )
 from distqc.flow import DETOUR_SLACK, FlowSchedule
-from distqc.netmodel import QuotientGraph, edge_key
+from distqc.netmodel import QuotientGraph, edge_key, trace_path
 from distqc.pauli import PauliFrame
 from distqc.stabsim import BranchDependentError, ResidualEntanglementError
 from distqc.steiner import EXACT_MAX_TERMINALS, Edge, FanInLayering, SteinerInstance
@@ -411,6 +411,12 @@ def reference_tails(cs: CommoditySet) -> list[int]:
     return [tail(j) for j in reversed(range(cs.k))][::-1]
 
 
+def residual_path(q: QuotientGraph, s: int, t: int, usable: list[int]) -> tuple[int, ...] | None:
+    """The BFS shortest s-t path over edges with ``usable[e] >= 1``, or None."""
+    parent = q.bfs(s, usable, t)[1]
+    return trace_path(parent, t) if t in parent else None
+
+
 def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedule:
     """Greedy scheduling that re-tests readiness of every remaining commodity
     by scanning all of prec, and searches afresh for every ready commodity,
@@ -444,7 +450,7 @@ def reference_iterative_greedy(q: QuotientGraph, cs: CommoditySet) -> FlowSchedu
             batch = sorted((i for i in remaining if ready(i)), key=lambda i: (-tails[i], sp_len[i], i))
             for i in batch:
                 c = cs.commodities[i]
-                path = q.shortest_path(c.source, c.target, usable=residual)
+                path = residual_path(q, c.source, c.target, residual)
                 if path is None or len(path) - 1 > sp_len[i] + DETOUR_SLACK:
                     continue
                 for e in q.edge_ids(path):

@@ -666,6 +666,31 @@ class TestBenchCommand:
         assert rc == 0 and len(out.read_text().strip().splitlines()) == 1 + 4
 
 
+@pytest.mark.parametrize("bad,message", [("missing/out.json", "No such file or directory"), ("", "Is a directory")])
+@pytest.mark.parametrize("command", ["gen-topology", "gen-circuit", "compile --out", "compile --extended-out", "bench"])
+def test_unwritable_output_refused(tmp_path, capsys, monkeypatch, topo, circ, command, bad, message):
+    # each wrote through a bare open() and exited 1 with a traceback; bench
+    # did so only after its whole matrix had run
+    out = tmp_path / bad
+    name, _, option = command.partition(" ")
+    argv = {
+        "gen-topology": ["--kind", "hex", "--g", "2"],
+        "gen-circuit": ["--type", "hardest-fanin", "--qubits", "3"],
+        "compile": ["--circuit", str(circ), "--topology", str(topo), "--backend", "flow-greedy"],
+        "bench": ["--topologies", "rect-low", "--g", "2", "--sizes", "4", "--samples", "1"],
+    }[name]
+
+    def no_compile(*args):
+        raise AssertionError("compiled before refusing the output path")
+
+    monkeypatch.setattr("distqc.bench.compile_backend", no_compile)
+    capsys.readouterr()
+    rc = run([name, *argv, option or "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"distqc {name}: error: {out}: {message}\n"
+
+
 def _checkout_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout's distqc."""
     src = str(Path(distqc.__file__).resolve().parents[1])

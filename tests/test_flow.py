@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import json
-import math
 import random
 import re
 
@@ -216,11 +215,23 @@ class TestQuickestFlow:
         sched = quickest_flow(g, cs)
         assert metrics(sched).e_depth == 1
 
-    def test_call_count_logarithmic(self):
+    def test_scan_asks_each_horizon_once(self):
         cs = simple_cs([(0, 1)] * 8)
         log = []
-        quickest_flow(EDGE2, cs, logging_subsolver(log))
-        assert len(log) <= math.ceil(math.log2(8)) + 2
+        sched = quickest_flow(EDGE2, cs, logging_subsolver(log))
+        assert log == [1, 2, 3, 4]
+        assert sched.horizon == max(sched.steps) == 4
+
+    def test_scan_starts_at_the_chain_bound(self):
+        # 0 < 1 < 2 needs three steps; on one link the two free commodities
+        # need two more
+        for pairs, want in (([(0, 1)] * 3, [3]), ([(0, 1)] * 5, [3, 4, 5])):
+            cs = simple_cs(pairs, prec=[(0, 1), (1, 2)])
+            assert max(cs.tails) + 1 == 3
+            log = []
+            sched = quickest_flow(EDGE, cs, logging_subsolver(log))
+            assert log == want
+            assert sched.horizon == max(sched.steps) == want[-1]
 
     def test_matches_brute_quickest(self):
         rng = random.Random(17)

@@ -18,6 +18,7 @@ from distqc.netmodel import (
     gen_hex,
     gen_rect_high,
     gen_rect_low,
+    trace_path,
 )
 from distqc.steiner import compile_circuit_steiner, cz_to_dense_fanin
 from oracles import NX_LATTICES, to_nx
@@ -172,18 +173,19 @@ class TestDistanceService:
             sub.add_nodes_from(range(q.node_count))
             sub.add_edges_from(q.edges[e][:2] for e, c in enumerate(usable) if c > 0)
             s, t = rng.sample(range(q.node_count), 2)
-            path = q.shortest_path(s, t, usable=usable)
+            parent = q.bfs(s, usable, t)[1]
             if not nx.has_path(sub, s, t):
-                assert path is None
+                assert t not in parent
                 continue
+            path = trace_path(parent, t)
             assert path[0] == s and path[-1] == t
             assert len(path) - 1 == nx.shortest_path_length(sub, s, t)
             assert all(usable[e] > 0 for e in q.edge_ids(path))
 
     def test_residual_cut_gives_none(self):
         q = QuotientGraph(3, ((0, 1, 1), (1, 2, 1)))
-        assert q.shortest_path(0, 2, usable=[1, 0]) is None
-        assert q.shortest_path(0, 2, usable=[1, 1]) == (0, 1, 2)
+        assert 2 not in q.bfs(0, [1, 0], 2)[1]
+        assert trace_path(q.bfs(0, [1, 1], 2)[1], 2) == (0, 1, 2)
         assert q.shortest_path(0, 2) == (0, 1, 2)  # the filter is not memoised
 
     def test_missing_or_unreachable_node_raises(self):

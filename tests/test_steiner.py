@@ -218,11 +218,13 @@ class TestExactSteiner:
 
     def test_matches_reference_program(self):
         # grids have many tied optima, so equal edge sets pin the tie-breaks:
-        # first split in order, then the lowest-numbered neighbour
+        # first split in order, then the lowest-numbered neighbour.  The list
+        # engine is forced only up to 49 nodes: the rule never gives it the
+        # larger g = 11 lattices, where its pass cost seconds
         for g, terms in reference_cases():
             inst = SteinerInstance(g, frozenset(terms))
             expected = reference_steiner_tree_exact(inst)
-            for engine in ENGINES:
+            for engine in ENGINES if g.node_count <= 49 else ("numpy",):
                 with forced(engine):
                     assert steiner_tree_exact(inst) == expected, (engine, terms)
 
